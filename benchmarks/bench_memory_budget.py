@@ -96,7 +96,6 @@ def _serve_and_load(
         ranker,
         port=0,
         max_batch_size=MAX_BATCH_SIZE,
-        max_wait_ms=0.0,
         cache_capacity=0,
         query_workers=2,
     ) as server:

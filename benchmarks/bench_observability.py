@@ -123,7 +123,6 @@ def measure_side(ranker, tracing: bool, concurrency: int, n_requests: int) -> di
         ranker,
         port=0,
         max_batch_size=64,
-        max_wait_ms=2.0,
         tracing=tracing,
     )
     # Warm: JIT-free Python, but first requests pay cache/page effects.
@@ -186,7 +185,7 @@ def run_benchmark(
         graph, SpectralIndex.build(graph, rank=SPECTRAL_RANK, cluster_labels=labels)
     )
     tiered_server = BackgroundServer(
-        TieredEngine(ranker, spectral), port=0, max_wait_ms=2.0, tracing=True
+        TieredEngine(ranker, spectral), port=0, tracing=True
     )
     try:
         tiered_trace = collect_trace(
@@ -363,7 +362,7 @@ def small_ranker():
 
 def test_flat_span_tree_explains_request(small_ranker):
     graph, ranker = small_ranker
-    with BackgroundServer(ranker, port=0, max_wait_ms=1.0) as server:
+    with BackgroundServer(ranker, port=0) as server:
         trace = assert_span_tree(
             collect_trace(server.port, 0, 5),
             {
@@ -381,7 +380,7 @@ def test_tiered_span_tree_has_distinct_tiers(small_ranker):
         graph, SpectralIndex.build(graph, rank=16)
     )
     with BackgroundServer(
-        TieredEngine(ranker, spectral), port=0, max_wait_ms=1.0
+        TieredEngine(ranker, spectral), port=0
     ) as server:
         durations = assert_span_tree(
             collect_trace(server.port, 2, 5, accuracy="fast"),

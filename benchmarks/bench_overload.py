@@ -209,7 +209,7 @@ async def _measure_unloaded(engine, k: int, seed: int) -> dict:
     )
     np.random.default_rng(seed).shuffle(queries)
     async with MicroBatchScheduler(
-        engine, max_batch_size=BATCH_SIZE, max_wait_ms=0.0
+        engine, max_batch_size=BATCH_SIZE
     ) as scheduler:
         await scheduler.search(int(queries[0]), k)  # warm-up, untimed
         return await _closed_loop(scheduler, queries, UNLOADED_CONCURRENCY, k)
@@ -237,7 +237,6 @@ async def _storm(
     async with MicroBatchScheduler(
         engine,
         max_batch_size=BATCH_SIZE,
-        max_wait_ms=0.0,
         metrics=metrics,
         admission=admission,
     ) as scheduler:
@@ -264,7 +263,7 @@ async def _attest_expiry(engine, k: int) -> dict:
     faults = FaultInjector.parse("scheduler.queue:stall:120")
     metrics = ServiceMetrics()
     async with MicroBatchScheduler(
-        engine, max_wait_ms=0.0, metrics=metrics, faults=faults
+        engine, metrics=metrics, faults=faults
     ) as scheduler:
         trace = Trace("search")
         expired = False
@@ -470,7 +469,7 @@ def test_open_loop_accounting_closes():
 
     async def main():
         async with MicroBatchScheduler(
-            engine, max_batch_size=8, max_wait_ms=0.0
+            engine, max_batch_size=8
         ) as scheduler:
             return await _open_loop(
                 scheduler, 400.0, 0.5, 50.0, engine.n_nodes, 5, seed=1
@@ -498,7 +497,6 @@ def test_admission_storm_sheds_or_degrades():
         async with MicroBatchScheduler(
             engine,
             max_batch_size=1,
-            max_wait_ms=0.0,
             metrics=metrics,
             admission=admission,
             faults=faults,

@@ -90,7 +90,6 @@ def _measure_worker_count(
         ranker,
         port=0,
         max_batch_size=MAX_BATCH_SIZE,
-        max_wait_ms=0.0,
         cache_capacity=0,
         query_workers=query_workers,
     ) as server:

@@ -27,12 +27,11 @@ Two entry points:
   scheduler answers stay identical to direct ``top_k`` under load, and
   coalescing engages under concurrency.
 
-Expected shape: at concurrency 1 the per-request baseline wins slightly
-(no batching opportunity, and the deadline adds nothing because a lone
-request departs when its window closes *empty*); from concurrency 8 up,
-micro-batching wins increasingly — the queue refills while the engine
-solves, so dispatches run near max_batch_size and throughput approaches
-the engine's batch speedup.
+Expected shape: at concurrency 1 every policy is the same (dispatch is
+work-conserving, so a lone request leaves at once whatever the cap);
+from concurrency 8 up, micro-batching wins increasingly — the lane
+refills while the engine solves, so dispatches run near max_batch_size
+and throughput approaches the engine's batch speedup.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from repro.service.metrics import LatencyHistogram
 from repro.service.scheduler import MicroBatchScheduler
 
 CONCURRENCY_LEVELS = (1, 8, 32, 128)
-#: (name, max_batch_size, max_wait_ms, sequential_singletons).  Two
-#: baselines, then micro-batching under increasingly patient deadlines:
+#: (name, max_batch_size, sequential_singletons).  Two baselines, then
+#: micro-batching at two caps:
 #:
 #: * ``per_request`` — batch size 1 through the batch engine (the
 #:   scheduler's uniform execution path with coalescing disabled): what
@@ -63,11 +62,10 @@ CONCURRENCY_LEVELS = (1, 8, 32, 128)
 #:   production default): a strictly stronger per-request baseline,
 #:   reported so the coalescing win is never overstated.
 POLICIES = (
-    ("per_request", 1, 0.0, False),
-    ("per_request_fastpath", 1, 0.0, True),
-    ("batch32_wait0", 32, 0.0, True),
-    ("batch32_wait2ms", 32, 2.0, True),
-    ("batch128_wait5ms", 128, 5.0, True),
+    ("per_request", 1, False),
+    ("per_request_fastpath", 1, True),
+    ("batch32", 32, True),
+    ("batch128", 128, True),
 )
 #: INRIA substitute at this scale = the synthetic 10k-node graph.
 FULL_RUN_SCALE = 1.25
@@ -116,7 +114,6 @@ async def _run_policy(
     ranker: MogulRanker,
     queries: np.ndarray,
     max_batch_size: int,
-    max_wait_ms: float,
     concurrency: int,
     k: int,
     sequential_singletons: bool = True,
@@ -125,7 +122,6 @@ async def _run_policy(
     async with MicroBatchScheduler(
         ranker,
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         sequential_singletons=sequential_singletons,
     ) as scheduler:
         # Warm the engine (first-call allocation effects), untimed.
@@ -139,7 +135,7 @@ def run_benchmark(
     k: int = FULL_RUN_K,
     seed: int = 0,
     concurrency_levels: tuple[int, ...] = CONCURRENCY_LEVELS,
-    policies: tuple[tuple[str, int, float, bool], ...] = POLICIES,
+    policies: tuple[tuple[str, int, bool], ...] = POLICIES,
 ) -> dict:
     """Measure the sweep and return the trajectory record."""
     dataset = load_dataset("inria", scale=scale, seed=seed)
@@ -150,7 +146,7 @@ def run_benchmark(
         queries = np.resize(queries, n_requests)
 
     sweep = []
-    for name, max_batch_size, max_wait_ms, sequential_singletons in policies:
+    for name, max_batch_size, sequential_singletons in policies:
         # Best of two passes per point: the asserted ratio compares runs
         # taken minutes apart, so a transient host slowdown during one
         # pass must not corrupt it.
@@ -162,7 +158,6 @@ def run_benchmark(
                             ranker,
                             queries,
                             max_batch_size,
-                            max_wait_ms,
                             concurrency,
                             k,
                             sequential_singletons=sequential_singletons,
@@ -178,7 +173,6 @@ def run_benchmark(
             {
                 "policy": name,
                 "max_batch_size": max_batch_size,
-                "max_wait_ms": max_wait_ms,
                 "sequential_singletons": sequential_singletons,
                 "runs": runs,
             }
@@ -203,7 +197,7 @@ def run_benchmark(
     fastpath = _throughput_at(sweep, "per_request_fastpath", 32)
     best_name, best_qps = None, 0.0
     for entry in sweep:
-        if entry["max_batch_size"] > 1 and entry["max_wait_ms"] > 0:
+        if entry["max_batch_size"] > 1:
             qps = _throughput_at([entry], entry["policy"], 32)
             if qps is not None and qps > best_qps:
                 best_name, best_qps = entry["policy"], qps
@@ -296,7 +290,7 @@ def test_scheduler_answers_identical_under_load():
 
     async def main():
         async with MicroBatchScheduler(
-            ranker, max_batch_size=16, max_wait_ms=2.0
+            ranker, max_batch_size=16
         ) as scheduler:
             return await asyncio.gather(
                 *(scheduler.search(int(node), 10) for node in queries)
@@ -318,7 +312,7 @@ def test_concurrency_drives_coalescing():
 
     async def main():
         async with MicroBatchScheduler(
-            ranker, max_batch_size=32, max_wait_ms=2.0
+            ranker, max_batch_size=32
         ) as scheduler:
             return await _drive(scheduler, queries, concurrency=16, k=10)
 

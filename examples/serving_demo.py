@@ -35,9 +35,7 @@ def main() -> None:
     graph = build_knn_graph(features, k=5)
     ranker = MogulRanker(graph)
 
-    with BackgroundServer(
-        ranker, port=0, max_batch_size=32, max_wait_ms=2.0
-    ) as background:
+    with BackgroundServer(ranker, port=0, max_batch_size=32) as background:
         print(f"serving {ranker.n_nodes} nodes on port {background.port}")
 
         # One interactive query, checked against the library answer.

@@ -258,15 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-batch-size",
         type=int,
         default=32,
-        help="most queries coalesced into one engine dispatch (default 32)",
-    )
-    serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="how long the first request of a batch waits for company "
-        "(default 2.0; 0 = dispatch immediately, still coalescing "
-        "whatever is already queued)",
+        help="most queries coalesced into one engine dispatch (default "
+        "32; 1 = per-request).  Dispatch is work-conserving: a request "
+        "goes to the engine as soon as its lane is free, and a busy "
+        "lane batches what queued meanwhile — nothing waits for company",
     )
     serve.add_argument(
         "--cache-capacity",
@@ -281,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="W",
         help="engine worker threads solving dispatched batches "
         "(default 1 = serialize every dispatch; more workers overlap "
-        "solves on multi-core hosts; answers are identical at any "
+        "the solves of different lanes on multi-core hosts — each lane "
+        "keeps one batch in flight; answers are identical at any "
         "setting)",
     )
     serve.add_argument(
@@ -857,7 +853,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             cache_capacity=args.cache_capacity,
             tracing=not args.no_tracing,
             slowlog_capacity=args.slowlog_capacity,
@@ -883,7 +878,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             cache_capacity=args.cache_capacity,
             tracing=not args.no_tracing,
             slowlog_capacity=args.slowlog_capacity,

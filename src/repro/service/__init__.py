@@ -4,9 +4,10 @@ The engine's batched execution path (:mod:`repro.core.batch`) only pays
 off when concurrent requests actually share a solve.  This package adds
 the request-lifecycle layer that makes that happen in a live system:
 
-* :mod:`repro.service.scheduler` — a micro-batching scheduler that
-  coalesces concurrent requests into ``top_k_batch`` calls under a
-  max-batch-size + max-wait-deadline policy,
+* :mod:`repro.service.scheduler` — a work-conserving micro-batching
+  scheduler: dispatch when the lane is free, batch what queued
+  meanwhile into one ``top_k_batch`` call (capped at max-batch-size;
+  nothing waits on a timer),
 * :mod:`repro.service.server` — a stdlib-only asyncio HTTP front end
   (``POST /search``, ``POST /search_oos``, ``GET /healthz`` /
   ``/metrics`` / ``/stats``),

@@ -2,18 +2,25 @@
 
 The batched engine (:mod:`repro.core.batch`) answers b queries for far
 less than b times the cost of one — but only if someone assembles the
-batch.  :class:`MicroBatchScheduler` is that someone, the same shape
-serving systems use for GPU inference: requests are enqueued as they
-arrive, a dispatcher coalesces them under a **max-batch-size +
-max-wait-deadline** policy (the first request in an empty queue opens a
-window of ``max_wait_ms``; the batch departs when the window expires or
-the batch is full, whichever is first), the engine runs on a pool of
-``query_workers`` worker threads so the event loop keeps accepting
-requests mid-solve, and the per-query answers fan back out through
-futures.  Engines are reentrant (per-thread ambient stats, see
-:class:`repro.ranking.base.AmbientStatsMixin`), so multiple workers may
-solve concurrently — numpy releases the GIL for the heavy kernels, so
-on a multi-core host ``--query-workers 4`` genuinely overlaps solves.
+batch.  :class:`MicroBatchScheduler` is that someone, and its policy is
+**work-conserving**: dispatch when the lane is free; batch what queued
+meanwhile.  A request arriving at an idle lane schedules one launch for
+the end of the current event-loop turn, so everything submitted in that
+turn leaves as one batch (capped at ``max_batch_size``); while that
+batch solves, arrivals pile up in the lane's pending list, and the
+batch's completion launches the next one from them.  Nothing ever waits
+on a timer for company: a batched query costs about what a sequential
+one does, so coalescing only amortises dispatch overhead, and a busy
+engine gets that for free from whatever queued while it solved.
+
+The engine runs on a pool of ``query_workers`` worker threads so the
+event loop keeps accepting requests mid-solve, and the per-query answers
+fan back out through futures, resolved straight from the worker's
+completion callback.  Each lane keeps **one batch in flight**; engines
+are reentrant (per-thread ambient stats, see
+:class:`repro.ranking.base.AmbientStatsMixin`) and numpy releases the
+GIL for the heavy kernels, so on a multi-core host ``--query-workers 4``
+genuinely overlaps the solves of *different* lanes.
 
 Correctness is inherited, not approximated: batching is purely an
 execution strategy (answers are bitwise identical to per-request
@@ -23,8 +30,8 @@ ordered by (score desc, id asc), so the top-k prefix of a top-K answer
 *is* the top-k answer.
 
 In-database and out-of-sample requests are scheduled in separate lanes
-(they enter different engine entry points); each lane has its own queue
-and dispatcher, all feeding the shared engine worker pool.  When the
+(they enter different engine entry points); each lane has its own
+pending list, all feeding the shared engine worker pool.  When the
 engine is tiered (:class:`repro.core.TieredEngine`), requests carry an
 accuracy dial, and each resolved accuracy level gets its **own** lane
 (``node:fast``, ``node:balanced``, ...): only requests answered by the
@@ -38,8 +45,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,7 +120,7 @@ class _Pending:
     #: Cache generation observed at submit; the fill is skipped if the
     #: cache was invalidated while the solve ran (the answer is stale).
     cache_generation: int | None = None
-    #: The request's trace (``None`` when tracing is off); the dispatcher
+    #: The request's trace (``None`` when tracing is off); completion
     #: records the enqueue→dispatch wait and attaches the engine span tree.
     trace: Trace | None = None
     #: ``perf_counter`` at enqueue — the start of the scheduler wait.
@@ -123,6 +130,22 @@ class _Pending:
     deadline_at: float | None = None
     #: Whether admission control downgraded this request to the fast tier.
     degraded: bool = False
+
+
+@dataclass
+class _Lane:
+    """One coalescing lane: its backlog and the single batch it may fly."""
+
+    #: Engine kwargs of the lane (the resolved accuracy dial); the base
+    #: ``node`` / ``oos`` lanes carry none.
+    extra: dict
+    #: Requests waiting for the lane to be free, FIFO.
+    pending: list[_Pending] = field(default_factory=list)
+    #: The scheduled launch (a ``call_soon`` handle, or the timer of a
+    #: ``scheduler.queue`` stall); its requests are still in ``pending``.
+    launch: asyncio.Handle | None = None
+    #: The executor future of the batch on a worker, if any.
+    solving: Future | None = None
 
 
 class MicroBatchScheduler:
@@ -137,13 +160,12 @@ class MicroBatchScheduler:
         the protocol surface (``top_k`` / ``top_k_batch`` /
         ``top_k_out_of_sample`` / ``top_k_out_of_sample_batch``).
     max_batch_size:
-        Upper bound on queries per engine dispatch.  1 disables
-        coalescing entirely — the per-request baseline.
-    max_wait_ms:
-        How long the first request of a batch may wait for company.
-        0 keeps latency minimal while still coalescing whatever is
-        *already* queued when the dispatcher looks (opportunistic
-        batching under load, zero added wait when idle).
+        Upper bound on queries per engine dispatch — the only
+        coalescing setting.  1 disables coalescing entirely (the
+        per-request baseline); above 1 a dispatch carries whatever
+        queued while the lane was busy, or was submitted in the same
+        event-loop turn as the first request of an idle lane.  Nothing
+        waits for company.
     cache:
         Optional :class:`ResultCache` probed before enqueueing and
         filled after each dispatch.
@@ -177,19 +199,19 @@ class MicroBatchScheduler:
     query_workers:
         Size of the engine worker pool.  1 (the default) reproduces the
         historical single-worker behaviour: every dispatch serializes on
-        one thread.  Larger values let batches from different lanes (or
-        consecutive batches of one busy lane) solve concurrently —
-        answers are unchanged at any setting (engines are reentrant and
-        batching is semantics-free), only the overlap changes.  Sizing
-        guidance lives in the README's "Parallel query execution"
-        section; more workers than cores buys nothing.
+        one thread.  Larger values let batches from *different* lanes
+        solve concurrently (a lane keeps one batch in flight, so a lone
+        busy lane uses one worker) — answers are unchanged at any
+        setting (engines are reentrant and batching is semantics-free),
+        only the overlap changes.  Sizing guidance lives in the README's
+        "Parallel query execution" section; more workers than cores buys
+        nothing.
     """
 
     def __init__(
         self,
         ranker,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         cache: ResultCache | None = None,
         metrics: ServiceMetrics | None = None,
         admission: AdmissionController | None = None,
@@ -200,15 +222,12 @@ class MicroBatchScheduler:
     ):
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be non-negative, got {max_wait_ms}")
         query_workers = int(query_workers)
         if query_workers < 1:
             raise ValueError(f"query_workers must be >= 1, got {query_workers}")
         self.ranker = ranker
         self.query_workers = query_workers
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.cache = cache
         self.metrics = metrics
         self.admission = admission
@@ -222,11 +241,8 @@ class MicroBatchScheduler:
         #: Lazily resolved ``(label, engine_kwargs)`` of the degradation
         #: target tier (``(None, None)`` on engines without a dial).
         self._degrade_target_cache: tuple[str | None, dict | None] | None = None
-        self._queues: dict[str, asyncio.Queue] = {}
-        #: Per-lane engine kwargs (the resolved accuracy dial); the base
-        #: ``node`` / ``oos`` lanes carry none.
-        self._lane_extra: dict[str, dict] = {}
-        self._dispatchers: list[asyncio.Task] = []
+        self._lanes: dict[str, _Lane] = {}
+        self._loop: asyncio.AbstractEventLoop | None = None
         #: The engine worker pool.  Engines are reentrant (per-thread
         #: ambient stats; numpy releases the GIL for the heavy kernels),
         #: so `query_workers` threads may solve concurrently — the
@@ -234,9 +250,9 @@ class MicroBatchScheduler:
         self._executor: ThreadPoolExecutor | None = None
         self._running = False
         #: Requests handed to the engine workers but not yet answered.
-        #: Admission must see these: the dispatcher pulls whole batches
-        #: off the queues instantly, so queue depth alone under-counts
-        #: the real backlog by up to (lanes x max_batch_size).
+        #: Admission must see these: a launch takes a whole batch off
+        #: its lane at once, so queue depth alone under-counts the real
+        #: backlog by up to (lanes x max_batch_size).
         self._in_flight = 0
         #: Guards the worker gauges below (touched from pool threads).
         self._workers_lock = threading.Lock()
@@ -253,55 +269,36 @@ class MicroBatchScheduler:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Create the queues, the worker pool and one dispatcher per lane."""
+        """Create the worker pool and the two base lanes."""
         if self._running:
             raise RuntimeError("scheduler is already running")
         self._running = True
+        self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
             max_workers=self.query_workers, thread_name_prefix="mogul-engine"
         )
-        self._queues = {"node": asyncio.Queue(), "oos": asyncio.Queue()}
-        self._lane_extra = {"node": {}, "oos": {}}
-        self._dispatchers = [
-            asyncio.create_task(self._dispatch_loop(lane), name=f"dispatch-{lane}")
-            for lane in self._queues
-        ]
-
-    def _ensure_lane(self, lane: str, extra: dict) -> None:
-        """Create an accuracy lane on first use (event-loop only, no races).
-
-        Tiered accuracy levels are open-ended (``m=<any>``), so lanes are
-        made lazily rather than enumerated up front.  The lane's engine
-        kwargs are fixed at creation: a lane name resolves to exactly one
-        tier configuration, which is what makes coalescing inside it safe.
-        """
-        if lane in self._queues:
-            return
-        self._queues[lane] = asyncio.Queue()
-        self._lane_extra[lane] = dict(extra)
-        self._dispatchers.append(
-            asyncio.create_task(self._dispatch_loop(lane), name=f"dispatch-{lane}")
-        )
+        self._lanes = {"node": _Lane({}), "oos": _Lane({})}
 
     async def stop(self) -> None:
-        """Drain nothing, cancel the dispatchers, shut the worker down.
+        """Fail what never reached a worker, let in-flight batches finish.
 
-        In-flight engine calls finish (the executor shutdown waits);
-        requests still queued are failed with
-        :class:`SchedulerStoppedError` — the server maps it to 503 +
+        Every request still in a lane's pending list — queued behind a
+        batch, taken by a launch that has not run yet, or held in a
+        ``scheduler.queue`` stall — fails with
+        :class:`SchedulerStoppedError`; the server maps it to 503 +
         ``Connection: close``, so clients can tell "server going away"
-        (retry elsewhere) from an engine bug (500).
+        (retry elsewhere) from an engine bug (500).  A batch already on
+        a worker finishes and its members are answered normally.
         """
         if not self._running:
             return
         self._running = False
-        for task in self._dispatchers:
-            task.cancel()
-        await asyncio.gather(*self._dispatchers, return_exceptions=True)
-        self._dispatchers = []
-        for queue in self._queues.values():
-            while not queue.empty():
-                pending: _Pending = queue.get_nowait()
+        in_flight = []
+        for lane in self._lanes.values():
+            if lane.launch is not None:
+                lane.launch.cancel()
+                lane.launch = None
+            for pending in lane.pending:
                 if not pending.future.done():
                     pending.future.set_exception(
                         SchedulerStoppedError(
@@ -309,9 +306,16 @@ class MicroBatchScheduler:
                             "the request was never dispatched"
                         )
                     )
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+            lane.pending.clear()
+            if lane.solving is not None:
+                # The batch's own completion callback was added first and
+                # callbacks run in order, so `_complete` has answered the
+                # members by the time this wrapper resolves.
+                in_flight.append(asyncio.wrap_future(lane.solving))
+        if in_flight:
+            await asyncio.gather(*in_flight, return_exceptions=True)
+        self._executor.shutdown(wait=True)
+        self._executor = None
 
     async def __aenter__(self) -> "MicroBatchScheduler":
         await self.start()
@@ -323,7 +327,7 @@ class MicroBatchScheduler:
     @property
     def queue_depth(self) -> int:
         """Requests currently enqueued (all lanes), excluding in-flight solves."""
-        return sum(queue.qsize() for queue in self._queues.values())
+        return sum(len(lane.pending) for lane in self._lanes.values())
 
     @property
     def in_flight(self) -> int:
@@ -335,13 +339,13 @@ class MicroBatchScheduler:
         """Total outstanding requests: queued plus in-flight.
 
         The admission controller's depth signal.  Queue depth alone is
-        gameable by the dispatcher itself (it drains whole batches off
-        the queues the instant they arrive, parking them in front of
-        the engine worker pool), so a bound on the queue would not
-        bound the wait.  Backlog is what an arriving request actually
-        stands behind — the admission controller converts it to an
-        expected delay by dividing through the pool size (its
-        ``query_workers``, set by this scheduler at construction).
+        gameable by dispatch itself (a launch moves a whole batch off
+        its lane, parking it in front of the engine worker pool), so a
+        bound on the queue would not bound the wait.  Backlog is what an
+        arriving request actually stands behind — the admission
+        controller converts it to an expected delay by dividing through
+        the pool size (its ``query_workers``, set by this scheduler at
+        construction).
         """
         return self.queue_depth + self._in_flight
 
@@ -367,13 +371,12 @@ class MicroBatchScheduler:
         """Scheduler configuration and live counters for ``GET /stats``."""
         out = {
             "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
             "query_workers": self.query_workers,
             "workers_busy": self.workers_busy if self._running else 0,
             "engine_wait_seconds": self.engine_wait_seconds,
             "queue_depth": self.queue_depth if self._running else 0,
             "in_flight": self._in_flight if self._running else 0,
-            "lanes": sorted(self._queues) if self._running else [],
+            "lanes": sorted(self._lanes) if self._running else [],
             "batches_dispatched": self.batches_dispatched,
             "queries_dispatched": self.queries_dispatched,
             "mutations_dispatched": self.mutations_dispatched,
@@ -647,11 +650,16 @@ class MicroBatchScheduler:
                 hit = self._probe_cache(cache_key, lane, label, degraded, trace)
                 if hit is not None:
                     return hit
-        if label is not None:
-            self._ensure_lane(lane, extra)
+        # Accuracy lanes are open-ended (``m=<any>``), so they are made
+        # on first use; a lane's engine kwargs are fixed at creation — a
+        # lane name resolves to exactly one tier configuration, which is
+        # what makes coalescing inside it safe.
+        state = self._lanes.get(lane)
+        if state is None:
+            state = self._lanes[lane] = _Lane(dict(extra))
         generation = None if self.cache is None else self.cache.generation
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._queues[lane].put(
+        future: asyncio.Future = self._loop.create_future()
+        state.pending.append(
             _Pending(
                 payload=payload,
                 k=k,
@@ -664,65 +672,72 @@ class MicroBatchScheduler:
                 degraded=degraded,
             )
         )
+        if state.launch is None and state.solving is None:
+            # The lane is free: launch at the end of this loop turn, so
+            # every request submitted in the same turn shares the batch.
+            state.launch = self._loop.call_soon(self._launch, lane)
         return await future
 
     # -- dispatch ---------------------------------------------------------
 
-    async def _dispatch_loop(self, lane: str) -> None:
-        queue = self._queues[lane]
-        loop = asyncio.get_running_loop()
-        while True:
-            first: _Pending = await queue.get()
-            batch = [first]
-            try:
-                deadline = (
-                    loop.time() + self.max_wait_ms / 1e3
-                    if self.max_wait_ms > 0
-                    else None
+    def _launch(self, lane: str) -> None:
+        """Dispatch the lane's next batch now (event loop, lane is free)."""
+        if self.faults is not None and self.faults.armed:
+            # Chaos site: hold the launch (cooperatively — new requests
+            # keep arriving and piling into the lane, which is the
+            # overload scenario the deadline and admission tests need to
+            # provoke).
+            stall = self.faults.stall_seconds("scheduler.queue")
+            if stall > 0:
+                self._lanes[lane].launch = self._loop.call_later(
+                    stall, self._dispatch, lane
                 )
-                while len(batch) < self.max_batch_size:
-                    # Drain-first: whatever is already queued (typically the
-                    # requests that arrived while the previous batch was
-                    # solving) joins for free, without touching the deadline
-                    # machinery.  The timed wait runs only against an empty
-                    # queue, so a full batch never stalls on its deadline
-                    # and the common case costs zero extra tasks.
-                    if not queue.empty():
-                        batch.append(queue.get_nowait())
-                        continue
-                    if deadline is None:
-                        break
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(queue.get(), timeout))
-                    except asyncio.TimeoutError:
-                        break
-                if self.faults is not None and self.faults.armed:
-                    # Chaos site: hold the assembled batch on the event loop
-                    # (cooperatively — new requests keep arriving and piling
-                    # into the queue, which is the overload scenario the
-                    # deadline and admission tests need to provoke).
-                    stall = self.faults.stall_seconds("scheduler.queue")
-                    if stall > 0:
-                        await asyncio.sleep(stall)
-            except asyncio.CancelledError:
-                # stop() cancelled the dispatcher while it held requests
-                # pulled off the queue but not yet dispatched: they are
-                # invisible to stop()'s queue drain, so fail them here —
-                # 503, not a hung future or an opaque 500.
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            SchedulerStoppedError(
-                                "scheduler stopped while the request awaited "
-                                "batch assembly; the request was never "
-                                "dispatched"
-                            )
-                        )
-                raise
-            await self._run_batch(lane, batch)
+                return
+        self._dispatch(lane)
+
+    def _dispatch(self, lane: str) -> None:
+        """Hand up to ``max_batch_size`` pending requests to a worker."""
+        state = self._lanes[lane]
+        state.launch = None
+        batch: list[_Pending] = []
+        while state.pending and not batch:
+            taken = state.pending[: self.max_batch_size]
+            del state.pending[: self.max_batch_size]
+            # Skip members whose deadline lapsed while they waited:
+            # solving them would burn engine time nobody is waiting for,
+            # and under overload that waste is exactly what collapses
+            # goodput.
+            now = time.perf_counter()
+            for pending in taken:
+                if pending.deadline_at is not None and now >= pending.deadline_at:
+                    self._expire(pending, lane, now)
+                else:
+                    batch.append(pending)
+        if not batch:
+            return
+        # One engine span tree is built per dispatch (on the worker
+        # thread) and shared by every coalesced member's trace: the
+        # engine ran once for all of them, and the shared subtree is the
+        # honest record of that.
+        traced = any(pending.trace is not None for pending in batch)
+        dispatched = time.perf_counter()
+        self._in_flight += len(batch)
+        state.solving = self._executor.submit(
+            self._execute,
+            lane,
+            [pending.payload for pending in batch],
+            [pending.k for pending in batch],
+            [pending.deadline_at for pending in batch],
+            traced,
+            dispatched,
+        )
+        # The worker hops back to the loop itself: no dispatcher task
+        # sits between the executor future and the request futures.
+        state.solving.add_done_callback(
+            lambda outcome: self._loop.call_soon_threadsafe(
+                self._complete, lane, batch, dispatched, outcome
+            )
+        )
 
     def _expire(self, pending: _Pending, lane: str, now: float) -> None:
         """Fail one queued request whose deadline lapsed (never dispatched)."""
@@ -745,60 +760,32 @@ class MicroBatchScheduler:
                 )
             )
 
-    async def _run_batch(self, lane: str, batch: list[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
-        # Skip members whose deadline lapsed while they waited: solving
-        # them would burn engine time nobody is waiting for, and under
-        # overload that waste is exactly what collapses goodput.
-        now = time.perf_counter()
-        live = []
-        for pending in batch:
-            if pending.deadline_at is not None and now >= pending.deadline_at:
-                self._expire(pending, lane, now)
-            else:
-                live.append(pending)
-        if not live:
-            return
-        batch = live
-        # One engine span tree is built per dispatch (on the worker
-        # thread) and shared by every coalesced member's trace: the
-        # engine ran once for all of them, and the shared subtree is the
-        # honest record of that.
-        traced = any(pending.trace is not None for pending in batch)
-        deadlines = [pending.deadline_at for pending in batch]
-        ks = [pending.k for pending in batch]
-        payloads = [pending.payload for pending in batch]
-        dispatched = time.perf_counter()
-        self._in_flight += len(batch)
+    def _complete(
+        self, lane: str, batch: list[_Pending], dispatched: float, outcome: Future
+    ) -> None:
+        """A worker finished ``batch``: answer it, then refill the lane."""
+        state = self._lanes[lane]
+        state.solving = None
+        self._in_flight -= len(batch)
         try:
-            results, per_query, engine_span, kept = await loop.run_in_executor(
-                self._executor,
-                self._execute,
-                lane,
-                payloads,
-                ks,
-                deadlines,
-                traced,
-                dispatched,
-            )
-        except asyncio.CancelledError:
-            # The dispatcher was cancelled (scheduler.stop) mid-flight:
-            # surface shutdown, not an opaque CancelledError/500.
-            for pending in batch:
-                if not pending.future.done():
-                    pending.future.set_exception(
-                        SchedulerStoppedError(
-                            "scheduler stopped while the batch was in flight"
-                        )
-                    )
-            raise
-        except Exception as error:  # engine rejected the batch
+            self._answer(lane, batch, dispatched, outcome)
+        finally:
+            if self._running and state.pending:
+                # Work-conserving: whatever queued while this batch
+                # solved is the next batch, with no timer in between.
+                self._launch(lane)
+
+    def _answer(
+        self, lane: str, batch: list[_Pending], dispatched: float, outcome: Future
+    ) -> None:
+        """Fan one finished batch back out to its request futures."""
+        error = outcome.exception()
+        if error is not None:  # engine rejected the batch
             for pending in batch:
                 if not pending.future.done():
                     pending.future.set_exception(error)
             return
-        finally:
-            self._in_flight -= len(batch)
+        results, per_query, engine_span, kept = outcome.result()
         # Members whose deadline lapsed while the batch waited for the
         # worker thread were dropped at solve start (the second, last
         # possible expiry check): 504 them now, on the event loop.
@@ -864,10 +851,10 @@ class MicroBatchScheduler:
         check runs on whichever worker picked the batch up, against
         that worker's own start time — per-worker by construction.  The
         returned ``kept`` index list names the members actually solved
-        (``results``/``per_query`` align with it); the dispatcher fails
+        (``results``/``per_query`` align with it); completion fails
         the dropped ones with 504.
 
-        ``dispatched`` is the dispatcher's ``perf_counter`` at submit;
+        ``dispatched`` is the ``perf_counter`` at submit to the pool;
         the gap to solve start is the time this batch spent waiting for
         a free worker, accumulated into :attr:`engine_wait_seconds`.
 
@@ -888,7 +875,7 @@ class MicroBatchScheduler:
         that ran it), so the instrumentation points down in
         :mod:`repro.core` (tier nominate/re-rank, seed/border solves,
         shard scans, live snapshots) attach their stage spans beneath
-        it; the finished tree is returned for the dispatcher to graft
+        it; the finished tree is returned for completion to graft
         onto each coalesced request's trace.
         """
         now = time.perf_counter()
@@ -915,7 +902,7 @@ class MicroBatchScheduler:
             k = max(ks[index] for index in kept)
             ranker = self.ranker
             kind = lane.partition(":")[0]
-            extra = self._lane_extra.get(lane, {})
+            extra = self._lanes[lane].extra
             singleton = len(payloads) == 1 and self.sequential_singletons
             # "mogul-engine_3" -> worker 3 (executor thread names are
             # `<prefix>_<index>`); the raw name if the pattern changes.

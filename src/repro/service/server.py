@@ -46,7 +46,7 @@ Tracing
 -------
 When tracing is on (the default), every ``/search`` / ``/search_oos``
 request gets a :class:`repro.obs.trace.Trace`: the scheduler records the
-coalescing wait (or the cache hit), the engine worker attaches the
+queue wait (or the cache hit), the engine worker attaches the
 dispatch tree with per-stage solve spans beneath it, and the finished
 trace feeds the per-stage latency histograms and the flight recorder.
 Responses carry the trace id in the ``X-Repro-Trace-Id`` header;
@@ -132,8 +132,11 @@ class RetrievalServer:
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
-    max_batch_size, max_wait_ms:
-        The scheduler's coalescing policy.
+    max_batch_size:
+        The scheduler's only coalescing setting: the cap on queries per
+        engine dispatch (1 = per-request).  Dispatch is work-conserving
+        — a free lane launches at once and a busy one batches what
+        queued meanwhile; nothing waits for company.
     cache_capacity:
         LRU entries for the result cache (0 disables caching).
     tracing:
@@ -173,7 +176,6 @@ class RetrievalServer:
         host: str = "127.0.0.1",
         port: int = 8080,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         cache_capacity: int = 1024,
         tracing: bool = True,
         slowlog_capacity: int = 32,
@@ -213,7 +215,6 @@ class RetrievalServer:
         self.scheduler = MicroBatchScheduler(
             ranker,
             max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
             cache=self.cache,
             metrics=self.metrics,
             admission=self.admission,
@@ -899,7 +900,6 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8080,
     max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
     cache_capacity: int = 1024,
     tracing: bool = True,
     slowlog_capacity: int = 32,
@@ -919,7 +919,6 @@ def run_server(
         host=host,
         port=port,
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         cache_capacity=cache_capacity,
         tracing=tracing,
         slowlog_capacity=slowlog_capacity,
@@ -940,8 +939,7 @@ def run_server(
         announce(
             f"serving {ranker.name} index of {ranker.n_nodes} nodes on "
             f"http://{server.host}:{bound} "
-            f"(max_batch_size={max_batch_size}, max_wait_ms={max_wait_ms}, "
-            f"query_workers={query_workers})"
+            f"(max_batch_size={max_batch_size}, query_workers={query_workers})"
         )
         try:
             await server.serve_forever()

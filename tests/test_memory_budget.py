@@ -454,6 +454,7 @@ class TestColdServerRetryAfter:
         # must carry Retry-After: 1, not crash computing the estimate.
         from repro.core.index import MogulRanker
         from repro.service.client import RetrievalClient
+        from repro.service.faults import FaultInjector
         from repro.service.server import BackgroundServer
 
         ranker = MogulRanker(graph)
@@ -461,10 +462,11 @@ class TestColdServerRetryAfter:
             ranker,
             port=0,
             max_batch_size=1,
-            max_wait_ms=50.0,
             cache_capacity=0,
             max_queue_depth=1,
             overload_policy="shed",
+            # Slow solves, so the concurrent arrivals really queue.
+            faults=FaultInjector.parse("engine.solve:latency:20"),
         ) as server:
 
             def one_search(worker):
@@ -503,7 +505,6 @@ class TestServerResidencySurface:
             ranker,
             port=0,
             max_batch_size=4,
-            max_wait_ms=0.0,
             cache_capacity=0,
             query_workers=2,
         ) as server:

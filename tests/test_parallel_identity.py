@@ -125,7 +125,6 @@ def _serve_burst(engine, query_workers, requests, mutate=None):
         async with MicroBatchScheduler(
             engine,
             max_batch_size=4,
-            max_wait_ms=0.0,
             query_workers=query_workers,
         ) as scheduler:
             tasks = [scheduler.search(node, k) for node, k in requests]
@@ -190,7 +189,7 @@ class TestWorkerGauges:
 
         engine = MogulRanker.from_index(graph, MogulIndex.build(graph))
         with BackgroundServer(
-            engine, port=0, max_wait_ms=0.0, query_workers=3
+            engine, port=0, query_workers=3
         ) as server:
             with RetrievalClient(port=server.port) as client:
                 for node in range(8):

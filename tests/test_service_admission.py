@@ -189,7 +189,7 @@ class TestSchedulerDeadlines:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_wait_ms=0.0, metrics=metrics, faults=faults
+                ranker, metrics=metrics, faults=faults
             ) as scheduler:
                 trace = Trace("search")
                 with pytest.raises(DeadlineExceededError) as excinfo:
@@ -217,7 +217,7 @@ class TestSchedulerDeadlines:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_wait_ms=5.0, faults=faults
+                ranker, faults=faults
             ) as scheduler:
                 doomed = scheduler.search(
                     1, 5, deadline_at=time.perf_counter() + 0.02
@@ -245,7 +245,6 @@ class TestSchedulerOverload:
             async with MicroBatchScheduler(
                 ranker,
                 max_batch_size=1,
-                max_wait_ms=0.0,
                 metrics=metrics,
                 admission=admission,
                 faults=faults,
@@ -277,7 +276,6 @@ class TestSchedulerOverload:
             async with MicroBatchScheduler(
                 tiered,
                 max_batch_size=1,
-                max_wait_ms=0.0,
                 metrics=metrics,
                 admission=admission,
                 faults=faults,
@@ -309,7 +307,6 @@ class TestSchedulerOverload:
             async with MicroBatchScheduler(
                 tiered,
                 max_batch_size=1,
-                max_wait_ms=0.0,
                 admission=admission,
                 faults=faults,
             ) as scheduler:
@@ -337,13 +334,12 @@ class TestSchedulerOverload:
         async def main():
             cache = ResultCache(64)
             async with MicroBatchScheduler(
-                ranker, max_wait_ms=0.0, cache=cache
+                ranker, cache=cache
             ) as warm:
                 await warm.search(3, 5)
             async with MicroBatchScheduler(
                 ranker,
                 max_batch_size=1,
-                max_wait_ms=0.0,
                 cache=cache,
                 admission=admission,
                 faults=faults,
@@ -372,7 +368,7 @@ class TestSchedulerShutdown:
 
         async def main():
             scheduler = MicroBatchScheduler(
-                ranker, max_wait_ms=0.0, faults=faults
+                ranker, faults=faults
             )
             await scheduler.start()
             request = asyncio.ensure_future(scheduler.search(1, 5))
@@ -388,7 +384,7 @@ class TestSchedulerShutdown:
 
         async def main():
             scheduler = MicroBatchScheduler(
-                ranker, max_batch_size=1, max_wait_ms=0.0, faults=faults
+                ranker, max_batch_size=1, faults=faults
             )
             await scheduler.start()
             requests = [
@@ -409,7 +405,7 @@ class TestServerDeadlinesAndOverload:
     @pytest.fixture(scope="class")
     def background(self, ranker):
         with BackgroundServer(
-            ranker, port=0, max_batch_size=16, max_wait_ms=1.0, cache_capacity=0
+            ranker, port=0, max_batch_size=16, cache_capacity=0
         ) as server:
             yield server
 
@@ -455,7 +451,6 @@ class TestServerDeadlinesAndOverload:
             tiered,
             port=0,
             max_batch_size=1,
-            max_wait_ms=0.0,
             cache_capacity=0,
             max_queue_depth=1,
             overload_policy="degrade-then-shed",
@@ -489,7 +484,6 @@ class TestServerDeadlinesAndOverload:
             ranker,
             port=0,
             max_batch_size=1,
-            max_wait_ms=0.0,
             cache_capacity=0,
             max_queue_depth=1,
             overload_policy="shed",

@@ -166,7 +166,7 @@ class TestSchedulerIntegration:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=1, max_wait_ms=0.0,
+                ranker, max_batch_size=1,
                 metrics=metrics, faults=faults,
             ) as scheduler:
                 outcomes = []

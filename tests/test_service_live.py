@@ -42,7 +42,7 @@ def live_server():
     features = make_features()
     live = LiveEngine(features, auto_rebuild_fraction=None)
     with BackgroundServer(
-        live, port=0, max_batch_size=8, max_wait_ms=1.0, cache_capacity=64
+        live, port=0, max_batch_size=8, cache_capacity=64
     ) as server:
         yield server, live
     live.close()
@@ -182,7 +182,7 @@ class TestConcurrentMutationStress:
         stop = threading.Event()
 
         server = BackgroundServer(
-            live, port=0, max_batch_size=8, max_wait_ms=0.5, cache_capacity=32
+            live, port=0, max_batch_size=8, cache_capacity=32
         )
 
         def mutator():

@@ -42,7 +42,7 @@ def ranker(bridged_graph):
 @pytest.fixture(scope="module")
 def background(ranker):
     with BackgroundServer(
-        ranker, port=0, max_batch_size=16, max_wait_ms=1.0, cache_capacity=64
+        ranker, port=0, max_batch_size=16, cache_capacity=64
     ) as server:
         yield server
 
@@ -185,7 +185,7 @@ class TestTracingDisabled:
     @pytest.fixture(scope="class")
     def untraced_background(self, ranker):
         with BackgroundServer(
-            ranker, port=0, max_wait_ms=1.0, tracing=False
+            ranker, port=0, tracing=False
         ) as server:
             yield server
 
@@ -226,7 +226,7 @@ class TestTieredTracing:
             bridged_graph, SpectralIndex.build(bridged_graph, rank=16)
         )
         with BackgroundServer(
-            TieredEngine(base, spectral), port=0, max_wait_ms=1.0
+            TieredEngine(base, spectral), port=0
         ) as server:
             yield server
 

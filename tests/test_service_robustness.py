@@ -36,7 +36,7 @@ def ranker(bridged_graph):
 @pytest.fixture(scope="module")
 def background(ranker):
     with BackgroundServer(
-        ranker, port=0, max_batch_size=16, max_wait_ms=1.0, cache_capacity=64
+        ranker, port=0, max_batch_size=16, cache_capacity=64
     ) as server:
         yield server
 
@@ -208,7 +208,6 @@ class TestClientResilience:
             ranker,
             port=0,
             max_batch_size=1,
-            max_wait_ms=0.0,
             cache_capacity=0,
             max_queue_depth=1,
             overload_policy="shed",
@@ -255,7 +254,6 @@ class TestLoadGeneratorOverloadAccounting:
             ranker,
             port=0,
             max_batch_size=1,
-            max_wait_ms=0.0,
             cache_capacity=0,
             max_queue_depth=1,
             overload_policy="shed",
@@ -278,7 +276,6 @@ class TestLoadGeneratorOverloadAccounting:
         with BackgroundServer(
             ranker,
             port=0,
-            max_wait_ms=0.0,
             cache_capacity=0,
             max_queue_depth=None,
             faults=faults,

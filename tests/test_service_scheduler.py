@@ -8,11 +8,13 @@ under any coalescing policy, any arrival pattern and any mix of ``k``.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.index import MogulRanker
+from repro.service.admission import SchedulerStoppedError
 from repro.service.cache import ResultCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import MicroBatchScheduler, ReadOnlyEngineError
@@ -36,6 +38,78 @@ async def _gather_searches(scheduler, requests):
     )
 
 
+class GatedEngine:
+    """The real engine behind a gate the test holds.
+
+    Every solve records ``(kind, payloads)`` in :attr:`calls`, signals
+    :attr:`entered`, then blocks on :attr:`gate` — so a test decides
+    exactly how long a batch occupies the worker, with no sleeps and no
+    wall clock.  Answers are the wrapped ranker's own.
+    """
+
+    def __init__(self, ranker, gate_open: bool = False):
+        self._ranker = ranker
+        self.gate = threading.Event()
+        if gate_open:
+            self.gate.set()
+        self.entered = threading.Event()
+        self.calls: list[tuple[str, list]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._ranker, name)
+
+    def _solve(self, kind, payloads, solve, *args, **kwargs):
+        self.calls.append((kind, payloads))
+        self.entered.set()
+        assert self.gate.wait(30), "the test never opened the gate"
+        return solve(*args, **kwargs)
+
+    def top_k_with_stats(self, node, k, **kwargs):
+        return self._solve(
+            "node", [int(node)], self._ranker.top_k_with_stats, node, k, **kwargs
+        )
+
+    def top_k_batch_with_stats(self, nodes, k, **kwargs):
+        return self._solve(
+            "node",
+            [int(node) for node in nodes],
+            self._ranker.top_k_batch_with_stats,
+            nodes,
+            k,
+            **kwargs,
+        )
+
+    def top_k_out_of_sample_with_stats(self, feature, k, **kwargs):
+        return self._solve(
+            "oos",
+            [feature],
+            self._ranker.top_k_out_of_sample_with_stats,
+            feature,
+            k,
+            **kwargs,
+        )
+
+    def top_k_out_of_sample_batch_with_stats(self, features, k, **kwargs):
+        return self._solve(
+            "oos",
+            list(features),
+            self._ranker.top_k_out_of_sample_batch_with_stats,
+            features,
+            k,
+            **kwargs,
+        )
+
+    async def wait_entered(self):
+        """Block (off the loop) until a solve is parked at the gate."""
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, self.entered.wait, 30)
+
+
+async def _turns(count: int) -> None:
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
 class TestCorrectness:
     def test_burst_identical_to_direct_top_k(self, ranker):
         """A concurrent burst coalesces, and every answer is exact."""
@@ -43,7 +117,7 @@ class TestCorrectness:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=8, max_wait_ms=5.0
+                ranker, max_batch_size=8
             ) as scheduler:
                 return await _gather_searches(scheduler, requests)
 
@@ -61,13 +135,13 @@ class TestCorrectness:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=16, max_wait_ms=10.0
+                ranker, max_batch_size=16
             ) as scheduler:
                 served = await _gather_searches(scheduler, requests)
                 return served
 
         served = run(main())
-        # All six landed in one dispatch (the window was generous).
+        # All six were submitted in one loop turn: one dispatch.
         assert {scheduled.batch_size for scheduled in served} == {6}
         for (node, k), scheduled in zip(requests, served):
             direct = ranker.top_k(node, k)
@@ -84,7 +158,7 @@ class TestCorrectness:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=8, max_wait_ms=10.0
+                ranker, max_batch_size=8
             ) as scheduler:
                 return await asyncio.gather(
                     *(
@@ -106,7 +180,7 @@ class TestCorrectness:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=8, max_wait_ms=0.0
+                ranker, max_batch_size=8
             ) as scheduler:
                 out = []
                 for node in (0, 7, 42):
@@ -126,7 +200,7 @@ class TestCoalescingPolicy:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=8, max_wait_ms=20.0
+                ranker, max_batch_size=8
             ) as scheduler:
                 served = await _gather_searches(scheduler, requests)
                 return served, scheduler.batches_dispatched
@@ -136,29 +210,112 @@ class TestCoalescingPolicy:
         # 30 requests at cap 8 need at least ceil(30/8) = 4 dispatches.
         assert batches >= 4
 
-    def test_deadline_flushes_partial_batch(self, ranker):
-        """A lone request departs at the deadline, not at batch-full."""
+    def test_lone_request_dispatches_without_a_timer(self, ranker):
+        """Work-conserving: an idle lane never waits for company.
+
+        The lone request is on a worker within a bounded number of loop
+        turns — no second arrival, and no timer of any kind armed.
+        """
+        engine = GatedEngine(ranker)
 
         async def main():
-            async with MicroBatchScheduler(
-                ranker, max_batch_size=64, max_wait_ms=5.0
-            ) as scheduler:
-                loop = asyncio.get_running_loop()
-                started = loop.time()
-                scheduled = await scheduler.search(3, 5)
-                return scheduled, loop.time() - started
+            loop = asyncio.get_running_loop()
 
-        scheduled, elapsed = run(main())
+            def no_timers(*args, **kwargs):
+                raise AssertionError("the dispatch path armed a timer")
+
+            loop.call_later = loop.call_at = no_timers
+            try:
+                async with MicroBatchScheduler(
+                    engine, max_batch_size=64
+                ) as scheduler:
+                    request = asyncio.ensure_future(scheduler.search(3, 5))
+                    await _turns(3)
+                    assert scheduler.queue_depth == 0
+                    assert scheduler.in_flight == 1
+                    await engine.wait_entered()
+                    assert not request.done()
+                    engine.gate.set()
+                    return await request
+            finally:
+                del loop.call_later, loop.call_at  # asyncio.run's teardown
+
+        scheduled = run(main())
         assert scheduled.batch_size == 1
-        # Departed after the 5 ms window but far before any infinite wait.
-        assert 0.004 <= elapsed < 5.0
+        assert engine.calls == [("node", [3])]
+        np.testing.assert_array_equal(
+            scheduled.result.indices, ranker.top_k(3, 5).indices
+        )
+
+    def test_arrivals_during_a_solve_form_the_next_batches_fifo(self, ranker):
+        """What queued while the worker was held is the next dispatch."""
+        engine = GatedEngine(ranker)
+
+        async def main():
+            async with MicroBatchScheduler(engine, max_batch_size=4) as scheduler:
+                first = asyncio.ensure_future(scheduler.search(0, 3))
+                await engine.wait_entered()
+                later = []
+                for node in range(1, 7):  # one arrival per loop turn
+                    later.append(asyncio.ensure_future(scheduler.search(node, 3)))
+                    await _turns(1)
+                assert scheduler.in_flight == 1
+                assert scheduler.queue_depth == 6
+                assert len(engine.calls) == 1
+                engine.gate.set()
+                return await asyncio.gather(first, *later)
+
+        served = run(main())
+        assert engine.calls == [
+            ("node", [0]),
+            ("node", [1, 2, 3, 4]),
+            ("node", [5, 6]),
+        ]
+        assert [scheduled.batch_size for scheduled in served] == [1, 4, 4, 4, 4, 2, 2]
+
+    @pytest.mark.parametrize("n_requests", [5, 8, 11])
+    def test_one_turn_of_submits_is_one_dispatch(self, ranker, n_requests):
+        engine = GatedEngine(ranker, gate_open=True)
+        requests = [(node, 4) for node in range(n_requests)]
+
+        async def main():
+            async with MicroBatchScheduler(engine, max_batch_size=8) as scheduler:
+                return await _gather_searches(scheduler, requests)
+
+        run(main())
+        nodes = list(range(n_requests))
+        expected = [("node", nodes[:8])]
+        if n_requests > 8:
+            expected.append(("node", nodes[8:]))
+        assert engine.calls == expected
+
+    def test_node_and_oos_never_share_a_batch(self, ranker):
+        engine = GatedEngine(ranker, gate_open=True)
+        features = [ranker.graph.features[i] + 0.01 for i in range(2)]
+
+        async def main():
+            async with MicroBatchScheduler(engine, max_batch_size=8) as scheduler:
+                return await asyncio.gather(
+                    scheduler.search(1, 4),
+                    scheduler.search_out_of_sample(features[0], 4),
+                    scheduler.search(2, 4),
+                    scheduler.search_out_of_sample(features[1], 4),
+                )
+
+        served = run(main())
+        assert all(scheduled.batch_size == 2 for scheduled in served)
+        calls = dict(engine.calls)
+        assert len(engine.calls) == 2 and set(calls) == {"node", "oos"}
+        assert calls["node"] == [1, 2]
+        for sent, solved in zip(features, calls["oos"]):
+            np.testing.assert_array_equal(sent, solved)
 
     def test_batch_size_one_disables_coalescing(self, ranker):
         requests = [(node, 4) for node in range(12)]
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=1, max_wait_ms=5.0
+                ranker, max_batch_size=1
             ) as scheduler:
                 return await _gather_searches(scheduler, requests)
 
@@ -176,7 +333,7 @@ class TestCoalescingPolicy:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=4, max_wait_ms=1.0
+                ranker, max_batch_size=4
             ) as scheduler:
 
                 async def tracked(node, tag):
@@ -206,7 +363,7 @@ class TestCoalescingPolicy:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_batch_size=8, max_wait_ms=5.0, metrics=metrics
+                ranker, max_batch_size=8, metrics=metrics
             ) as scheduler:
                 served = await _gather_searches(scheduler, requests)
                 snapshot = scheduler.snapshot()
@@ -248,14 +405,14 @@ class TestValidationAndLifecycle:
     def test_bad_policy_rejected(self, ranker):
         with pytest.raises(ValueError, match="max_batch_size"):
             MicroBatchScheduler(ranker, max_batch_size=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            MicroBatchScheduler(ranker, max_wait_ms=-1.0)
+        with pytest.raises(ValueError, match="query_workers"):
+            MicroBatchScheduler(ranker, query_workers=0)
 
     def test_huge_k_is_capped_not_allocated(self, ranker):
         """A client k beyond the database size must not size an allocation."""
 
         async def main():
-            async with MicroBatchScheduler(ranker, max_wait_ms=0.0) as scheduler:
+            async with MicroBatchScheduler(ranker) as scheduler:
                 return await scheduler.search(0, 10**12)
 
         scheduled = run(main())
@@ -267,7 +424,7 @@ class TestValidationAndLifecycle:
 
         async def main():
             async with MicroBatchScheduler(
-                ranker, max_wait_ms=0.0, cache=cache
+                ranker, cache=cache
             ) as scheduler:
                 cold = await scheduler.search(5, 4)
                 warm = await scheduler.search(5, 4)
@@ -277,6 +434,67 @@ class TestValidationAndLifecycle:
         assert not cold.cached and warm.cached
         np.testing.assert_array_equal(cold.result.indices, warm.result.indices)
         assert cache.hits == 1 and cache.misses == 1
+
+
+class TestShutdown:
+    def test_stop_answers_in_flight_and_fails_the_backlog(self, ranker):
+        """One batch on the worker + a backlog + stop(): nothing hangs."""
+        engine = GatedEngine(ranker)
+
+        async def main():
+            scheduler = MicroBatchScheduler(engine, max_batch_size=2)
+            await scheduler.start()
+            executor = scheduler._executor
+            flying = [
+                asyncio.ensure_future(scheduler.search(node, 5)) for node in (0, 1)
+            ]
+            await engine.wait_entered()
+            backlog = [
+                asyncio.ensure_future(scheduler.search(node, 5))
+                for node in (2, 3, 4)
+            ]
+            await _turns(1)
+            assert scheduler.in_flight == 2 and scheduler.queue_depth == 3
+            stopping = asyncio.ensure_future(scheduler.stop())
+            await _turns(2)
+            # The backlog failed at once; the held batch is still out.
+            assert all(request.done() for request in backlog)
+            assert not stopping.done()
+            assert not any(request.done() for request in flying)
+            engine.gate.set()
+            await stopping
+            assert all(request.done() for request in flying + backlog)
+            assert scheduler.in_flight == 0 and scheduler.queue_depth == 0
+            with pytest.raises(RuntimeError, match="shutdown"):
+                executor.submit(int)
+            return await asyncio.gather(*flying, *backlog, return_exceptions=True)
+
+        outcomes = run(main())
+        assert engine.calls == [("node", [0, 1])]
+        for node, scheduled in zip((0, 1), outcomes[:2]):
+            np.testing.assert_array_equal(
+                scheduled.result.indices, ranker.top_k(node, 5).indices
+            )
+        assert all(isinstance(o, SchedulerStoppedError) for o in outcomes[2:])
+
+    def test_stop_fails_requests_of_an_unrun_launch(self, ranker):
+        """Submitted this turn, launch scheduled but not yet run: 503."""
+        engine = GatedEngine(ranker, gate_open=True)
+
+        async def main():
+            scheduler = MicroBatchScheduler(engine)
+            await scheduler.start()
+            requests = [
+                asyncio.ensure_future(scheduler.search(node, 5)) for node in range(3)
+            ]
+            await _turns(1)  # enqueued; the launch runs next turn
+            assert scheduler.queue_depth == 3 and scheduler.in_flight == 0
+            await scheduler.stop()
+            return await asyncio.gather(*requests, return_exceptions=True)
+
+        outcomes = run(main())
+        assert engine.calls == []
+        assert all(isinstance(o, SchedulerStoppedError) for o in outcomes)
 
 
 class TestMutationLanes:
@@ -294,7 +512,7 @@ class TestMutationLanes:
         feature = bridged_graph.features[2] + 0.01
 
         async def main():
-            async with MicroBatchScheduler(live, max_wait_ms=0.0) as scheduler:
+            async with MicroBatchScheduler(live) as scheduler:
                 new_id = await scheduler.insert(feature)
                 served = await scheduler.search(2, 8)
                 await scheduler.delete(new_id)
@@ -315,7 +533,7 @@ class TestMutationLanes:
         live = self._live(bridged_graph)
 
         async def main():
-            async with MicroBatchScheduler(live, max_wait_ms=0.0) as scheduler:
+            async with MicroBatchScheduler(live) as scheduler:
                 await scheduler.insert(np.zeros(3))
 
         with pytest.raises(ValueError, match="shape"):
@@ -324,7 +542,7 @@ class TestMutationLanes:
 
     def test_read_only_engine_refuses_writes(self, ranker):
         async def main():
-            async with MicroBatchScheduler(ranker, max_wait_ms=0.0) as scheduler:
+            async with MicroBatchScheduler(ranker) as scheduler:
                 await scheduler.insert(np.zeros(6))
 
         with pytest.raises(ReadOnlyEngineError, match="read-only"):
@@ -347,7 +565,7 @@ class TestMutationLanes:
         live._build_epoch = gated
 
         async def main():
-            async with MicroBatchScheduler(live, max_wait_ms=0.0) as scheduler:
+            async with MicroBatchScheduler(live) as scheduler:
                 waiter = asyncio.create_task(scheduler.trigger_rebuild(wait=True))
                 await asyncio.get_running_loop().run_in_executor(
                     None, entered.wait, 30

@@ -32,7 +32,7 @@ def ranker(bridged_graph):
 @pytest.fixture(scope="module")
 def background(ranker):
     with BackgroundServer(
-        ranker, port=0, max_batch_size=16, max_wait_ms=1.0, cache_capacity=64
+        ranker, port=0, max_batch_size=16, cache_capacity=64
     ) as server:
         yield server
 
@@ -222,7 +222,7 @@ class TestShardedServing:
     @pytest.fixture(scope="class")
     def sharded_background(self, sharded_ranker):
         with BackgroundServer(
-            sharded_ranker, port=0, max_batch_size=16, max_wait_ms=1.0
+            sharded_ranker, port=0, max_batch_size=16
         ) as server:
             yield server
 

@@ -49,7 +49,7 @@ class TestSchedulerCacheIsolation:
         """The regression: dial levels must not share cache entries."""
 
         async def main():
-            async with MicroBatchScheduler(tiered, max_wait_ms=1.0, cache=ResultCache(64)) as scheduler:
+            async with MicroBatchScheduler(tiered, cache=ResultCache(64)) as scheduler:
                 fast = await scheduler.search(3, 6, accuracy="fast")
                 exact = await scheduler.search(3, 6, accuracy="exact")
                 repeat_exact = await scheduler.search(3, 6, accuracy="exact")
@@ -68,7 +68,7 @@ class TestSchedulerCacheIsolation:
 
     def test_default_and_explicit_balanced_share_entry(self, tiered):
         async def main():
-            async with MicroBatchScheduler(tiered, max_wait_ms=1.0, cache=ResultCache(64)) as scheduler:
+            async with MicroBatchScheduler(tiered, cache=ResultCache(64)) as scheduler:
                 implicit = await scheduler.search(5, 4)
                 explicit = await scheduler.search(5, 4, accuracy="balanced")
                 return implicit, explicit
@@ -83,7 +83,7 @@ class TestSchedulerCacheIsolation:
 
     def test_explicit_m_gets_its_own_lane(self, tiered):
         async def main():
-            async with MicroBatchScheduler(tiered, max_wait_ms=1.0, cache=ResultCache(64)) as scheduler:
+            async with MicroBatchScheduler(tiered, cache=ResultCache(64)) as scheduler:
                 first = await scheduler.search(7, 5, m=32)
                 second = await scheduler.search(7, 5, m=48)
                 return first, second, scheduler.snapshot()
@@ -98,7 +98,7 @@ class TestSchedulerCacheIsolation:
         feature = bridged_graph.features.mean(axis=0)
 
         async def main():
-            async with MicroBatchScheduler(tiered, max_wait_ms=1.0, cache=ResultCache(64)) as scheduler:
+            async with MicroBatchScheduler(tiered, cache=ResultCache(64)) as scheduler:
                 fast = await scheduler.search_out_of_sample(
                     feature, 5, accuracy="fast"
                 )
@@ -113,7 +113,7 @@ class TestSchedulerCacheIsolation:
 
     def test_non_tiered_engine_rejects_dial(self, base):
         async def main():
-            async with MicroBatchScheduler(base, max_wait_ms=1.0) as scheduler:
+            async with MicroBatchScheduler(base) as scheduler:
                 with pytest.raises(ValueError, match="no accuracy dial"):
                     await scheduler.search(1, 4, accuracy="fast")
                 plain = await scheduler.search(1, 4)
@@ -124,7 +124,7 @@ class TestSchedulerCacheIsolation:
 
     def test_invalid_dial_rejected_before_submission(self, tiered):
         async def main():
-            async with MicroBatchScheduler(tiered, max_wait_ms=1.0, cache=ResultCache(64)) as scheduler:
+            async with MicroBatchScheduler(tiered, cache=ResultCache(64)) as scheduler:
                 with pytest.raises(ValueError, match="unknown accuracy"):
                     await scheduler.search(1, 4, accuracy="turbo")
                 with pytest.raises(ValueError, match="not both"):
@@ -137,7 +137,7 @@ class TestTieredServer:
     @pytest.fixture(scope="class")
     def background(self, tiered):
         with BackgroundServer(
-            tiered, port=0, max_batch_size=8, max_wait_ms=1.0, cache_capacity=64
+            tiered, port=0, max_batch_size=8, cache_capacity=64
         ) as server:
             yield server
 
@@ -222,7 +222,7 @@ class TestTieredServer:
 class TestNonTieredServer:
     @pytest.fixture(scope="class")
     def background(self, base):
-        with BackgroundServer(base, port=0, max_wait_ms=1.0) as server:
+        with BackgroundServer(base, port=0) as server:
             yield server
 
     @pytest.fixture()
