@@ -14,11 +14,10 @@ real HTTP:
   builds on the same index; passes alternate on/off and each side keeps
   its best pass, so machine noise cannot manufacture a miss.
 * **Asserted shape** — a traced ``/search?debug=trace`` must return a
-  span tree containing the scheduler wait and the engine dispatch with
-  non-negative durations, and on a tiered engine the *distinct*
-  ``tier.nominate`` and ``tier.rerank`` stages with non-zero durations.
-  This is the "does the trace actually explain the request" check, and
-  it is asserted, not merely measured.
+  span tree containing the scheduler wait, the engine dispatch and the
+  seed forward solve with non-negative durations.  This is the "does
+  the trace actually explain the request" check, and it is asserted,
+  not merely measured.
 * **Recorded, not enforced** — the tracing-off throughput next to the
   scheduler-layer numbers of ``BENCH_serving.json`` (the PR-6 era
   baseline).  Those sweeps exclude HTTP transport, so the comparison is
@@ -45,8 +44,6 @@ import pytest
 
 from repro.clustering.louvain import louvain
 from repro.core.index import MogulIndex, MogulRanker
-from repro.core.spectral import SpectralEngine, SpectralIndex
-from repro.core.tiered import TieredEngine
 from repro.datasets.registry import load_dataset
 from repro.graph.build import build_knn_graph
 from repro.service.client import RetrievalClient, run_load_test
@@ -57,23 +54,17 @@ FULL_RUN_SCALE = 1.25
 FULL_RUN_CONCURRENCY = 32
 FULL_RUN_REQUESTS = 2048
 FULL_RUN_K = 10
-#: Spectral rank of the tiered server used for the span-shape assertion
-#: (shape does not depend on rank; keep the build cheap).
-SPECTRAL_RANK = 32
 #: Enforced ceiling: fractional q/s loss with tracing on vs off.
 TARGET_OVERHEAD = 0.05
 #: Interleaved timing passes per side (best-of, to shed noise).
 PASSES = 3
 
 
-def collect_trace(port: int, query: int, k: int, accuracy: str | None = None) -> dict:
+def collect_trace(port: int, query: int, k: int) -> dict:
     """One traced request; returns the rendered span tree document."""
-    document = {"query": int(query), "k": int(k)}
-    if accuracy is not None:
-        document["accuracy"] = accuracy
     with RetrievalClient(port=port) as client:
         status, headers, text = client._raw(
-            "POST", "/search?debug=trace", document
+            "POST", "/search?debug=trace", {"query": int(query), "k": int(k)}
         )
     if status != 200:
         raise AssertionError(f"traced search failed: {status} {text}")
@@ -166,7 +157,7 @@ def run_benchmark(
     index = MogulIndex.build(graph, cluster_labels=labels)
     ranker = MogulRanker.from_index(graph, index)
 
-    # -- span-shape assertions (flat, then tiered) ----------------------
+    # -- span-shape assertions -------------------------------------------
     flat_server = measure_side(ranker, True, concurrency=4, n_requests=64)
     try:
         flat_trace = collect_trace(flat_server.port, graph.n_nodes - 1, FULL_RUN_K)
@@ -180,28 +171,6 @@ def run_benchmark(
         )
     finally:
         flat_server.stop()
-
-    spectral = SpectralEngine.from_index(
-        graph, SpectralIndex.build(graph, rank=SPECTRAL_RANK, cluster_labels=labels)
-    )
-    tiered_server = BackgroundServer(
-        TieredEngine(ranker, spectral), port=0, tracing=True
-    )
-    try:
-        tiered_trace = collect_trace(
-            tiered_server.port, 1, FULL_RUN_K, accuracy="fast"
-        )
-        tiered_durations = assert_span_tree(
-            tiered_trace,
-            {
-                "scheduler.wait": False,
-                "engine.dispatch": True,
-                "tier.nominate": True,
-                "tier.rerank": True,
-            },
-        )
-    finally:
-        tiered_server.stop()
 
     # -- the enforced overhead gate -------------------------------------
     on_server = measure_side(ranker, True, concurrency, n_requests)
@@ -251,7 +220,6 @@ def run_benchmark(
         },
         "trace_evidence": {
             "flat_stage_durations_ms": flat_durations,
-            "tiered_stage_durations_ms": tiered_durations,
             "stage_histograms_fed": sorted(traced_metrics["stages"]),
             "slowlog_retained": slow["slowlog"]["retained"],
             "prometheus_scrape_ok": bool(prometheus_ok),
@@ -281,11 +249,7 @@ def run_benchmark(
             "the off-side number is not comparable to the transport-free "
             "scheduler sweeps in BENCH_serving.json — that row is recorded "
             "for context only. The enforced gate is the on/off ratio on "
-            "identical servers with interleaved best-of passes. Tiered "
-            "span evidence comes from a rank-"
-            f"{SPECTRAL_RANK} nomination tier; the stage *shape* (distinct "
-            "nominate and re-rank spans with non-zero durations) is what "
-            "is certified, not its absolute timings."
+            "identical servers with interleaved best-of passes."
         ),
     }
 
@@ -319,13 +283,6 @@ def main(out_path: str = "BENCH_obs.json") -> int:
             for name, ms in evidence["flat_stage_durations_ms"].items()
         )
     )
-    print(
-        "traced stages (tiered): "
-        + ", ".join(
-            f"{name} {ms:.3f}ms"
-            for name, ms in evidence["tiered_stage_durations_ms"].items()
-        )
-    )
     Path(out_path).write_text(json.dumps(record, indent=2) + "\n")
     print(f"certification written to {out_path}")
 
@@ -340,8 +297,7 @@ def main(out_path: str = "BENCH_obs.json") -> int:
         return 1
     print(
         f"OK: tracing overhead {100 * gate['measured']:.2f}% <= "
-        f"{100 * gate['goal']:.0f}%; span trees explain flat and tiered "
-        "requests"
+        f"{100 * gate['goal']:.0f}%; span trees explain the request"
     )
     return 0
 
@@ -372,22 +328,6 @@ def test_flat_span_tree_explains_request(small_ranker):
             },
         )
     assert set(trace) == {"scheduler.wait", "engine.dispatch", "solve.seed_forward"}
-
-
-def test_tiered_span_tree_has_distinct_tiers(small_ranker):
-    graph, ranker = small_ranker
-    spectral = SpectralEngine.from_index(
-        graph, SpectralIndex.build(graph, rank=16)
-    )
-    with BackgroundServer(
-        TieredEngine(ranker, spectral), port=0
-    ) as server:
-        durations = assert_span_tree(
-            collect_trace(server.port, 2, 5, accuracy="fast"),
-            {"tier.nominate": True, "tier.rerank": True},
-        )
-    assert durations["tier.nominate"] > 0
-    assert durations["tier.rerank"] > 0
 
 
 def test_overhead_record_shape(small_ranker):

@@ -13,7 +13,7 @@ multiple of its measured capacity:
    saturation throughput (``capacity_qps``) and the p99 a request sees
    when the server is busy but not drowning.
 2. **Overload, admission on** — open-loop at ``OVERLOAD_FACTOR`` x
-   capacity with ``degrade-then-shed`` + per-request deadlines.  The
+   capacity with load shedding + per-request deadlines.  The
    claims under test (the gates):
 
    * p99 of *accepted* requests <= ``P99_FACTOR`` x the unloaded p99 —
@@ -37,7 +37,7 @@ Two entry points:
   substitute), prints the three-regime table, asserts the gates and
   writes ``BENCH_overload.json``.
 * ``pytest benchmarks/bench_overload.py`` — reduced-scale invariants on
-  the shared conftest datasets (accounting closes, policies engage,
+  the shared conftest datasets (accounting closes, shedding engages,
   expiry never dispatches), with no wall-clock gates.
 """
 
@@ -52,8 +52,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.index import MogulRanker
-from repro.core.spectral import SpectralEngine, SpectralIndex
-from repro.core.tiered import TieredEngine
 from repro.datasets.registry import load_dataset
 from repro.obs.trace import Trace
 from repro.service.admission import (
@@ -85,18 +83,12 @@ BATCH_SIZE = 16
 #: Hard ceiling on offered requests per storm (keeps tiny-solve hosts
 #: from spawning unbounded task counts).
 MAX_OFFERED = 40_000
-SPECTRAL_RANK = 64
 
 
 def build_engine(scale: float = FULL_RUN_SCALE, seed: int = 0):
-    """A tiered engine (so degradation has somewhere to go) on INRIA."""
+    """The exact engine on the INRIA substitute."""
     dataset = load_dataset("inria", scale=scale, seed=seed)
-    graph = dataset.build_graph(k=5)
-    base = MogulRanker(graph)
-    spectral = SpectralEngine.from_index(
-        graph, SpectralIndex.build(graph, rank=min(SPECTRAL_RANK, graph.n_nodes - 2))
-    )
-    return TieredEngine(base, spectral)
+    return MogulRanker(dataset.build_graph(k=5))
 
 
 async def _closed_loop(
@@ -149,7 +141,6 @@ async def _open_loop(
     counts = {
         "offered": 0,
         "accepted": 0,
-        "degraded": 0,
         "shed": 0,
         "expired": 0,
         "errors": 0,
@@ -160,7 +151,7 @@ async def _open_loop(
         started = time.perf_counter()
         deadline_at = None if deadline_ms is None else started + deadline_ms / 1e3
         try:
-            scheduled = await scheduler.search(node, k, deadline_at=deadline_at)
+            await scheduler.search(node, k, deadline_at=deadline_at)
         except ShedLoadError:
             counts["shed"] += 1
         except DeadlineExceededError:
@@ -170,8 +161,6 @@ async def _open_loop(
         else:
             latency.observe(time.perf_counter() - started)
             counts["accepted"] += 1
-            if scheduled.degraded:
-                counts["degraded"] += 1
 
     started = time.perf_counter()
     while True:
@@ -226,11 +215,7 @@ async def _storm(
 ) -> dict:
     metrics = ServiceMetrics()
     admission = (
-        AdmissionController(
-            max_queue_depth=max_queue_depth,
-            policy="degrade-then-shed",
-            metrics=metrics,
-        )
+        AdmissionController(max_queue_depth=max_queue_depth, metrics=metrics)
         if max_queue_depth is not None
         else None
     )
@@ -362,7 +347,6 @@ def run_benchmark(
         },
         "k": k,
         "overload_factor": overload_factor,
-        "policy": "degrade-then-shed",
         "tuning": {
             "deadline_ms": deadline_ms,
             "max_queue_depth": max_queue_depth,
@@ -382,7 +366,7 @@ def _print_regime(name: str, run: dict) -> None:
     print(
         f"{name:>16s}: offered {counts['offered']:6d} @ "
         f"{run['offered_rate_qps']:7.0f} q/s | accepted {counts['accepted']:6d} "
-        f"(degraded {counts['degraded']}) shed {counts['shed']:6d} "
+        f"shed {counts['shed']:6d} "
         f"expired {counts['expired']:5d} err {counts['errors']:3d} | "
         f"goodput {run['goodput_qps']:7.0f} q/s | "
         f"accepted p50 {latency['p50_ms']:.2f} ms p99 {latency['p99_ms']:.2f} ms"
@@ -394,7 +378,7 @@ def main(out_path: str = "BENCH_overload.json") -> int:
     unloaded = record["unloaded"]
     print(
         f"overload benchmark on {record['dataset']['n_nodes']} nodes, "
-        f"k={record['k']}, policy={record['policy']}"
+        f"k={record['k']}"
     )
     print(
         f"        unloaded: capacity {unloaded['throughput_qps']:7.0f} q/s "
@@ -452,20 +436,15 @@ def main(out_path: str = "BENCH_overload.json") -> int:
 # -- pytest entry points (reduced scale, shared conftest datasets) ---------
 
 
-def _small_tiered():
+def _small_engine():
     from benchmarks.conftest import get_graph
 
-    graph = get_graph("coil")
-    base = MogulRanker(graph)
-    spectral = SpectralEngine.from_index(
-        graph, SpectralIndex.build(graph, rank=min(16, graph.n_nodes - 2))
-    )
-    return TieredEngine(base, spectral)
+    return MogulRanker(get_graph("coil"))
 
 
 def test_open_loop_accounting_closes():
     """offered == accepted + shed + expired + errors, whatever the storm."""
-    engine = _small_tiered()
+    engine = _small_engine()
 
     async def main():
         async with MicroBatchScheduler(
@@ -484,14 +463,12 @@ def test_open_loop_accounting_closes():
     assert counts["accepted"] > 0
 
 
-def test_admission_storm_sheds_or_degrades():
-    """Past the queue bound the policy engages; nothing errors."""
-    engine = _small_tiered()
+def test_admission_storm_sheds():
+    """Past the queue bound requests shed; nothing errors."""
+    engine = _small_engine()
     faults = FaultInjector.parse("engine.solve:latency:10")
     metrics = ServiceMetrics()
-    admission = AdmissionController(
-        max_queue_depth=2, policy="degrade-then-shed", metrics=metrics
-    )
+    admission = AdmissionController(max_queue_depth=2, metrics=metrics)
 
     async def main():
         async with MicroBatchScheduler(
@@ -508,13 +485,13 @@ def test_admission_storm_sheds_or_degrades():
     run = asyncio.run(main())
     counts = run["counts"]
     assert counts["errors"] == 0
-    assert counts["shed"] + counts["degraded"] > 0
+    assert counts["shed"] > 0
     snapshot = admission.snapshot()
     assert snapshot["shed_total"] == counts["shed"]
 
 
 def test_expiry_attestation_never_dispatches():
-    engine = _small_tiered()
+    engine = _small_engine()
     attestation = asyncio.run(_attest_expiry(engine, 5))
     assert attestation["expired"]
     assert attestation["expired_span_present"]

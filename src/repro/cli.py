@@ -6,11 +6,9 @@ without writing Python::
     python -m repro datasets
     python -m repro build --dataset coil --out coil.idx.npz
     python -m repro build --dataset coil --shards 4 --jobs 4 --out coil.shards
-    python -m repro build --dataset coil --spectral-rank 128 --out coil.idx.npz
     python -m repro info coil.idx.npz
     python -m repro info coil.shards
     python -m repro search coil.idx.npz --dataset coil --query 42 -k 10
-    python -m repro search coil.idx.npz --dataset coil --query 42 --accuracy fast
     python -m repro search coil.shards --features db.npy --query 42 -k 10
     python -m repro search coil.idx.npz --dataset coil --batch \
         --query 1 --query 2 --query 3 -k 10
@@ -18,13 +16,6 @@ without writing Python::
     python -m repro serve coil.idx.npz --dataset coil --mutable
     python -m repro loadtest --port 8080 --concurrency 32 --requests 512
     python -m repro slowlog --port 8080 --limit 5
-
-``build --spectral-rank R`` additionally writes a rank-R spectral tier
-next to the exact artifact (the ``.spectral.npz`` sidecar).  When the
-sidecar exists, ``serve`` composes the tiered engine automatically (the
-accuracy dial appears on ``/search``), and ``search --accuracy``/
-``--m`` query through it from the command line; without the dial flags,
-``search`` stays on the exact engine.
 
 Feature sources: either a named synthetic dataset (``--dataset`` +
 ``--scale``/``--seed``, regenerated deterministically) or a dense ``.npy``
@@ -172,15 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "unsharded index for any S, and --jobs > 1 builds the shards in "
         "parallel worker processes.  Omit for the legacy single .npz",
     )
-    build.add_argument(
-        "--spectral-rank",
-        type=_positive_int,
-        default=None,
-        metavar="R",
-        help="also build a rank-R spectral nomination tier and save it as "
-        "a sidecar next to the index; serve composes the tiered engine "
-        "(accuracy dial) automatically when the sidecar is present",
-    )
     build.set_defaults(handler=_cmd_build)
 
     info = sub.add_parser("info", help="print statistics of a saved index")
@@ -217,23 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit one machine-readable JSON document (the same encoding "
         "the HTTP server's /search responses use)",
     )
-    dial = search.add_mutually_exclusive_group()
-    dial.add_argument(
-        "--accuracy",
-        choices=("fast", "balanced", "exact"),
-        default=None,
-        help="answer through the tiered engine at this accuracy level "
-        "(requires the index's spectral sidecar, built with "
-        "build --spectral-rank)",
-    )
-    dial.add_argument(
-        "--m",
-        type=_positive_int,
-        default=None,
-        metavar="M",
-        help="answer through the tiered engine with an explicit candidate "
-        "budget of M nominations (requires the spectral sidecar)",
-    )
     search.add_argument(
         "--query-jobs",
         type=_positive_int,
@@ -247,7 +212,14 @@ def _build_parser() -> argparse.ArgumentParser:
     search.set_defaults(handler=_cmd_search)
 
     serve = sub.add_parser(
-        "serve", help="serve a saved index over HTTP with micro-batching"
+        "serve",
+        help="serve a saved index over HTTP with micro-batching",
+        description="Serve a saved index over HTTP.  Requests take no "
+        "accuracy setting; past --max-queue-depth new requests are shed "
+        "with 429 + Retry-After, and a request whose deadline "
+        "lapses in the queue gets 504 without reaching the engine.  "
+        "SIGINT and SIGTERM shut the server down gracefully (a --mutable "
+        "server saves its live state first).",
     )
     serve.add_argument("index", help="index .npz path")
     _add_feature_source(serve)
@@ -343,25 +315,16 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         metavar="N",
-        help="admission-control threshold: past this many queued "
-        "requests, new ones are degraded or shed per --overload-policy "
+        help="admission-control threshold: past this many queued or "
+        "in-flight requests, new ones are shed with 429 + Retry-After "
         "(default 1024; 0 disables admission control — unbounded queues)",
-    )
-    serve.add_argument(
-        "--overload-policy",
-        choices=("shed", "degrade", "degrade-then-shed"),
-        default="degrade-then-shed",
-        help="what to do past the queue threshold: shed (429 + "
-        "Retry-After), degrade (downgrade dialable requests to the fast "
-        "tier), or degrade-then-shed (degrade what can be, shed the "
-        "rest; the default)",
     )
     serve.add_argument(
         "--max-queue-delay-ms",
         type=_nonnegative_float,
         default=None,
         metavar="MS",
-        help="also shed/degrade when the estimated queue delay (from the "
+        help="also shed when the estimated queue delay (from the "
         "per-stage histograms) crosses this budget (default: depth "
         "threshold only)",
     )
@@ -545,18 +508,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     )
     if index.profile is not None:
         print(index.profile.to_text())
-    if args.spectral_rank is not None:
-        from repro.core.serialize import save_spectral_index, spectral_tier_path
-        from repro.core.spectral import SpectralIndex
-
-        started = time.perf_counter()
-        tier = SpectralIndex.build(graph, rank=args.spectral_rank, alpha=args.alpha)
-        spectral_seconds = time.perf_counter() - started
-        sidecar = save_spectral_index(tier, spectral_tier_path(args.out))
-        print(
-            f"spectral tier rank {tier.rank} in {spectral_seconds:.2f}s "
-            f"-> {sidecar}"
-        )
     return 0
 
 
@@ -617,13 +568,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
             print(f"loaded in:        {profile.load_seconds:.3f}s")
             for warning in profile.load_warnings:
                 print(f"load warning:     {warning}")
-    from repro.core.serialize import is_spectral_index_path, spectral_tier_path
-
-    sidecar = spectral_tier_path(args.index)
-    if is_spectral_index_path(sidecar):
-        # The artifact carries a nomination tier: serve composes the
-        # tiered engine (accuracy dial) from it automatically.
-        print(f"spectral tier:    {sidecar}")
     from repro.core.serialize import load_live_state
 
     state = load_live_state(args.index)
@@ -664,51 +608,26 @@ def _cmd_search(args: argparse.Namespace) -> int:
     index = load_any_index(args.index)
     features = _load_features(args)
     graph = build_knn_graph(features, k=args.knn)
-    dial = {}
-    if args.accuracy is not None:
-        dial["accuracy"] = args.accuracy
-    if args.m is not None:
-        dial["m"] = args.m
-    spectral = None
-    if dial:
-        from repro.core.serialize import load_spectral_tier
-
-        spectral = load_spectral_tier(args.index)
-        if spectral is None:
-            raise ValueError(
-                f"--accuracy/--m need a spectral tier next to {args.index}; "
-                "build one with `build --spectral-rank R`"
-            )
     ranker = engine_from_index(
         graph,
         index,
-        spectral=spectral,
         query_jobs=args.query_jobs,
         memory_budget_mb=args.memory_budget_mb,
         bounds_dtype=args.bounds_dtype,
     )
-    label = ranker.resolve_accuracy(**dial)[0] if dial else None
     if args.batch:
         # Batch queries are independent; repeats are answered repeatedly.
-        return _search_batch(
-            ranker, list(args.query), args.k, as_json=args.json, dial=dial
-        )
+        return _search_batch(ranker, list(args.query), args.k, as_json=args.json)
     queries = list(dict.fromkeys(args.query))  # de-dup, keep order (multi-seed)
     started = time.perf_counter()
     if len(queries) == 1:
-        result = ranker.top_k(queries[0], args.k, **dial)
+        result = ranker.top_k(queries[0], args.k)
     else:
-        if dial:
-            raise ValueError(
-                "the accuracy dial applies to single-node or --batch "
-                "queries; multi-seed queries stay on the exact engine"
-            )
         result = ranker.top_k_multi(np.asarray(queries), args.k)
     elapsed = time.perf_counter() - started
     if args.json:
         from repro.service.encoding import search_result_payload
 
-        extra = {} if label is None else {"accuracy": label}
         print(
             json.dumps(
                 search_result_payload(
@@ -717,33 +636,23 @@ def _cmd_search(args: argparse.Namespace) -> int:
                     ranker.last_stats,
                     query=queries[0] if len(queries) == 1 else queries,
                     latency_ms=1e3 * elapsed,
-                    **extra,
                 ),
                 indent=2,
             )
         )
         return 0
-    dial_note = "" if label is None else f" [{label}]"
-    print(
-        f"query {queries} -> top-{len(result)}{dial_note} "
-        f"in {1e3 * elapsed:.2f} ms"
-    )
+    print(f"query {queries} -> top-{len(result)} in {1e3 * elapsed:.2f} ms")
     for rank, (node, score) in enumerate(zip(result.indices, result.scores), 1):
         print(f"{rank:4d}  node {int(node):8d}  score {float(score):.6e}")
     return 0
 
 
 def _search_batch(
-    ranker,
-    queries: list[int],
-    k: int,
-    as_json: bool = False,
-    dial: dict | None = None,
+    ranker, queries: list[int], k: int, as_json: bool = False
 ) -> int:
     """Answer every ``--query`` independently in one batched engine pass."""
-    dial = dial or {}
     started = time.perf_counter()
-    results = ranker.top_k_batch(np.asarray(queries), k, **dial)
+    results = ranker.top_k_batch(np.asarray(queries), k)
     elapsed = time.perf_counter() - started
     if as_json:
         from repro.service.encoding import search_result_payload, stats_to_dict
@@ -760,8 +669,6 @@ def _search_batch(
             ],
             "totals": stats_to_dict(batch_stats.totals),
         }
-        if dial:
-            document["accuracy"] = ranker.resolve_accuracy(**dial)[0]
         print(json.dumps(document, indent=2))
         return 0
     per_query = 1e3 * elapsed / len(queries)
@@ -798,37 +705,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         faults = FaultInjector.parse(args.faults)
     else:
         faults = FaultInjector.from_env()
-
-    def _overload_kwargs() -> dict:
-        return dict(
-            request_timeout_ms=args.request_timeout_ms or None,
-            max_queue_depth=args.max_queue_depth or None,
-            overload_policy=args.overload_policy,
-            max_queue_delay_ms=args.max_queue_delay_ms,
-            max_body_bytes=args.max_body_bytes,
-            faults=faults,
-        )
+    server_kwargs = dict(
+        host=args.host,
+        port=args.port,
+        max_batch_size=args.max_batch_size,
+        cache_capacity=args.cache_capacity,
+        tracing=not args.no_tracing,
+        slowlog_capacity=args.slowlog_capacity,
+        slow_threshold_ms=args.slow_threshold_ms,
+        query_workers=args.query_workers,
+        request_timeout_ms=args.request_timeout_ms or None,
+        max_queue_depth=args.max_queue_depth or None,
+        max_queue_delay_ms=args.max_queue_delay_ms,
+        max_body_bytes=args.max_body_bytes,
+        faults=faults,
+    )
 
     index = load_any_index(args.index)
     features = _load_features(args)
     graph = build_knn_graph(features, k=args.knn)
-    from repro.core.serialize import (
-        is_spectral_index_path,
-        load_spectral_tier,
-        spectral_tier_path,
-    )
-
-    spectral = None
-    if not args.mutable:
-        # A spectral sidecar next to the artifact turns the deployment
-        # into a tiered engine with the /search accuracy dial.  A mutable
-        # deployment cannot use it (the tier cannot follow writes).
-        spectral = load_spectral_tier(args.index)
-    elif is_spectral_index_path(spectral_tier_path(args.index)):
-        print(
-            "ignoring spectral tier sidecar: a mutable deployment serves "
-            "the exact engine only"
-        )
     ranker = engine_from_index(
         graph,
         index,
@@ -837,29 +732,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             k=args.knn,
             auto_rebuild_fraction=args.auto_rebuild_fraction or None,
         ),
-        spectral=spectral,
         query_jobs=args.query_jobs,
         memory_budget_mb=args.memory_budget_mb,
         bounds_dtype=args.bounds_dtype,
     )
-    if spectral is not None:
-        print(
-            f"spectral tier: rank {spectral.rank}, accuracy dial on "
-            "/search (fast/balanced/exact or m=<budget>)"
-        )
     if not args.mutable:
-        run_server(
-            ranker,
-            host=args.host,
-            port=args.port,
-            max_batch_size=args.max_batch_size,
-            cache_capacity=args.cache_capacity,
-            tracing=not args.no_tracing,
-            slowlog_capacity=args.slowlog_capacity,
-            slow_threshold_ms=args.slow_threshold_ms,
-            query_workers=args.query_workers,
-            **_overload_kwargs(),
-        )
+        run_server(ranker, **server_kwargs)
         return 0
 
     from repro.core.serialize import load_live_state, save_live_state
@@ -873,18 +751,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{state.tombstones.shape[0]} tombstones"
         )
     try:
-        run_server(
-            ranker,
-            host=args.host,
-            port=args.port,
-            max_batch_size=args.max_batch_size,
-            cache_capacity=args.cache_capacity,
-            tracing=not args.no_tracing,
-            slowlog_capacity=args.slowlog_capacity,
-            slow_threshold_ms=args.slow_threshold_ms,
-            query_workers=args.query_workers,
-            **_overload_kwargs(),
-        )
+        run_server(ranker, **server_kwargs)
     finally:
         # Let an in-flight background rebuild settle, then persist the
         # write-ahead state next to the (unchanged) index artifact.

@@ -656,14 +656,18 @@ def factor_border_rows(
         order = np.argsort(sel_cols, kind="stable")  # preserves row order
         sel_rows, sel_cols = sel_rows[order], sel_cols[order]
         sel_scaled = sel_scaled[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sel_cols[1:] != sel_cols[:-1]))
-        )
-        stops = np.append(boundaries[1:], sel_cols.size)
-        for lo, hi in zip(boundaries, stops):
-            k = int(sel_cols[lo])
-            col_rows[k] = sel_rows[lo:hi].tolist()
-            col_scaled[k] = sel_scaled[lo:hi].tolist()
+        # The needed columns may hold no interior entry at all (no later
+        # interior row references them); then nothing is selected, and
+        # the run detection below would still yield one boundary.
+        if sel_cols.size:
+            boundaries = np.flatnonzero(
+                np.concatenate(([True], sel_cols[1:] != sel_cols[:-1]))
+            )
+            stops = np.append(boundaries[1:], sel_cols.size)
+            for lo, hi in zip(boundaries, stops):
+                k = int(sel_cols[lo])
+                col_rows[k] = sel_rows[lo:hi].tolist()
+                col_scaled[k] = sel_scaled[lo:hi].tolist()
 
     d: list[float] = [0.0] * n
     d[:border_start] = np.asarray(interior_diag, dtype=np.float64).tolist()

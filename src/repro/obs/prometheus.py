@@ -68,10 +68,6 @@ _HELP = {
         "counter",
         "Requests refused by admission control (429 Too Many Requests).",
     ),
-    "repro_degraded_total": (
-        "counter",
-        "Requests downgraded to the fast tier under overload.",
-    ),
     "repro_deadline_timeouts_total": (
         "counter",
         "Requests whose deadline expired before an answer (504).",
@@ -95,14 +91,6 @@ _HELP = {
     "repro_stage_duration_seconds": (
         "histogram",
         "Per-stage time attribution from request traces.",
-    ),
-    "repro_tier_queries_total": (
-        "counter",
-        "Queries served per accuracy level (tiered engines).",
-    ),
-    "repro_tier_seconds_total": (
-        "counter",
-        "Seconds spent per accuracy level and tier (tiered engines).",
     ),
     "repro_resident_bytes": (
         "gauge",
@@ -210,7 +198,6 @@ def render_prometheus(
     metrics,
     queue_depth: int = 0,
     cache_stats: dict | None = None,
-    tier_counters: dict | None = None,
     slowlog_stats: dict | None = None,
     worker_stats: dict | None = None,
     residency_stats: dict | None = None,
@@ -220,8 +207,8 @@ def render_prometheus(
     ``metrics`` is a :class:`repro.service.metrics.ServiceMetrics`
     (duck-typed: anything exposing ``snapshot()``, ``latency`` and
     ``stage_histograms()``); the optional dicts carry the surfaces owned
-    by other components (scheduler queue + worker pool, cache, tiered
-    engine, flight recorder), mirroring the JSON ``/metrics`` assembly
+    by other components (scheduler queue + worker pool, cache, flight
+    recorder, shard residency), mirroring the JSON ``/metrics`` assembly
     in the server.  ``worker_stats`` carries ``query_workers``,
     ``workers_busy`` and ``engine_wait_seconds`` from the scheduler
     snapshot.  ``residency_stats`` is a
@@ -264,7 +251,6 @@ def render_prometheus(
         writer.sample("repro_slowlog_recorded_total", slowlog_stats["recorded"])
     admission = snapshot.get("admission", {})
     writer.sample("repro_sheds_total", admission.get("sheds_total", 0))
-    writer.sample("repro_degraded_total", admission.get("degraded_total", 0))
     writer.sample(
         "repro_deadline_timeouts_total",
         admission.get("deadline_timeouts_total", 0),
@@ -285,23 +271,6 @@ def render_prometheus(
         writer.histogram("repro_error_latency_seconds", error_latency)
     for stage, histogram in sorted(metrics.stage_histograms().items()):
         writer.histogram("repro_stage_duration_seconds", histogram, stage=stage)
-    if tier_counters:
-        for label, entry in sorted(tier_counters.items()):
-            writer.sample(
-                "repro_tier_queries_total", entry["queries"], accuracy=label
-            )
-            writer.sample(
-                "repro_tier_seconds_total",
-                entry["spectral_seconds"],
-                accuracy=label,
-                tier="spectral",
-            )
-            writer.sample(
-                "repro_tier_seconds_total",
-                entry["rerank_seconds"],
-                accuracy=label,
-                tier="rerank",
-            )
     if residency_stats:
         writer.sample(
             "repro_resident_bytes", residency_stats.get("resident_bytes", 0)

@@ -12,8 +12,8 @@ the request-lifecycle layer that makes that happen in a live system:
   (``POST /search``, ``POST /search_oos``, ``GET /healthz`` /
   ``/metrics`` / ``/stats``),
 * :mod:`repro.service.admission` — deadline-aware admission control:
-  bounded queues, load shedding (429 + ``Retry-After``) and graceful
-  degradation to the fast accuracy tier under overload,
+  bounded queues and load shedding (429 + ``Retry-After``), the only
+  overload behaviour,
 * :mod:`repro.service.faults` — a fault-injection chaos harness
   (env/CLI-armed, off by default) for overload and resilience tests,
 * :mod:`repro.service.cache` — an LRU result cache with hit/miss
@@ -30,7 +30,6 @@ Surface from the shell: ``python -m repro serve`` and
 """
 
 from repro.service.admission import (
-    OVERLOAD_POLICIES,
     AdmissionController,
     DeadlineExceededError,
     SchedulerStoppedError,
@@ -67,7 +66,6 @@ __all__ = [
     "LatencyHistogram",
     "LoadReport",
     "MicroBatchScheduler",
-    "OVERLOAD_POLICIES",
     "ReadOnlyEngineError",
     "RequestFailedError",
     "ResultCache",

@@ -1,46 +1,29 @@
-"""Admission control: bounded queues, load shedding and graceful degradation.
+"""Admission control: bounded queues and load shedding.
 
 A serving stack without admission control fails collectively: under
 overload every queue grows without bound, every request's latency grows
 with the queue, and by the time answers emerge nobody is still waiting
-for them.  The remedy is old and simple — refuse (or cheapen) work you
-cannot finish in time, so the work you *do* accept finishes fast.
+for them.  The remedy is old and simple — refuse work you cannot finish
+in time, so the work you *do* accept finishes fast.
 
 :class:`AdmissionController` is the scheduler's gatekeeper.  Every
 search request consults it before enqueueing; the controller looks at
-the current queue depth (and, optionally, the *estimated queue delay*
+the scheduler's backlog (and, optionally, the *estimated queue delay*
 derived from the per-stage latency histograms) and answers with one of
-three decisions:
+two decisions:
 
 ``ADMIT``
-    Below the threshold — enqueue normally.
-``DEGRADE``
-    Over the threshold, and the engine has an accuracy dial
-    (:class:`repro.core.TieredEngine`): downgrade the request to the
-    cheap ``fast`` tier before enqueueing.  Brownout instead of
-    blackout — the client gets a slightly approximate answer *now*
-    rather than an exact answer never.  Degraded responses are flagged
-    (``degraded: true``) so nobody mistakes them for full-accuracy
-    answers.
+    Below the threshold (``max_queue_depth``) — enqueue normally.
 ``SHED``
-    Over the threshold and degradation is unavailable (or the policy
-    forbids it, or even the degraded lanes are saturated): fail fast
-    with 429 + ``Retry-After`` *before* the request burns queue space
-    or engine time.  A shed request provably never executed, so clients
-    may retry it safely — which is exactly what
-    :class:`repro.service.client.RetrievalClient` does.
+    At or over the threshold: fail fast with 429 + ``Retry-After``
+    *before* the request burns queue space or engine time.  A shed
+    request provably never executed, so clients may retry it safely —
+    which is exactly what :class:`repro.service.client.RetrievalClient`
+    does.
 
-Three policies select between the overload responses (the threshold
-itself is ``max_queue_depth``):
-
-* ``shed`` — never degrade; 429 at the threshold.
-* ``degrade`` — downgrade dialable requests at the threshold; requests
-  that cannot be degraded are still admitted until the *hard* limit
-  (``hard_limit_factor * max_queue_depth``), past which everything
-  sheds (the bound is a bound).
-* ``degrade-then-shed`` (default) — downgrade dialable requests at the
-  threshold, shed everything else; the hard limit sheds even dialable
-  requests once the degraded lanes are saturated too.
+Shedding is the only overload behaviour: no request is ever answered
+by a cheaper engine instead (the README's "Why serving has no
+approximate tier" has the measurements behind that).
 
 Deadlines are the controller's companion (see
 :class:`DeadlineExceededError` and the scheduler's drain-time expiry
@@ -56,12 +39,8 @@ from __future__ import annotations
 import math
 import threading
 
-#: The three overload policies accepted by ``--overload-policy``.
-OVERLOAD_POLICIES = ("shed", "degrade", "degrade-then-shed")
-
 #: Decision constants returned by :meth:`AdmissionController.decide`.
 ADMIT = "admit"
-DEGRADE = "degrade"
 SHED = "shed"
 
 
@@ -111,54 +90,33 @@ class AdmissionController:
     Parameters
     ----------
     max_queue_depth:
-        The overload threshold: when the scheduler's total queued
-        request count reaches this depth, new requests are degraded or
-        shed according to ``policy``.  ``None`` disables admission
-        control entirely (every decision is ``ADMIT`` — the pre-PR
-        behaviour, kept for benchmarks' no-admission baseline).
-    policy:
-        One of :data:`OVERLOAD_POLICIES`.
-    hard_limit_factor:
-        Queues are *hard*-bounded at ``hard_limit_factor *
-        max_queue_depth``: past that depth every request sheds, whatever
-        the policy — degradation moved load to cheaper lanes, but the
-        cheaper lanes are saturated too.
+        The overload threshold: when the scheduler's backlog reaches
+        this depth, new requests are shed.  ``None`` disables admission
+        control entirely (every decision is ``ADMIT`` — kept for
+        benchmarks' no-admission baseline).
     max_queue_delay_ms:
         Optional second overload signal: when set, the controller also
-        sheds/degrades when the *estimated* queue delay (current depth x
-        mean engine-dispatch seconds / mean batch size, both read from
-        the live service metrics) crosses this budget.  Catches the case
+        sheds when the *estimated* queue delay (current depth x mean
+        engine-dispatch seconds / mean batch size, both read from the
+        live service metrics) crosses this budget.  Catches the case
         where a modest queue of expensive requests is worth more delay
         than a deep queue of cheap ones.
     metrics:
         Optional :class:`repro.service.metrics.ServiceMetrics`; used for
-        the delay estimate and to publish shed/degrade counters.
+        the delay estimate.
     """
 
     def __init__(
         self,
         max_queue_depth: int | None = None,
-        policy: str = "degrade-then-shed",
-        hard_limit_factor: float = 2.0,
         max_queue_delay_ms: float | None = None,
         metrics=None,
     ):
-        if policy not in OVERLOAD_POLICIES:
-            raise ValueError(
-                f"unknown overload policy {policy!r}; expected one of "
-                f"{OVERLOAD_POLICIES}"
-            )
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1 (or None), got {max_queue_depth}"
             )
-        if hard_limit_factor < 1.0:
-            raise ValueError(
-                f"hard_limit_factor must be >= 1.0, got {hard_limit_factor}"
-            )
         self.max_queue_depth = max_queue_depth
-        self.policy = policy
-        self.hard_limit_factor = float(hard_limit_factor)
         self.max_queue_delay_ms = max_queue_delay_ms
         self.metrics = metrics
         #: Engine worker pool size, set by the scheduler at construction
@@ -169,22 +127,12 @@ class AdmissionController:
         self.query_workers = 1
         self._lock = threading.Lock()
         self.admitted_total = 0
-        self.degraded_total = 0
         self.shed_total = 0
 
     @property
     def enabled(self) -> bool:
         """False when the controller admits unconditionally."""
         return self.max_queue_depth is not None
-
-    @property
-    def hard_limit(self) -> int | None:
-        if self.max_queue_depth is None:
-            return None
-        return max(
-            self.max_queue_depth,
-            int(math.ceil(self.hard_limit_factor * self.max_queue_depth)),
-        )
 
     # -- overload signals -------------------------------------------------
 
@@ -229,46 +177,16 @@ class AdmissionController:
 
     # -- the decision ------------------------------------------------------
 
-    def decide(self, depth: int, can_degrade: bool) -> str:
-        """One admission decision: :data:`ADMIT`, :data:`DEGRADE` or :data:`SHED`.
-
-        ``can_degrade`` is the scheduler's judgement of whether *this*
-        request has a cheaper tier to fall to (the engine is tiered and
-        the request is not already at the floor).
-        """
-        if self.max_queue_depth is None:
-            self._count(ADMIT)
-            return ADMIT
-        if depth >= self.hard_limit:
-            # Past the hard bound nothing enters, degradable or not:
-            # the cheap lanes are saturated too and memory is finite.
-            self._count(SHED)
-            return SHED
-        if not self.overloaded(depth):
-            self._count(ADMIT)
-            return ADMIT
-        if self.policy == "shed":
-            self._count(SHED)
-            return SHED
-        if can_degrade:
-            self._count(DEGRADE)
-            return DEGRADE
-        if self.policy == "degrade-then-shed":
-            self._count(SHED)
-            return SHED
-        # policy == "degrade" with nothing to degrade: admit until the
-        # hard limit — this policy trades bounded-ness for availability.
-        self._count(ADMIT)
-        return ADMIT
-
-    def _count(self, decision: str) -> None:
+    # `_ignored`: the frozen benchmarks/suite/probes.py calls decide(8, False).
+    def decide(self, depth: int, _ignored: object = None) -> str:
+        """One admission decision: :data:`ADMIT` or :data:`SHED`."""
+        decision = SHED if self.overloaded(depth) else ADMIT
         with self._lock:
             if decision == ADMIT:
                 self.admitted_total += 1
-            elif decision == DEGRADE:
-                self.degraded_total += 1
             else:
                 self.shed_total += 1
+        return decision
 
     # -- client guidance ---------------------------------------------------
 
@@ -289,14 +207,11 @@ class AdmissionController:
         with self._lock:
             counters = {
                 "admitted_total": self.admitted_total,
-                "degraded_total": self.degraded_total,
                 "shed_total": self.shed_total,
             }
         return {
             "enabled": self.enabled,
-            "policy": self.policy,
             "max_queue_depth": self.max_queue_depth,
-            "hard_limit": self.hard_limit,
             "max_queue_delay_ms": self.max_queue_delay_ms,
             "query_workers": self.query_workers,
             **counters,

@@ -122,7 +122,6 @@ class RetrievalClient:
             "retries": 0,
             "sheds_seen": 0,
             "timeouts_seen": 0,
-            "degraded_seen": 0,
         }
         self._connection = http.client.HTTPConnection(host, port, timeout=timeout)
 
@@ -238,8 +237,6 @@ class RetrievalClient:
                 status=status,
                 payload=payload if isinstance(payload, dict) else {},
             )
-        if isinstance(payload, dict) and payload.get("degraded"):
-            self.counters["degraded_seen"] += 1
         return payload
 
     def _deadline_header(self, deadline_ms: float | None) -> dict | None:
@@ -373,7 +370,6 @@ class LoadReport:
     elapsed_seconds: float
     concurrency: int
     n_shed: int = 0
-    n_degraded: int = 0
     n_timeout: int = 0
     n_retried: int = 0
     latency: LatencyHistogram = field(repr=False, default_factory=LatencyHistogram)
@@ -399,7 +395,7 @@ class LoadReport:
     def ok(self) -> bool:
         """True when every request succeeded with a non-empty answer.
 
-        Sheds, degrades and deadline expiries are *policy working as
+        Sheds and deadline expiries are *policy working as
         configured*, not failures; they are reported separately and do
         not clear ``ok``.
         """
@@ -412,7 +408,6 @@ class LoadReport:
             "n_errors": self.n_errors,
             "n_empty": self.n_empty,
             "n_shed": self.n_shed,
-            "n_degraded": self.n_degraded,
             "n_timeout": self.n_timeout,
             "n_retried": self.n_retried,
             "elapsed_seconds": self.elapsed_seconds,
@@ -435,10 +430,9 @@ class LoadReport:
             f"latency:     p50 {latency['p50_ms']:.2f} ms   "
             f"p95 {latency['p95_ms']:.2f} ms   p99 {latency['p99_ms']:.2f} ms",
         ]
-        if self.n_shed or self.n_degraded or self.n_timeout or self.n_retried:
+        if self.n_shed or self.n_timeout or self.n_retried:
             lines.append(
                 f"overload:    {self.n_shed} shed   "
-                f"{self.n_degraded} degraded   "
                 f"{self.n_timeout} deadline-expired   "
                 f"{self.n_retried} retries"
             )
@@ -475,7 +469,7 @@ def run_load_test(
     verified against it and mismatches count as errors.
 
     ``deadline_ms`` and ``retries`` configure each worker's client, and
-    the report breaks out shed / degraded / deadline-expired / retried
+    the report breaks out shed / deadline-expired / retried
     counts so overload policies are visible, not folded into "errors".
     """
     if concurrency <= 0:
@@ -491,7 +485,6 @@ def run_load_test(
         "errors": 0,
         "empty": 0,
         "shed": 0,
-        "degraded": 0,
         "timeout": 0,
         "retried": 0,
     }
@@ -515,10 +508,9 @@ def run_load_test(
                     break
                 query = int(rng.integers(n_nodes))
                 started = time.perf_counter()
-                error = empty = shed = timeout = degraded = False
+                error = empty = shed = timeout = False
                 try:
                     payload = client.search(query, k)
-                    degraded = bool(payload.get("degraded"))
                     if not payload.get("indices"):
                         empty = True
                     elif check_against is not None:
@@ -549,7 +541,6 @@ def run_load_test(
                     counters["empty"] += int(empty)
                     counters["shed"] += int(shed)
                     counters["timeout"] += int(timeout)
-                    counters["degraded"] += int(degraded)
             with counters_lock:
                 counters["retried"] += client.counters["retries"]
 
@@ -580,7 +571,6 @@ def run_load_test(
         n_errors=counters["errors"],
         n_empty=counters["empty"],
         n_shed=counters["shed"],
-        n_degraded=counters["degraded"],
         n_timeout=counters["timeout"],
         n_retried=counters["retried"],
         elapsed_seconds=elapsed,

@@ -196,12 +196,11 @@ class ServiceMetrics:
         self.error_latency = LatencyHistogram()
         # Overload-management counters (admission control + deadlines).
         self.sheds_total = 0
-        self.degraded_total = 0
         self.deadline_timeouts_total = 0
         self.expired_in_queue_total = 0
         self.faults_injected_total = 0
         #: Per-stage histograms keyed by span name ("scheduler.wait",
-        #: "tier.nominate", ...), created lazily as traces arrive.
+        #: "engine.dispatch", ...), created lazily as traces arrive.
         self._stages: dict[str, LatencyHistogram] = {}
 
     def record_request(self, endpoint: str, seconds: float, error: bool = False) -> None:
@@ -221,11 +220,6 @@ class ServiceMetrics:
         """Count one request refused by admission control (a 429)."""
         with self._lock:
             self.sheds_total += 1
-
-    def record_degraded(self) -> None:
-        """Count one request downgraded to the fast tier under overload."""
-        with self._lock:
-            self.degraded_total += 1
 
     def record_timeout(self, queued: bool = False) -> None:
         """Count one deadline expiry (a 504).
@@ -303,7 +297,6 @@ class ServiceMetrics:
             stages = dict(self._stages)
             admission = {
                 "sheds_total": self.sheds_total,
-                "degraded_total": self.degraded_total,
                 "deadline_timeouts_total": self.deadline_timeouts_total,
                 "expired_in_queue_total": self.expired_in_queue_total,
                 "faults_injected_total": self.faults_injected_total,

@@ -29,15 +29,11 @@ for the batch maximum and truncating — sound because answers are totally
 ordered by (score desc, id asc), so the top-k prefix of a top-K answer
 *is* the top-k answer.
 
-In-database and out-of-sample requests are scheduled in separate lanes
-(they enter different engine entry points); each lane has its own
-pending list, all feeding the shared engine worker pool.  When the
-engine is tiered (:class:`repro.core.TieredEngine`), requests carry an
-accuracy dial, and each resolved accuracy level gets its **own** lane
-(``node:fast``, ``node:balanced``, ...): only requests answered by the
-same tier configuration may share a batch, and cache keys carry the
-resolved level so a ``fast`` answer is never served to an ``exact``
-request.
+There are exactly two lanes, ``node`` (in-database queries) and
+``oos`` (out-of-sample feature vectors), because they enter different
+engine entry points; each has its own pending list, both feed the
+shared engine worker pool.  A request carries a payload and a ``k`` and
+nothing else; there is no per-request accuracy setting.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from repro.core.topk import truncate_result
 from repro.obs.trace import Span, Trace, activate
 from repro.ranking.base import TopKResult
 from repro.service.admission import (
-    DEGRADE,
     SHED,
     AdmissionController,
     DeadlineExceededError,
@@ -91,22 +86,12 @@ class ScheduledResult:
         How many requests shared the engine dispatch (1 = no coalescing).
     cached:
         ``True`` when the answer came from the result cache (no solve).
-    accuracy:
-        The resolved accuracy level that produced this answer (``None``
-        on a non-tiered engine, where there is no dial).
-    degraded:
-        ``True`` when admission control downgraded this request to the
-        fast tier under overload — the answer is honest about being
-        approximate (``accuracy`` then names the degraded level, not
-        the one the client asked for).
     """
 
     result: TopKResult
     stats: SearchStats | None
     batch_size: int
     cached: bool = False
-    accuracy: str | None = None
-    degraded: bool = False
 
 
 @dataclass
@@ -128,17 +113,12 @@ class _Pending:
     #: ``perf_counter`` deadline; the batch assembler drops the request
     #: (504, never dispatched) if this lapses while it is queued.
     deadline_at: float | None = None
-    #: Whether admission control downgraded this request to the fast tier.
-    degraded: bool = False
 
 
 @dataclass
 class _Lane:
     """One coalescing lane: its backlog and the single batch it may fly."""
 
-    #: Engine kwargs of the lane (the resolved accuracy dial); the base
-    #: ``node`` / ``oos`` lanes carry none.
-    extra: dict
     #: Requests waiting for the lane to be free, FIFO.
     pending: list[_Pending] = field(default_factory=list)
     #: The scheduled launch (a ``call_soon`` handle, or the timer of a
@@ -175,9 +155,8 @@ class MicroBatchScheduler:
     admission:
         Optional :class:`repro.service.admission.AdmissionController`
         consulted before every search enqueue (after the cache probe —
-        cache hits cost nothing and are always served).  Its decision
-        may shed the request (:class:`ShedLoadError` → 429) or downgrade
-        it to the fast tier (``degraded: true`` in the answer).
+        cache hits cost nothing and are always served).  Past its
+        threshold the request is shed (:class:`ShedLoadError` → 429).
         ``None`` admits everything — unbounded queues, the
         pre-admission behaviour.
     faults:
@@ -238,9 +217,6 @@ class MicroBatchScheduler:
         self.faults = faults
         self.exclude_query = exclude_query
         self.sequential_singletons = sequential_singletons
-        #: Lazily resolved ``(label, engine_kwargs)`` of the degradation
-        #: target tier (``(None, None)`` on engines without a dial).
-        self._degrade_target_cache: tuple[str | None, dict | None] | None = None
         self._lanes: dict[str, _Lane] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         #: The engine worker pool.  Engines are reentrant (per-thread
@@ -277,7 +253,7 @@ class MicroBatchScheduler:
         self._executor = ThreadPoolExecutor(
             max_workers=self.query_workers, thread_name_prefix="mogul-engine"
         )
-        self._lanes = {"node": _Lane({}), "oos": _Lane({})}
+        self._lanes = {"node": _Lane(), "oos": _Lane()}
 
     async def stop(self) -> None:
         """Fail what never reached a worker, let in-flight batches finish.
@@ -389,34 +365,10 @@ class MicroBatchScheduler:
 
     # -- request entry points --------------------------------------------
 
-    def _resolve_accuracy(
-        self, accuracy: str | None, m: int | None
-    ) -> tuple[str | None, dict]:
-        """The engine's canonical accuracy level and kwargs for a request.
-
-        A tiered engine resolves every request — including the implicit
-        default — to a canonical label, so ``accuracy=None`` and an
-        explicit ``accuracy="balanced"`` share a lane and cache entries.
-        On a non-tiered engine the dial does not exist: asking for it is
-        a request error (400), not something to silently ignore — the
-        caller believes accuracy is being traded and it is not.
-        """
-        resolver = getattr(self.ranker, "resolve_accuracy", None)
-        if resolver is None:
-            if accuracy is not None or m is not None:
-                raise ValueError(
-                    "this engine has no accuracy dial (accuracy/m require "
-                    "a tiered engine; serve with a spectral tier)"
-                )
-            return None, {}
-        return resolver(accuracy=accuracy, m=m)
-
     async def search(
         self,
         node: int,
         k: int,
-        accuracy: str | None = None,
-        m: int | None = None,
         trace: Trace | None = None,
         deadline_at: float | None = None,
     ) -> ScheduledResult:
@@ -433,28 +385,17 @@ class MicroBatchScheduler:
                 f"query {node} out of range for {self.ranker.n_nodes} nodes"
             )
         k = self._cap_k(k)
-        label, extra = self._resolve_accuracy(accuracy, m)
-
-        def make_key(lbl: str | None):
-            if self.cache is None:
-                return None
-            # The resolved level is part of the answer's identity: a
-            # `fast` answer must never satisfy an `exact` request.
-            params = {"exclude": self.exclude_query}
-            if lbl is not None:
-                params["accuracy"] = lbl
-            return ResultCache.node_key(node, k, **params)
-
-        return await self._submit(
-            "node", node, k, label, extra, trace, deadline_at, make_key
+        cache_key = (
+            None
+            if self.cache is None
+            else ResultCache.node_key(node, k, exclude=self.exclude_query)
         )
+        return await self._submit("node", node, k, cache_key, trace, deadline_at)
 
     async def search_out_of_sample(
         self,
         feature: np.ndarray,
         k: int,
-        accuracy: str | None = None,
-        m: int | None = None,
         trace: Trace | None = None,
         deadline_at: float | None = None,
     ) -> ScheduledResult:
@@ -466,17 +407,10 @@ class MicroBatchScheduler:
                 f"feature must have shape ({expected},), got {feature.shape}"
             )
         k = self._cap_k(k)
-        label, extra = self._resolve_accuracy(accuracy, m)
-
-        def make_key(lbl: str | None):
-            if self.cache is None:
-                return None
-            params = {} if lbl is None else {"accuracy": lbl}
-            return ResultCache.feature_key(feature, k, **params)
-
-        return await self._submit(
-            "oos", feature, k, label, extra, trace, deadline_at, make_key
+        cache_key = (
+            None if self.cache is None else ResultCache.feature_key(feature, k)
         )
+        return await self._submit("oos", feature, k, cache_key, trace, deadline_at)
 
     # -- mutation entry points -------------------------------------------
 
@@ -546,54 +480,14 @@ class MicroBatchScheduler:
             raise ValueError(f"k must be positive, got {k}")
         return min(int(k), self.ranker.n_nodes)
 
-    def _degrade_target(self) -> tuple[str | None, dict | None]:
-        """The tier overloaded requests degrade to (``(None, None)``: no dial)."""
-        if self._degrade_target_cache is None:
-            resolver = getattr(self.ranker, "resolve_accuracy", None)
-            if resolver is None:
-                self._degrade_target_cache = (None, None)
-            else:
-                self._degrade_target_cache = resolver(accuracy="fast")
-        return self._degrade_target_cache
-
-    def _probe_cache(
-        self,
-        cache_key: object | None,
-        lane: str,
-        label: str | None,
-        degraded: bool,
-        trace: Trace | None,
-    ) -> ScheduledResult | None:
-        if cache_key is None:
-            return None
-        probed = time.perf_counter()
-        hit = self.cache.get(cache_key)
-        if hit is None:
-            return None
-        result, stats = hit
-        if trace is not None:
-            # The cache short-circuit: the whole engine path was
-            # skipped, so the lookup is the only stage there is.
-            trace.root.add_span("cache.hit", started=probed, lane=lane)
-        return ScheduledResult(
-            result=result,
-            stats=stats,
-            batch_size=0,
-            cached=True,
-            accuracy=label,
-            degraded=degraded,
-        )
-
     async def _submit(
         self,
-        kind: str,
+        lane: str,
         payload: object,
         k: int,
-        label: str | None,
-        extra: dict,
+        cache_key: object | None,
         trace: Trace | None,
         deadline_at: float | None,
-        make_key,
     ) -> ScheduledResult:
         if not self._running:
             raise RuntimeError("scheduler is not running (call start() first)")
@@ -605,58 +499,28 @@ class MicroBatchScheduler:
             raise DeadlineExceededError(
                 "deadline expired before the request could be queued"
             )
-        degraded = False
-        cache_key = make_key(label)
-        lane = kind if label is None else f"{kind}:{label}"
-        hit = self._probe_cache(cache_key, lane, label, degraded, trace)
-        if hit is not None:
-            return hit
+        if cache_key is not None:
+            probed = time.perf_counter()
+            hit = self.cache.get(cache_key)
+            if hit is not None:
+                if trace is not None:
+                    # The cache short-circuit: the whole engine path was
+                    # skipped, so the lookup is the only stage there is.
+                    trace.root.add_span("cache.hit", started=probed, lane=lane)
+                result, stats = hit
+                return ScheduledResult(
+                    result=result, stats=stats, batch_size=0, cached=True
+                )
         if self.admission is not None and self.admission.enabled:
             depth = self.backlog
-            degrade_label, degrade_extra = self._degrade_target()
-            # Degradable: the engine has a dial, the request is not
-            # already at the floor tier, and it did not pin an explicit
-            # candidate budget (``m=``) we would be second-guessing.
-            can_degrade = (
-                degrade_label is not None
-                and label is not None
-                and label != degrade_label
-                and not label.startswith("m=")
-            )
-            decision = self.admission.decide(depth, can_degrade)
-            if decision == SHED:
+            if self.admission.decide(depth) == SHED:
                 if self.metrics is not None:
                     self.metrics.record_shed()
                 raise ShedLoadError(
                     f"server overloaded (queue depth {depth}); request shed",
                     retry_after_seconds=self.admission.retry_after_seconds(depth),
                 )
-            if decision == DEGRADE:
-                degraded = True
-                if self.metrics is not None:
-                    self.metrics.record_degraded()
-                if trace is not None:
-                    now = time.perf_counter()
-                    trace.root.add_span(
-                        "admission.degrade",
-                        started=now,
-                        ended=now,
-                        source=label,
-                        target=degrade_label,
-                    )
-                label, extra = degrade_label, dict(degrade_extra)
-                cache_key = make_key(label)
-                lane = f"{kind}:{label}"
-                hit = self._probe_cache(cache_key, lane, label, degraded, trace)
-                if hit is not None:
-                    return hit
-        # Accuracy lanes are open-ended (``m=<any>``), so they are made
-        # on first use; a lane's engine kwargs are fixed at creation — a
-        # lane name resolves to exactly one tier configuration, which is
-        # what makes coalescing inside it safe.
-        state = self._lanes.get(lane)
-        if state is None:
-            state = self._lanes[lane] = _Lane(dict(extra))
+        state = self._lanes[lane]
         generation = None if self.cache is None else self.cache.generation
         future: asyncio.Future = self._loop.create_future()
         state.pending.append(
@@ -669,7 +533,6 @@ class MicroBatchScheduler:
                 trace=trace,
                 enqueued_at=time.perf_counter(),
                 deadline_at=deadline_at,
-                degraded=degraded,
             )
         )
         if state.launch is None and state.solving is None:
@@ -803,7 +666,6 @@ class MicroBatchScheduler:
             self.metrics.record_batch(
                 len(solved), SearchStats.aggregate(per_query)
             )
-        label = lane.partition(":")[2] or None
         for pending, result, stats in zip(solved, results, per_query):
             if pending.trace is not None:
                 pending.trace.root.add_span(
@@ -825,11 +687,7 @@ class MicroBatchScheduler:
             if not pending.future.done():
                 pending.future.set_result(
                     ScheduledResult(
-                        result=answer,
-                        stats=stats,
-                        batch_size=len(solved),
-                        accuracy=label,
-                        degraded=pending.degraded,
+                        result=answer, stats=stats, batch_size=len(solved)
                     )
                 )
 
@@ -866,17 +724,15 @@ class MicroBatchScheduler:
 
         A singleton batch takes the sequential fast path when
         ``sequential_singletons`` is on (the default); its answers are
-        identical to a one-column batch call.  Accuracy lanes
-        (``node:fast``, ``oos:m=256``, ...) forward their resolved tier
-        kwargs to the engine on every call.
+        identical to a one-column batch call.
 
         When ``traced``, the whole dispatch runs under an activated
         ``engine.dispatch`` span (whose meta names the ``worker_id``
         that ran it), so the instrumentation points down in
-        :mod:`repro.core` (tier nominate/re-rank, seed/border solves,
-        shard scans, live snapshots) attach their stage spans beneath
-        it; the finished tree is returned for completion to graft
-        onto each coalesced request's trace.
+        :mod:`repro.core` (seed/border solves, shard scans, live
+        snapshots) attach their stage spans beneath it; the finished
+        tree is returned for completion to graft onto each coalesced
+        request's trace.
         """
         now = time.perf_counter()
         with self._workers_lock:
@@ -901,8 +757,6 @@ class MicroBatchScheduler:
             payloads = [payloads[index] for index in kept]
             k = max(ks[index] for index in kept)
             ranker = self.ranker
-            kind = lane.partition(":")[0]
-            extra = self._lanes[lane].extra
             singleton = len(payloads) == 1 and self.sequential_singletons
             # "mogul-engine_3" -> worker 3 (executor thread names are
             # `<prefix>_<index>`); the raw name if the pattern changes.
@@ -922,13 +776,12 @@ class MicroBatchScheduler:
                 else None
             )
             with activate(engine_span):
-                if kind == "node":
+                if lane == "node":
                     if singleton:
                         result, stats = ranker.top_k_with_stats(
                             int(payloads[0]),
                             k,
                             exclude_query=self.exclude_query,
-                            **extra,
                         )
                         results, per_query = [result], (stats,)
                     else:
@@ -936,17 +789,16 @@ class MicroBatchScheduler:
                             np.asarray(payloads, dtype=np.int64),
                             k,
                             exclude_query=self.exclude_query,
-                            **extra,
                         )
                         per_query = batch_stats.per_query
                 elif singleton:
                     result, stats = ranker.top_k_out_of_sample_with_stats(
-                        payloads[0], k, **extra
+                        payloads[0], k
                     )
                     results, per_query = [result], (stats,)
                 else:
                     results, batch_stats = ranker.top_k_out_of_sample_batch_with_stats(
-                        np.asarray(payloads), k, **extra
+                        np.asarray(payloads), k
                     )
                     per_query = batch_stats.per_query
             if engine_span is not None:

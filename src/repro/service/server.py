@@ -12,14 +12,12 @@ Endpoints
     Body ``{"query": <node id>, "k": 10}``.  Answers come from the
     scheduler (coalesced with whatever else is in flight) or the result
     cache; the response carries the ranked answers, the engine's pruning
-    stats, the dispatch batch size and the measured latency.  Against a
-    tiered engine the accuracy dial rides either the query string
-    (``/search?accuracy=fast``, ``/search?m=256``) or the same-named
-    body fields; the response echoes the resolved level.
+    stats, the dispatch batch size and the measured latency.  There is
+    no accuracy dial: a request naming ``accuracy`` or ``m`` (query
+    string or body) is refused with 400 saying the dial was removed.
 ``POST /search_oos``
     Body ``{"feature": [<float>, ...], "k": 10}`` — §4.6.2 out-of-sample
-    queries by feature vector, batched the same way (the accuracy dial
-    applies here too).
+    queries by feature vector, batched the same way.
 ``POST /insert`` / ``POST /delete`` / ``POST /rebuild``
     Write endpoints, available when the served engine is mutable (a
     :class:`repro.core.LiveEngine`; see ``repro serve --mutable``).
@@ -52,7 +50,7 @@ trace feeds the per-stage latency histograms and the flight recorder.
 Responses carry the trace id in the ``X-Repro-Trace-Id`` header;
 ``?debug=trace`` returns the span tree inline in the response body.
 
-Use :func:`run_server` from the CLI (blocks until interrupted) or
+Use :func:`run_server` from the CLI (blocks until SIGINT or SIGTERM) or
 :class:`BackgroundServer` from tests/examples (serves from a daemon
 thread, returns the bound port).
 """
@@ -62,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import signal
 import threading
 import time
 from typing import Callable
@@ -151,13 +150,11 @@ class RetrievalServer:
         Default per-request deadline for search endpoints; a request's
         own ``?deadline_ms=`` / ``X-Repro-Deadline-Ms`` overrides it
         (``0`` opts the request out).  ``None`` disables the default.
-    max_queue_depth, overload_policy, max_queue_delay_ms:
+    max_queue_depth, max_queue_delay_ms:
         Admission control (see :mod:`repro.service.admission`):
-        ``max_queue_depth`` is the shed/degrade threshold (``None``
-        disables admission — unbounded queues), ``overload_policy`` is
-        ``shed`` | ``degrade`` | ``degrade-then-shed``, and
-        ``max_queue_delay_ms`` optionally sheds on estimated queue
-        delay as well as raw depth.
+        ``max_queue_depth`` is the shed threshold (``None`` disables
+        admission — unbounded queues), and ``max_queue_delay_ms``
+        optionally sheds on estimated queue delay as well as raw depth.
     max_body_bytes:
         Largest accepted request body (413 past it).
     faults:
@@ -182,7 +179,6 @@ class RetrievalServer:
         slow_threshold_ms: float | None = None,
         request_timeout_ms: float | None = DEFAULT_REQUEST_TIMEOUT_MS,
         max_queue_depth: int | None = DEFAULT_MAX_QUEUE_DEPTH,
-        overload_policy: str = "degrade-then-shed",
         max_queue_delay_ms: float | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         faults: FaultInjector | None = None,
@@ -205,7 +201,6 @@ class RetrievalServer:
         )
         self.admission = AdmissionController(
             max_queue_depth=max_queue_depth,
-            policy=overload_policy,
             max_queue_delay_ms=max_queue_delay_ms,
             metrics=self.metrics,
         )
@@ -522,18 +517,15 @@ class RetrievalServer:
         if not isinstance(query, int) or isinstance(query, bool):
             raise _HttpError(400, "body must carry an integer 'query' node id")
         k = _get_k(document)
-        accuracy, m = _get_accuracy(document, params)
+        _reject_accuracy(document, params)
         deadline_at = self._deadline_at(started, params, request_headers)
         trace = self._start_trace("search", query=query, k=k)
         scheduled = await self.scheduler.search(
-            query, k, accuracy=accuracy, m=m, trace=trace, deadline_at=deadline_at
+            query, k, trace=trace, deadline_at=deadline_at
         )
         self._maybe_fault_response()
         elapsed = time.perf_counter() - started
         self.metrics.record_request("search", elapsed)
-        extra = {} if scheduled.accuracy is None else {"accuracy": scheduled.accuracy}
-        if scheduled.degraded:
-            extra["degraded"] = True
         payload = search_result_payload(
             scheduled.result,
             k,
@@ -542,7 +534,6 @@ class RetrievalServer:
             cached=scheduled.cached,
             batch_size=scheduled.batch_size,
             latency_ms=1e3 * elapsed,
-            **extra,
         )
         self._finish_trace(trace, "search", elapsed, params, payload, headers)
         return payload
@@ -562,18 +553,15 @@ class RetrievalServer:
         if vector.ndim != 1:
             raise _HttpError(400, "'feature' must be a flat list of numbers")
         k = _get_k(document)
-        accuracy, m = _get_accuracy(document, params)
+        _reject_accuracy(document, params)
         deadline_at = self._deadline_at(started, params, request_headers)
         trace = self._start_trace("search_oos", dim=vector.shape[0], k=k)
         scheduled = await self.scheduler.search_out_of_sample(
-            vector, k, accuracy=accuracy, m=m, trace=trace, deadline_at=deadline_at
+            vector, k, trace=trace, deadline_at=deadline_at
         )
         self._maybe_fault_response()
         elapsed = time.perf_counter() - started
         self.metrics.record_request("search_oos", elapsed)
-        extra = {} if scheduled.accuracy is None else {"accuracy": scheduled.accuracy}
-        if scheduled.degraded:
-            extra["degraded"] = True
         payload = search_result_payload(
             scheduled.result,
             k,
@@ -581,7 +569,6 @@ class RetrievalServer:
             cached=scheduled.cached,
             batch_size=scheduled.batch_size,
             latency_ms=1e3 * elapsed,
-            **extra,
         )
         self._finish_trace(trace, "search_oos", elapsed, params, payload, headers)
         return payload
@@ -668,9 +655,6 @@ class RetrievalServer:
         snapshot["cache"] = self.cache.stats()
         snapshot["tracing"] = self.tracing
         snapshot["slowlog"] = self.flight.stats()
-        tiers = self._tier_counters()
-        if tiers is not None:
-            snapshot["tiers"] = tiers
         residency = self._residency_stats()
         if residency is not None:
             snapshot["residency"] = residency
@@ -682,7 +666,6 @@ class RetrievalServer:
             self.metrics,
             queue_depth=self.scheduler.queue_depth,
             cache_stats=self.cache.stats(),
-            tier_counters=self._tier_counters(),
             slowlog_stats=self.flight.stats(),
             worker_stats=self._worker_stats(),
             residency_stats=self._residency_stats(),
@@ -694,31 +677,11 @@ class RetrievalServer:
         stats["tracing"] = self.tracing
         return {"slowlog": stats, "entries": self.flight.snapshot()}
 
-    def _tier_counters(self) -> dict | None:
-        """Per-accuracy-level counters of a tiered engine (else ``None``)."""
-        counters = getattr(self.ranker, "tier_counters", None)
-        if counters is None:
-            return None
-        tiers = {}
-        for label, entry in counters().items():
-            queries = entry["queries"]
-            tiers[label] = {
-                "queries": int(queries),
-                "spectral_seconds": entry["spectral_seconds"],
-                "rerank_seconds": entry["rerank_seconds"],
-                "candidates": int(entry["candidates"]),
-                "mean_candidates": entry["candidates"] / queries if queries else 0.0,
-                "mean_nomination_recall": (
-                    entry["recall_sum"] / queries if queries else 0.0
-                ),
-            }
-        return tiers
-
     def _residency_stats(self) -> dict | None:
         """Shard-residency accounting of a sharded index (else ``None``).
 
-        Duck-typed like :meth:`_tier_counters`: the engine wrapper chain
-        (tiered, live) forwards ``index``, and only
+        Duck-typed: the engine wrapper chain (live) forwards ``index``,
+        and only
         :class:`repro.core.sharded.ShardedMogulIndex` exposes
         ``residency_snapshot``.
         """
@@ -757,15 +720,6 @@ class RetrievalServer:
             residency = self._residency_stats()
             if residency is not None:
                 payload["index"]["residency"] = residency
-        tiers = self._tier_counters()
-        if tiers is not None:
-            # Tiered engine: the accuracy dial's per-level accounting
-            # (queries, per-tier seconds, measured nomination recall).
-            payload["tiers"] = tiers
-            payload["spectral"] = {
-                "rank": self.ranker.spectral.index.rank,
-                "default_accuracy": self.ranker.default_accuracy,
-            }
         if index.profile is not None:
             # Per-stage build cost and, for a loaded index, the measured
             # startup (load) time — the precompute side of the story.
@@ -867,29 +821,15 @@ def _get_k(document: dict) -> int:
     return k
 
 
-def _get_accuracy(document: dict, params: dict) -> tuple[str | None, int | None]:
-    """The accuracy dial of a search request (query string wins over body).
-
-    Validation here is only shape-level (a string, an integer); whether
-    the level exists — and whether the served engine has a dial at all —
-    is the scheduler's call, surfaced as a 400.
-    """
-    accuracy = document.get("accuracy")
-    if "accuracy" in params:
-        accuracy = params["accuracy"][-1]
-    if accuracy is not None and not isinstance(accuracy, str):
-        raise _HttpError(400, f"'accuracy' must be a string, got {accuracy!r}")
-    m = document.get("m")
-    if "m" in params:
-        try:
-            m = int(params["m"][-1])
-        except ValueError:
+def _reject_accuracy(document: dict, params: dict) -> None:
+    """400 for a request still naming the removed accuracy dial."""
+    for name in ("accuracy", "m"):
+        if name in params or name in document:
             raise _HttpError(
-                400, f"'m' must be an integer, got {params['m'][-1]!r}"
-            ) from None
-    if m is not None and (not isinstance(m, int) or isinstance(m, bool)):
-        raise _HttpError(400, f"'m' must be an integer, got {m!r}")
-    return accuracy, m
+                400,
+                f"'{name}' is not supported: the accuracy dial was removed; "
+                "drop the parameter to get the exact top-k answer",
+            )
 
 
 # -- entry points ----------------------------------------------------------
@@ -906,14 +846,17 @@ def run_server(
     slow_threshold_ms: float | None = None,
     request_timeout_ms: float | None = DEFAULT_REQUEST_TIMEOUT_MS,
     max_queue_depth: int | None = DEFAULT_MAX_QUEUE_DEPTH,
-    overload_policy: str = "degrade-then-shed",
     max_queue_delay_ms: float | None = None,
     max_body_bytes: int = MAX_BODY_BYTES,
     faults: FaultInjector | None = None,
     query_workers: int = 1,
     announce: Callable[[str], None] = print,
 ) -> None:
-    """Serve ``ranker`` until interrupted (the CLI's blocking entry point)."""
+    """Serve ``ranker`` until SIGINT or SIGTERM (the CLI's blocking entry point).
+
+    Main thread only (signal handlers are installed on the event loop);
+    tests and embedders use :class:`BackgroundServer`.
+    """
     server = RetrievalServer(
         ranker,
         host=host,
@@ -925,7 +868,6 @@ def run_server(
         slow_threshold_ms=slow_threshold_ms,
         request_timeout_ms=request_timeout_ms,
         max_queue_depth=max_queue_depth,
-        overload_policy=overload_policy,
         max_queue_delay_ms=max_queue_delay_ms,
         max_body_bytes=max_body_bytes,
         faults=faults,
@@ -935,16 +877,25 @@ def run_server(
         announce(f"chaos harness ARMED: {faults.snapshot()['rules']}")
 
     async def _main() -> None:
-        bound = await server.start()
-        announce(
-            f"serving {ranker.name} index of {ranker.n_nodes} nodes on "
-            f"http://{server.host}:{bound} "
-            f"(max_batch_size={max_batch_size}, query_workers={query_workers})"
-        )
+        # SIGINT and SIGTERM both take the graceful path below, and the
+        # caller's own cleanup (the CLI persists a mutable engine's live
+        # state) runs once this returns.  Installed explicitly because a
+        # background job of a non-interactive shell starts with SIGINT
+        # ignored, and SIGTERM's default action skips all cleanup.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+            # The listening socket accepts connections from here on.
+            bound = await server.start()
+            announce(
+                f"serving {ranker.name} index of {ranker.n_nodes} nodes on "
+                f"http://{server.host}:{bound} "
+                f"(max_batch_size={max_batch_size}, query_workers={query_workers})"
+            )
+            await stopping.wait()
+            announce("shutting down")
         finally:
             await server.stop()
 

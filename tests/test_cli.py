@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -415,3 +422,75 @@ class TestShardedCli:
         code, _, err = run_cli(capsys, "info", str(bogus))
         assert code == 2
         assert "manifest" in err
+
+
+class TestServeSignals:
+    """`repro serve` stops gracefully on SIGINT and SIGTERM.
+
+    The server is started with SIGINT ignored, the way a non-interactive
+    shell starts a background job, so only an explicitly installed
+    handler can stop it; a mutable server must save its live state on
+    the way out.
+    """
+
+    @pytest.fixture(scope="class")
+    def index_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("serve") / "coil.idx.npz"
+        code = main(
+            ["build", "--dataset", "coil", "--scale", "0.2", "--out", str(path)]
+        )
+        assert code == 0
+        return path
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_signal_stops_and_persists_live_state(self, index_path, signum):
+        import repro
+        from repro.core.serialize import live_state_path, load_live_state
+        from repro.datasets.registry import load_dataset
+        from repro.service.client import RetrievalClient, wait_until_healthy
+
+        Path(live_state_path(index_path)).unlink(missing_ok=True)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        command = [
+            sys.executable, "-m", "repro", "serve", str(index_path),
+            "--dataset", "coil", "--scale", "0.2",
+            "--port", str(port), "--mutable",
+        ]
+        # Children inherit an ignored disposition across exec.
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            server = subprocess.Popen(
+                command,
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            wait_until_healthy("127.0.0.1", port, timeout_seconds=60)
+            feature = load_dataset("coil", scale=0.2).features[0] + 0.001
+            with RetrievalClient(port=port) as client:
+                client.insert(feature)
+            server.send_signal(signum)
+            output, _ = server.communicate(timeout=10)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, output
+        assert "saved live state" in output
+        state = load_live_state(index_path)
+        assert state is not None
+        assert state.pending_ids.shape[0] == 1

@@ -19,6 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import complete_ldl, incomplete_ldl, ldl_solve
+from repro.linalg.ldl import (
+    factor_border_rows,
+    factor_row_span,
+    global_pivot_floor,
+    symbolic_pattern,
+)
 from repro.ranking.normalize import ranking_matrix
 from tests.conftest import random_symmetric_adjacency
 
@@ -188,3 +194,46 @@ class TestLDLProperties:
         b = np.random.default_rng(seed).random(n)
         x = ldl_solve(factors, b)
         np.testing.assert_allclose(w @ x, b, atol=1e-8)
+
+
+class TestSpanPrimitives:
+    """The sharded build's split factorization: interior span + border rows."""
+
+    def test_border_row_needing_column_without_interior_entries(self):
+        # Interior cluster {0, 1} with edge 0-1; border node 2 touches
+        # only node 1.  The border row needs column 1, which no interior
+        # row references, so the border pass has no interior entry to
+        # gather for it.
+        adjacency = sp.csr_matrix(
+            np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        )
+        w = ranking_matrix(adjacency, 0.9)
+        border_start = 2
+        pat_indptr, pat_indices = symbolic_pattern(w)
+        lower_w = sp.tril(w, k=-1, format="csr")
+        lower_w.sort_indices()
+        floor = global_pivot_floor(w)
+        interior_nnz = int(pat_indptr[border_start])
+        wl_nnz = int(lower_w.indptr[border_start])
+        span = factor_row_span(
+            pat_indptr[: border_start + 1],
+            pat_indices[:interior_nnz],
+            lower_w.indptr[: border_start + 1],
+            lower_w.indices[:wl_nnz],
+            lower_w.data[:wl_nnz],
+            w.diagonal()[:border_start],
+            floor,
+        )
+        border_values, border_diag, perturbations = factor_border_rows(
+            w, pat_indptr, pat_indices, border_start, span.diag, span.scaled, floor
+        )
+        lower = sp.csr_matrix(
+            (np.concatenate([span.values, border_values]), pat_indices, pat_indptr),
+            shape=w.shape,
+        )
+        reference = incomplete_ldl(w)
+        assert np.array_equal(lower.toarray(), reference.lower.toarray())
+        assert np.array_equal(
+            np.concatenate([span.diag, border_diag]), reference.diag
+        )
+        assert span.perturbations + perturbations == reference.pivot_perturbations

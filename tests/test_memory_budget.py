@@ -464,7 +464,6 @@ class TestColdServerRetryAfter:
             max_batch_size=1,
             cache_capacity=0,
             max_queue_depth=1,
-            overload_policy="shed",
             # Slow solves, so the concurrent arrivals really queue.
             faults=FaultInjector.parse("engine.solve:latency:20"),
         ) as server:

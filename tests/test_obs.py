@@ -325,26 +325,15 @@ class TestPrometheus:
         assert 'repro_stage_duration_seconds_count{stage="tier.nominate"} 1' in text
 
     def test_optional_sections(self):
-        tiers = {
-            "fast": {
-                "queries": 7,
-                "spectral_seconds": 0.25,
-                "rerank_seconds": 0.5,
-            }
-        }
         cache = {"hits": 5, "misses": 2, "invalidations": 1, "size": 4}
         text = render_prometheus(
             self._metrics(),
             cache_stats=cache,
-            tier_counters=tiers,
             slowlog_stats={"recorded": 9},
         )
         assert "repro_cache_hits_total 5" in text
-        assert 'repro_tier_queries_total{accuracy="fast"} 7' in text
-        assert (
-            'repro_tier_seconds_total{accuracy="fast",tier="spectral"} 0.25' in text
-        )
         assert "repro_slowlog_recorded_total 9" in text
+        assert "repro_tier_" not in text
 
     def test_label_escaping(self):
         metrics = ServiceMetrics()

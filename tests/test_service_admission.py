@@ -3,9 +3,10 @@
 The contract under test: expired requests are answered 504 *without*
 touching the engine (pre-enqueue or at batch assembly, attested by the
 ``admission.expired`` trace span and the dispatch counters), overload
-sheds with 429 + ``Retry-After`` or degrades dialable requests to the
-fast tier (flagged ``degraded``), and a stopping scheduler fails queued
-requests with 503 instead of hanging or surfacing a raw cancellation.
+sheds with 429 + ``Retry-After`` (shedding is the only overload
+behaviour: nothing is degraded, even on an engine with a cheaper tier),
+and a stopping scheduler fails queued requests with 503 instead of
+hanging or surfacing a raw cancellation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.core.tiered import TieredEngine
 from repro.obs.trace import Trace
 from repro.service.admission import (
     ADMIT,
-    DEGRADE,
     SHED,
     AdmissionController,
     DeadlineExceededError,
@@ -29,7 +29,7 @@ from repro.service.admission import (
     ShedLoadError,
 )
 from repro.service.cache import ResultCache
-from repro.service.client import RequestFailedError, RetrievalClient
+from repro.service.client import RetrievalClient
 from repro.service.faults import FaultInjector
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import MicroBatchScheduler
@@ -76,61 +76,38 @@ class TestAdmissionController:
     def test_disabled_always_admits(self):
         controller = AdmissionController(max_queue_depth=None)
         assert not controller.enabled
-        assert controller.hard_limit is None
         for depth in (0, 10, 10**6):
-            assert controller.decide(depth, can_degrade=True) == ADMIT
+            assert controller.decide(depth) == ADMIT
         assert controller.snapshot()["admitted_total"] == 3
 
     def test_shed_policy_sheds_at_threshold(self):
-        controller = AdmissionController(max_queue_depth=4, policy="shed")
-        assert controller.decide(3, can_degrade=True) == ADMIT
-        assert controller.decide(4, can_degrade=True) == SHED
-        assert controller.decide(400, can_degrade=True) == SHED
-
-    def test_degrade_then_shed_prefers_degrade(self):
-        controller = AdmissionController(
-            max_queue_depth=4, policy="degrade-then-shed"
-        )
-        assert controller.decide(4, can_degrade=True) == DEGRADE
-        # No cheaper tier to fall to: shed rather than grow the queue.
-        assert controller.decide(4, can_degrade=False) == SHED
-
-    def test_degrade_policy_admits_undialable_until_hard_limit(self):
-        controller = AdmissionController(
-            max_queue_depth=4, policy="degrade", hard_limit_factor=2.0
-        )
-        assert controller.decide(4, can_degrade=False) == ADMIT
-        assert controller.decide(7, can_degrade=False) == ADMIT
-        assert controller.hard_limit == 8
-        assert controller.decide(8, can_degrade=False) == SHED
-
-    def test_hard_limit_sheds_even_degradable(self):
-        controller = AdmissionController(
-            max_queue_depth=2, policy="degrade-then-shed", hard_limit_factor=2.0
-        )
-        assert controller.decide(3, can_degrade=True) == DEGRADE
-        assert controller.decide(4, can_degrade=True) == SHED
+        controller = AdmissionController(max_queue_depth=4)
+        assert controller.decide(3) == ADMIT
+        assert controller.decide(4) == SHED
+        assert controller.decide(400) == SHED
+        # The legacy second positional argument is accepted and ignored.
+        assert controller.decide(3, True) == ADMIT
+        assert controller.decide(8, False) == SHED
 
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            AdmissionController(max_queue_depth=4, policy="panic")
         with pytest.raises(ValueError, match="max_queue_depth"):
             AdmissionController(max_queue_depth=0)
-        with pytest.raises(ValueError, match="hard_limit_factor"):
-            AdmissionController(max_queue_depth=4, hard_limit_factor=0.5)
+        with pytest.raises(TypeError):
+            AdmissionController(max_queue_depth=4, policy="shed")
+        with pytest.raises(TypeError):
+            AdmissionController(max_queue_depth=4, hard_limit_factor=2.0)
 
     def test_queue_delay_signal_triggers_before_depth(self):
         # 6 queued / batch 2 = 3 dispatches x 100 ms = 300 ms estimate,
         # over the 200 ms budget although well below the depth threshold.
         controller = AdmissionController(
             max_queue_depth=1000,
-            policy="shed",
             max_queue_delay_ms=200.0,
             metrics=_StubMetrics(dispatch_mean_s=0.1, batch=2.0),
         )
         assert not controller.overloaded(2)
         assert controller.overloaded(6)
-        assert controller.decide(6, can_degrade=False) == SHED
+        assert controller.decide(6) == SHED
 
     def test_delay_estimate_needs_observations(self):
         controller = AdmissionController(
@@ -154,12 +131,13 @@ class TestAdmissionController:
         assert fast.retry_after_seconds(4) == 1.0
 
     def test_snapshot_counts_decisions(self):
-        controller = AdmissionController(max_queue_depth=2, policy="shed")
-        controller.decide(0, can_degrade=False)
-        controller.decide(2, can_degrade=False)
+        controller = AdmissionController(max_queue_depth=2)
+        controller.decide(0)
+        controller.decide(2)
         snapshot = controller.snapshot()
         assert snapshot["enabled"] is True
-        assert snapshot["policy"] == "shed"
+        assert "policy" not in snapshot
+        assert "degraded_total" not in snapshot
         assert snapshot["admitted_total"] == 1
         assert snapshot["shed_total"] == 1
 
@@ -236,9 +214,7 @@ class TestSchedulerDeadlines:
 class TestSchedulerOverload:
     def test_shed_raises_with_retry_guidance(self, ranker):
         metrics = ServiceMetrics()
-        admission = AdmissionController(
-            max_queue_depth=1, policy="shed", metrics=metrics
-        )
+        admission = AdmissionController(max_queue_depth=1, metrics=metrics)
         faults = FaultInjector.parse("engine.solve:latency:50")
 
         async def main():
@@ -262,45 +238,9 @@ class TestSchedulerOverload:
         assert metrics.snapshot()["admission"]["sheds_total"] == len(sheds)
         assert admission.snapshot()["shed_total"] == len(sheds)
 
-    def test_degrade_reroutes_to_fast_tier(self, tiered):
-        metrics = ServiceMetrics()
-        admission = AdmissionController(
-            max_queue_depth=1,
-            policy="degrade-then-shed",
-            hard_limit_factor=100.0,
-            metrics=metrics,
-        )
-        faults = FaultInjector.parse("engine.solve:latency:30")
-
-        async def main():
-            async with MicroBatchScheduler(
-                tiered,
-                max_batch_size=1,
-                metrics=metrics,
-                admission=admission,
-                faults=faults,
-            ) as scheduler:
-                return await asyncio.gather(
-                    *(
-                        scheduler.search(node, 5, accuracy="exact")
-                        for node in range(6)
-                    )
-                )
-
-        served = run(main())
-        degraded = [s for s in served if s.degraded]
-        exact = [s for s in served if not s.degraded]
-        assert degraded and exact
-        fast_label, _ = tiered.resolve_accuracy(accuracy="fast")
-        assert all(s.accuracy == fast_label for s in degraded)
-        assert all(s.accuracy == "exact" for s in exact)
-        assert metrics.snapshot()["admission"]["degraded_total"] == len(degraded)
-
     def test_floor_tier_requests_shed_not_degraded(self, tiered):
-        """A request already at `fast` has nowhere to fall: it sheds."""
-        admission = AdmissionController(
-            max_queue_depth=1, policy="degrade-then-shed"
-        )
+        """Overload sheds even on an engine with a cheaper tier."""
+        admission = AdmissionController(max_queue_depth=1)
         faults = FaultInjector.parse("engine.solve:latency:30")
 
         async def main():
@@ -311,24 +251,20 @@ class TestSchedulerOverload:
                 faults=faults,
             ) as scheduler:
                 return await asyncio.gather(
-                    *(
-                        scheduler.search(node, 5, accuracy="fast")
-                        for node in range(6)
-                    ),
+                    *(scheduler.search(node, 5) for node in range(6)),
                     return_exceptions=True,
                 )
 
         outcomes = run(main())
         assert any(isinstance(o, ShedLoadError) for o in outcomes)
-        assert not any(
-            getattr(o, "degraded", False)
-            for o in outcomes
-            if not isinstance(o, Exception)
-        )
+        served = [o for o in outcomes if not isinstance(o, Exception)]
+        assert served
+        assert not any(hasattr(o, "degraded") for o in served)
+        assert admission.snapshot()["shed_total"] == len(outcomes) - len(served)
 
     def test_cache_hits_served_during_overload(self, ranker):
         """Admission runs after the cache probe: hits are free, never shed."""
-        admission = AdmissionController(max_queue_depth=1, policy="shed")
+        admission = AdmissionController(max_queue_depth=1)
         faults = FaultInjector.parse("engine.solve:latency:50")
 
         async def main():
@@ -445,39 +381,6 @@ class TestServerDeadlinesAndOverload:
             )
             assert status == 400
 
-    def test_degraded_flag_in_http_payload(self, tiered):
-        faults = FaultInjector.parse("engine.solve:latency:30")
-        with BackgroundServer(
-            tiered,
-            port=0,
-            max_batch_size=1,
-            cache_capacity=0,
-            max_queue_depth=1,
-            overload_policy="degrade-then-shed",
-            faults=faults,
-        ) as server:
-            import concurrent.futures
-
-            def one_search(worker):
-                # Past the hard limit even dialable requests shed (429);
-                # the point here is the degraded ones that got through.
-                with RetrievalClient(port=server.port) as worker_client:
-                    try:
-                        return worker_client.search(worker, k=5)
-                    except RequestFailedError as fail:
-                        assert fail.status == 429
-                        return {}
-
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                payloads = list(pool.map(one_search, range(8)))
-            degraded = [p for p in payloads if p.get("degraded")]
-            assert degraded
-            fast_label, _ = tiered.resolve_accuracy(accuracy="fast")
-            assert all(p["accuracy"] == fast_label for p in degraded)
-            with RetrievalClient(port=server.port) as probe:
-                metrics = probe.metrics()
-            assert metrics["admission"]["degraded_total"] >= len(degraded)
-
     def test_shed_is_429_with_retry_after(self, ranker):
         faults = FaultInjector.parse("engine.solve:latency:60")
         with BackgroundServer(
@@ -486,7 +389,6 @@ class TestServerDeadlinesAndOverload:
             max_batch_size=1,
             cache_capacity=0,
             max_queue_depth=1,
-            overload_policy="shed",
             faults=faults,
         ) as server:
             import concurrent.futures
@@ -515,5 +417,5 @@ class TestServerDeadlinesAndOverload:
         stats = client.stats()
         admission = stats["scheduler"]["admission"]
         assert admission["enabled"] is True
-        assert admission["policy"] == "degrade-then-shed"
+        assert "policy" not in admission
         assert admission["max_queue_depth"] == 1024

@@ -210,7 +210,6 @@ class TestClientResilience:
             max_batch_size=1,
             cache_capacity=0,
             max_queue_depth=1,
-            overload_policy="shed",
             faults=faults,
         ) as server:
             # Saturate the queue from background threads so the mutation
@@ -256,7 +255,6 @@ class TestLoadGeneratorOverloadAccounting:
             max_batch_size=1,
             cache_capacity=0,
             max_queue_depth=1,
-            overload_policy="shed",
             faults=faults,
         ) as server:
             report = run_load_test(
@@ -269,7 +267,9 @@ class TestLoadGeneratorOverloadAccounting:
         assert report.goodput_rps < report.throughput_rps
         as_dict = report.to_dict()
         assert as_dict["n_shed"] == report.n_shed
+        assert "n_degraded" not in as_dict
         assert "overload:" in report.to_text()
+        assert "degraded" not in report.to_text()
 
     def test_deadline_expiries_counted_not_errors(self, ranker):
         faults = FaultInjector.parse("scheduler.queue:stall:80")
