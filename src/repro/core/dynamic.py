@@ -8,7 +8,7 @@ a practical **insert path**, the way buffered search indexes
 (IVF insert buffers, LSM memtables) absorb writes between rebuilds:
 
 * **Insert** (:meth:`DynamicMogulRanker.add`) appends the new feature to
-  a pending buffer — O(1), no factorization work.
+  a pending buffer — O(1), no factorization and no k-NN work.
 * **Query**: answers come from the base index as usual; every pending
   point additionally receives the *generalized Manifold Ranking
   estimate* of He et al. [7] — the similarity-weighted average of its
@@ -22,13 +22,31 @@ a practical **insert path**, the way buffered search indexes
 * **Rebuild** (:meth:`DynamicMogulRanker.rebuild`) folds the buffer and
   the tombstones into a fresh graph + index.  With
   ``auto_rebuild_fraction`` set, a rebuild triggers automatically once
-  the buffer outgrows that fraction of the database — the classic
-  amortisation: n inserts cost one O(n) rebuild.
+  the buffered inserts plus the deletes still inside the index outgrow
+  that fraction of the database — the classic amortisation: n writes
+  cost one O(n) rebuild.
 
 The estimate for pending points is an approximation (the paper's §4.6.2
 argument): tests bound its error against a full rebuild, and the
 ``pending_penalty`` factor (default 1.0 = off) lets deployments shade
 buffered points' scores to favour fully indexed data.
+
+What a read costs
+-----------------
+Only the score field is per query.  A pending point's neighbours and
+normalised weights depend on the epoch and its feature alone, so the
+first read after an insert computes them — one one-row k-NN search —
+and every later read on that epoch reuses them: **one k-NN row per
+pending point per epoch**.  Each row is computed on its own (never as
+part of a batch, whose BLAS rounding depends on the batch shape), so two
+engines that reach one state through different histories answer bitwise
+alike.  A rebuild starts a fresh memo; deleting a pending point drops
+only its own row.
+
+The base index is asked for ``k + 1`` answers plus one per tombstone it
+can still return — **the deletes since the last rebuild**, not every
+delete ever made (a rebuild drops tombstoned nodes from the graph, so
+older deletes cannot come back from it).
 
 Epoch-versioned state
 ---------------------
@@ -46,6 +64,7 @@ keep draining against the epoch they started on.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,6 +124,9 @@ class LiveSnapshot:
     pending: tuple
     tombstones: frozenset
     n_total: int
+    #: ``|tombstones ∩ epoch.indexed_ids|``: the deleted nodes the base
+    #: index can still return, i.e. what a read must over-fetch for.
+    indexed_tombstones: int
 
 
 class DynamicMogulRanker(AmbientStatsMixin):
@@ -125,8 +147,8 @@ class DynamicMogulRanker(AmbientStatsMixin):
     exact:
         Build MogulE (Modified Cholesky) indexes instead.
     auto_rebuild_fraction:
-        Rebuild when ``pending / indexed`` exceeds this fraction
-        (``None`` disables automatic rebuilds).
+        Rebuild when ``(pending + deletes still indexed) / indexed``
+        exceeds this fraction (``None`` disables automatic rebuilds).
     pending_penalty:
         Multiplier in ``(0, 1]`` applied to pending points' estimated
         scores (1.0 = estimates compete at face value).
@@ -219,6 +241,12 @@ class DynamicMogulRanker(AmbientStatsMixin):
         #: copy under the mutation lock.
         self._tombstones: frozenset[int] = frozenset()
         self._pending_ids: tuple[int, ...] = ()
+        #: ``|tombstones ∩ served epoch's ids|``, kept current by
+        #: :meth:`_apply_remove` and :meth:`_publish_epoch`.
+        self._indexed_tombstones = 0
+        #: epoch -> {pending id: (neighbour rows, normalised weights)}.
+        #: Weak on the epoch so a retired epoch is never pinned by it.
+        self._neighbour_memo = weakref.WeakKeyDictionary()
         self._rebuilds = 0
         #: Build/search configuration replayed by every rebuild (so a
         #: rebuilt epoch is the same kind of index as the original).
@@ -333,46 +361,85 @@ class DynamicMogulRanker(AmbientStatsMixin):
         return feature
 
     def _auto_rebuild_due(self) -> bool:
+        """Buffered inserts plus deletes the index still holds are due.
+
+        Deletes count too: each one the served epoch still holds widens
+        every read's over-fetch, so a delete-heavy database must rebuild
+        as surely as an insert-heavy one.
+        """
         return (
             self.auto_rebuild_fraction is not None
-            and self.n_pending > self.auto_rebuild_fraction * max(1, self.n_indexed)
+            and self.n_pending + self._indexed_tombstones
+            > self.auto_rebuild_fraction * max(1, self.n_indexed)
         )
 
     def remove(self, node: int) -> None:
         """Tombstone a point: it is never returned as an answer again.
 
         The point's edges keep contributing to score smoothness until the
-        next rebuild, at which point it leaves the graph entirely.
+        next rebuild, at which point it leaves the graph entirely.  May
+        trigger an automatic rebuild (see ``auto_rebuild_fraction``).
         """
+        self._apply_remove(node)
+        self._notify_invalidation()
+        if self._auto_rebuild_due() and self.n_live >= 2:
+            self.rebuild()
+
+    def _apply_remove(self, node: int) -> None:
+        """Validate and record one delete (callers hold any mutation lock)."""
         if not 0 <= node < self.n_total:
             raise ValueError(f"node {node} does not exist")
         if node in self._tombstones:
             raise ValueError(f"node {node} is already removed")
         self._tombstones = self._tombstones | {node}
+        if node in self._epoch.local_by_global:
+            self._indexed_tombstones += 1
         if node in self._pending_ids:
             # A buffered point that dies before ever being indexed has
-            # nothing left to contribute — drop it from the buffer.
+            # nothing left to contribute — drop it from the buffer, and
+            # its memoized neighbours with it (no other row changes).
             self._pending_ids = tuple(
                 gid for gid in self._pending_ids if gid != node
             )
-        self._notify_invalidation()
+            rows = self._neighbour_memo.get(self._epoch)
+            if rows is not None:
+                rows.pop(node, None)
+
+    def _live_mask(self) -> np.ndarray:
+        """Boolean mask over ``[0, n_total)``: True where not tombstoned."""
+        mask = np.ones(len(self._features), dtype=bool)
+        mask[np.fromiter(self._tombstones, dtype=np.int64)] = False
+        return mask
 
     def _live_ids(self) -> np.ndarray:
         """Every non-tombstoned global id, ascending."""
-        return np.asarray(
-            [gid for gid in range(self.n_total) if gid not in self._tombstones],
-            dtype=np.int64,
-        )
+        return np.flatnonzero(self._live_mask()).astype(np.int64, copy=False)
 
     def rebuild(self) -> None:
         """Fold pending points and tombstones into a fresh index (O(n))."""
         live = self._live_ids()
         if live.shape[0] < 2:
             raise ValueError("cannot rebuild an index with fewer than 2 live points")
-        self._epoch = self._build_epoch(live, number=self._epoch.number + 1)
+        self._publish_epoch(
+            self._build_epoch(live, number=self._epoch.number + 1)
+        )
         self._pending_ids = ()
         self._rebuilds += 1
         self._notify_invalidation()
+
+    def _publish_epoch(self, epoch: EngineEpoch) -> None:
+        """Serve ``epoch`` from now on (swap, restore; callers hold any lock).
+
+        Recounts the tombstones the new epoch can return and drops the
+        pending-neighbour memo: rows are per epoch, so none carry over.
+        """
+        self._epoch = epoch
+        local = epoch.local_by_global
+        self._indexed_tombstones = sum(1 for gid in self._tombstones if gid in local)
+        # A fresh mapping, not ``clear()``: a reader still on the old epoch
+        # may insert into whichever mapping it sees, and the weak key
+        # keeps even that from pinning the retired epoch.
+        self._neighbour_memo = weakref.WeakKeyDictionary()
 
     # -- queries ----------------------------------------------------------
 
@@ -383,13 +450,14 @@ class DynamicMogulRanker(AmbientStatsMixin):
         :class:`repro.core.live.LiveEngine` overrides this to take its
         mutation lock, which is the *only* synchronization queries need.
         The buffer and tombstone values are copy-on-write immutables, so
-        this is three reference reads — O(1) regardless of buffer size.
+        this is a few reference reads — O(1) regardless of buffer size.
         """
         return LiveSnapshot(
             epoch=self._epoch,
             pending=self._pending_ids,
             tombstones=self._tombstones,
             n_total=len(self._features),
+            indexed_tombstones=self._indexed_tombstones,
         )
 
     def top_k(self, query: int, k: int, exclude_query: bool = True) -> TopKResult:
@@ -404,7 +472,7 @@ class DynamicMogulRanker(AmbientStatsMixin):
         self._check_query_id(snap, query)
         ranker = snap.epoch.ranker
         local = snap.epoch.local_by_global.get(int(query))
-        overfetch = k + 1 + len(snap.tombstones)
+        overfetch = k + 1 + snap.indexed_tombstones
         if local is not None:
             base = ranker.top_k(int(local), overfetch, exclude_query=False)
             field_fn = lambda: ranker.scores(int(local))  # noqa: E731
@@ -413,11 +481,9 @@ class DynamicMogulRanker(AmbientStatsMixin):
             base = ranker.top_k_out_of_sample(feature, overfetch)
             field_fn = lambda: self._score_field(snap, feature)  # noqa: E731
         indices, scores = self._merge_pending(snap, base, field_fn)
-        exclude = {query} if exclude_query else set()
-        exclude |= snap.tombstones
-        keep = [i for i, gid in enumerate(indices) if gid not in exclude]
         self.last_stats = ranker.last_stats
-        return _take_top(indices[keep], scores[keep], k)
+        skip = query if exclude_query else -1
+        return _take_live(indices, scores, snap.tombstones, k, skip)
 
     def top_k_batch(
         self, queries, k: int, exclude_query: bool = True
@@ -436,7 +502,7 @@ class DynamicMogulRanker(AmbientStatsMixin):
         queries = [int(q) for q in queries]
         for query in queries:
             self._check_query_id(snap, query)
-        overfetch = k + 1 + len(snap.tombstones)
+        overfetch = k + 1 + snap.indexed_tombstones
         indexed_rows = [
             (i, snap.epoch.local_by_global.get(q)) for i, q in enumerate(queries)
         ]
@@ -472,10 +538,8 @@ class DynamicMogulRanker(AmbientStatsMixin):
                     snap, feature
                 )
             indices, scores = self._merge_pending(snap, base_results[i], field_fn)
-            exclude = {query} if exclude_query else set()
-            exclude |= snap.tombstones
-            keep = [j for j, gid in enumerate(indices) if gid not in exclude]
-            answers.append(_take_top(indices[keep], scores[keep], k))
+            skip = query if exclude_query else -1
+            answers.append(_take_live(indices, scores, snap.tombstones, k, skip))
         self.last_batch_stats = BatchStats(per_query=tuple(per_query_stats))
         return answers
 
@@ -487,14 +551,13 @@ class DynamicMogulRanker(AmbientStatsMixin):
         feature = self._check_feature(feature)
         snap = self._snapshot()
         ranker = snap.epoch.ranker
-        overfetch = k + len(snap.tombstones)
+        overfetch = k + snap.indexed_tombstones
         base = ranker.top_k_out_of_sample(feature, overfetch, n_probe=n_probe)
         indices, scores = self._merge_pending(
             snap, base, lambda: self._score_field(snap, feature)
         )
-        keep = [i for i, gid in enumerate(indices) if gid not in snap.tombstones]
         self.last_stats = ranker.last_stats
-        return _take_top(indices[keep], scores[keep], k)
+        return _take_live(indices, scores, snap.tombstones, k)
 
     def top_k_out_of_sample_batch(
         self, features: np.ndarray, k: int, n_probe: int = 1
@@ -509,7 +572,7 @@ class DynamicMogulRanker(AmbientStatsMixin):
             )
         snap = self._snapshot()
         ranker = snap.epoch.ranker
-        overfetch = k + len(snap.tombstones)
+        overfetch = k + snap.indexed_tombstones
         base_results = ranker.top_k_out_of_sample_batch(
             features, overfetch, n_probe=n_probe
         )
@@ -522,10 +585,7 @@ class DynamicMogulRanker(AmbientStatsMixin):
                 base_results[row],
                 lambda feature=feature: self._score_field(snap, feature),
             )
-            keep = [
-                i for i, gid in enumerate(indices) if gid not in snap.tombstones
-            ]
-            answers.append(_take_top(indices[keep], scores[keep], k))
+            answers.append(_take_live(indices, scores, snap.tombstones, k))
         self.last_batch_stats = BatchStats(per_query=per_query_stats)
         return answers
 
@@ -602,36 +662,68 @@ class DynamicMogulRanker(AmbientStatsMixin):
         in-database neighbours' scores (generalized MR estimate [7]) over
         the same approximate score field the base answers were ranked by;
         ``field_fn`` produces that field lazily (it costs one solve, paid
-        only when the buffer is non-empty).
+        only when the buffer is non-empty).  The neighbours and weights
+        come from the per-epoch memo (:meth:`_pending_neighbours`).
         """
         epoch = snap.epoch
         base_global = epoch.indexed_ids[base.indices]
         if not snap.pending:
             return base_global, base.scores.copy()
         field = field_fn()
-        pending = np.asarray(snap.pending, dtype=np.int64)
-        pending_features = np.asarray([self._features[g] for g in pending])
-        count = min(self.k, epoch.n_indexed)
-        idx, dist = knn_search(
-            epoch.graph.features, count, queries=pending_features
-        )
-        sigma = epoch.graph.sigma
-        estimates = np.empty(pending.shape[0], dtype=np.float64)
-        for row in range(pending.shape[0]):
-            if sigma > 0:
-                weights = np.exp(-np.square(dist[row]) / (2.0 * sigma * sigma))
-            else:
-                weights = np.ones(count)
-            total = float(weights.sum())
-            if total <= 0:
-                weights = np.full(count, 1.0 / count)
-            else:
-                weights = weights / total
-            estimates[row] = float(np.dot(weights, field[idx[row]]))
+        rows = self._pending_neighbours(epoch, snap.pending)
+        estimates = np.empty(len(rows), dtype=np.float64)
+        for row, (idx, weights) in enumerate(rows):
+            estimates[row] = float(np.dot(weights, field[idx]))
         estimates *= self.pending_penalty
-        merged_ids = np.concatenate([base_global, pending])
+        merged_ids = np.concatenate(
+            [base_global, np.asarray(snap.pending, dtype=np.int64)]
+        )
         merged_scores = np.concatenate([base.scores, estimates])
         return merged_ids, merged_scores
+
+    def _pending_neighbours(
+        self, epoch: EngineEpoch, pending: tuple
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(neighbour rows, normalised weights)`` of each pending id.
+
+        Memoized per (epoch, id) and filled here, on the read path: each
+        id costs one one-row k-NN search per epoch.  Concurrent readers
+        may both compute a missing row; the row is a pure function of
+        (epoch, feature), so whichever write lands is the same value.
+        """
+        memo = self._neighbour_memo.get(epoch)
+        if memo is None:
+            memo = self._neighbour_memo.setdefault(epoch, {})
+        rows = []
+        for gid in pending:
+            row = memo.get(gid)
+            if row is None:
+                row = memo[gid] = self._neighbour_row(epoch, self._features[gid])
+            rows.append(row)
+        return rows
+
+    def _neighbour_row(
+        self, epoch: EngineEpoch, feature: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One point's base neighbours and normalised heat-kernel weights.
+
+        Always a one-row query: a batched search's BLAS rounding depends
+        on the batch shape, and a row must not depend on which other
+        points happened to be computed with it.
+        """
+        count = min(self.k, epoch.n_indexed)
+        idx, dist = knn_search(epoch.graph.features, count, queries=feature[None, :])
+        sigma = epoch.graph.sigma
+        if sigma > 0:
+            weights = np.exp(-np.square(dist[0]) / (2.0 * sigma * sigma))
+        else:
+            weights = np.ones(count)
+        total = float(weights.sum())
+        if total <= 0:
+            weights = np.full(count, 1.0 / count)
+        else:
+            weights = weights / total
+        return idx[0], weights
 
     def _score_field(
         self, snap: LiveSnapshot, seed_feature: np.ndarray
@@ -683,6 +775,20 @@ def _read_batch_stats(ranker, expected: int) -> tuple[SearchStats, ...]:
 def _take_top(indices: np.ndarray, scores: np.ndarray, k: int) -> TopKResult:
     """Order (score desc, id asc) and truncate to k."""
     return truncate_result(rank_scores_by_pairs(indices, scores), k)
+
+
+def _take_live(
+    indices: np.ndarray,
+    scores: np.ndarray,
+    tombstones: frozenset,
+    k: int,
+    skip: int = -1,
+) -> TopKResult:
+    """Drop tombstoned ids (and ``skip``), then order and truncate to k."""
+    keep = [
+        i for i, gid in enumerate(indices) if gid != skip and gid not in tombstones
+    ]
+    return _take_top(indices[keep], scores[keep], k)
 
 
 def rank_scores_by_pairs(indices: np.ndarray, scores: np.ndarray) -> TopKResult:

@@ -17,8 +17,9 @@ factorization are computed.  :class:`LiveEngine` removes that pause:
 * **Rebuilds** (:meth:`LiveEngine.rebuild_async`) snapshot the live id
   set, build the new graph + index on a background worker thread, and
   *atomically swap* the fresh :class:`~repro.core.dynamic.EngineEpoch`
-  in under the mutation lock — the swap is a reference assignment plus
-  a pending-buffer prune, so the serving-visible stall is the lock hold
+  in under the mutation lock — the swap is a reference assignment, a
+  pending-buffer prune and a tombstone recount (the deletes the new
+  epoch still holds), so the serving-visible stall is the lock hold
   of the swap, not the build.  Both the blocking and the background
   paths run the exact same :meth:`_build_epoch` on the exact same id
   snapshot, so their outputs are **bitwise identical**.
@@ -44,6 +45,7 @@ database.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import threading
 import time
@@ -56,6 +58,11 @@ from repro.obs.trace import add_span as obs_add_span
 from repro.ranking.base import DEFAULT_ALPHA
 
 logger = logging.getLogger(__name__)
+
+try:  # glibc only; elsewhere the allocator keeps its own policy
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # pragma: no cover - not glibc
+    _malloc_trim = None
 
 
 class RebuildTicket:
@@ -318,19 +325,18 @@ class LiveEngine(DynamicMogulRanker):
         return new_id
 
     def remove(self, node: int) -> None:
-        """Tombstone a point (thread-safe)."""
+        """Tombstone a point (thread-safe).
+
+        Deletes count toward ``auto_rebuild_fraction`` like inserts do;
+        a due rebuild runs in the background.
+        """
         with self._lock:
-            if not 0 <= node < self.n_total:
-                raise ValueError(f"node {node} does not exist")
-            if node in self._tombstones:
-                raise ValueError(f"node {node} is already removed")
-            self._tombstones = self._tombstones | {node}
-            if node in self._pending_ids:
-                self._pending_ids = tuple(
-                    gid for gid in self._pending_ids if gid != node
-                )
+            self._apply_remove(node)
             self.deletes += 1
+            due = self._auto_rebuild_due() and self.n_live >= 2
         self._notify_invalidation()
+        if due:
+            self.rebuild_async()
 
     # -- rebuilds ----------------------------------------------------------
 
@@ -393,6 +399,12 @@ class LiveEngine(DynamicMogulRanker):
             epoch = self._build_epoch(snapshot_ids, number=-1)
             ticket.build_seconds = time.perf_counter() - started
             self._install_epoch(epoch, snapshot_ids, ticket)
+            if _malloc_trim is not None:
+                # The build's k-NN panels (~90 MiB at n = 5000) are free
+                # now, but glibc keeps their pages mapped between objects
+                # allocated meanwhile, so every rebuild would raise the
+                # floor under the next one's peak.  Hand them back (~1 ms).
+                _malloc_trim(0)
             self.last_rebuild_error = None
             # Listeners (cache invalidation) fire before the ticket
             # resolves so a caller waiting on the rebuild can never race
@@ -414,7 +426,7 @@ class LiveEngine(DynamicMogulRanker):
         started = time.perf_counter()
         with self._lock:
             epoch = self._with_number(epoch, self._epoch.number + 1)
-            self._epoch = epoch
+            self._publish_epoch(epoch)
             # Points the snapshot covered are now indexed; later writes
             # stay buffered for the next rebuild.  Tombstoned buffer
             # entries (deleted before ever being indexed) are dead — drop
@@ -450,10 +462,9 @@ class LiveEngine(DynamicMogulRanker):
                 raise ValueError(
                     "cannot rebuild an index with fewer than 2 live points"
                 )
-            epoch = self._build_epoch(
-                snapshot_ids, number=self._epoch.number + 1
+            self._publish_epoch(
+                self._build_epoch(snapshot_ids, number=self._epoch.number + 1)
             )
-            self._epoch = epoch
             self._pending_ids = ()
             self._rebuilds += 1
         self._notify_invalidation()
@@ -499,21 +510,17 @@ class LiveEngine(DynamicMogulRanker):
         """
         with self._lock:
             base_n = self._artifact_n
-            pending = [
-                gid
-                for gid in range(base_n, self.n_total)
-                if gid not in self._tombstones
-            ]
+            pending = base_n + np.flatnonzero(self._live_mask()[base_n:])
             features = (
                 np.asarray([self._features[g] for g in pending])
-                if pending
+                if pending.size
                 else np.empty((0, self._dim), dtype=np.float64)
             )
             return LiveState(
                 epoch=self._epoch.number,
                 n_indexed=base_n,
                 n_total=self.n_total,
-                pending_ids=np.asarray(pending, dtype=np.int64),
+                pending_ids=pending,
                 pending_features=features,
                 tombstones=np.asarray(sorted(self._tombstones), dtype=np.int64),
                 inserts=self.inserts,
@@ -581,7 +588,7 @@ class LiveEngine(DynamicMogulRanker):
             self._features.extend(extra)
             self._pending_ids = tuple(int(g) for g in state.pending_ids)
             self._tombstones = frozenset(tombstones)
-            self._epoch = self._with_number(self._epoch, int(state.epoch))
+            self._publish_epoch(self._with_number(self._epoch, int(state.epoch)))
             self.inserts = int(state.inserts)
             self.deletes = int(state.deletes)
             self._rebuilds = int(state.rebuilds)

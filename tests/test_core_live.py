@@ -9,11 +9,14 @@ epoch they started on).
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.core.dynamic as dynamic_module
 from repro.core.dynamic import DynamicMogulRanker
 from repro.core.engine import Engine, engine_from_index
 from repro.core.index import MogulRanker
@@ -380,3 +383,224 @@ class TestLiveStatePersistence:
 
         os.makedirs(target)
         assert live_state_path(target) == os.path.join(target, "live_state.npz")
+
+
+def wait_for_rebuilds(live, count: int) -> None:
+    for _ in range(600):
+        if live.rebuild_count >= count and not live.rebuild_in_flight:
+            return
+        threading.Event().wait(0.05)
+    raise AssertionError(f"no rebuild #{count} within 30 s")
+
+
+class TestDeletesCountTowardAutoRebuild:
+    def test_deletes_alone_trigger_a_background_rebuild(self):
+        features = two_cluster_features(41, n_per=20)  # 40 indexed points
+        live = LiveEngine(features, auto_rebuild_fraction=0.1)
+        # Due once pending + indexed deletes > 4: the fifth delete.
+        for node in range(4):
+            live.remove(node)
+        assert live.rebuild_count == 0 and not live.rebuild_in_flight
+        live.remove(4)
+        wait_for_rebuilds(live, 1)
+        live.close()
+        assert live.n_indexed == 35
+        assert live._snapshot().indexed_tombstones == 0
+
+    def test_blocking_engine_rebuilds_on_deletes_too(self):
+        features = two_cluster_features(43, n_per=20)
+        engine = DynamicMogulRanker(features, auto_rebuild_fraction=0.1)
+        engine.add(features[0] + 0.01)
+        for node in range(3):
+            engine.remove(node)
+        assert engine.rebuild_count == 0  # 1 pending + 3 deletes = 4
+        engine.remove(3)
+        assert engine.rebuild_count == 1
+        assert engine.n_indexed == 37 and engine.n_pending == 0
+
+
+@pytest.fixture()
+def knn_spy(monkeypatch):
+    """Record the query shape of every k-NN search the dynamic layer runs."""
+    calls: list[tuple] = []
+    real = dynamic_module.knn_search
+
+    def spy(points, k, queries=None, **kwargs):
+        calls.append(np.shape(queries))
+        return real(points, k, queries=queries, **kwargs)
+
+    monkeypatch.setattr(dynamic_module, "knn_search", spy)
+    return calls
+
+
+def add_pending(engine, seed: int, count: int) -> list[int]:
+    rng = np.random.default_rng(seed)
+    return [
+        engine.add(rng.normal(scale=0.6, size=engine._dim) + 4.0 * (i % 2))
+        for i in range(count)
+    ]
+
+
+class TestPendingNeighbourMemo:
+    def test_reads_compute_each_pending_row_once(self, knn_spy):
+        features = two_cluster_features(51)
+        live = LiveEngine(features, auto_rebuild_fraction=None)
+        added = add_pending(live, 51, 6)
+        assert knn_spy == []  # inserts never search
+        probe = features.mean(axis=0)
+        for _ in range(3):
+            live.top_k(0, 5)
+            live.top_k(added[2], 5)
+            live.top_k_batch([1, added[0], 44], 5)
+            live.top_k_out_of_sample(probe, 5)
+            live.top_k_out_of_sample_batch(np.vstack([probe, probe + 1.0]), 5)
+        assert knn_spy == [(1, live._dim)] * 6
+
+    def test_swap_recomputes_the_memo(self, knn_spy, monkeypatch):
+        features = two_cluster_features(53)
+        live = LiveEngine(features, auto_rebuild_fraction=None)
+        add_pending(live, 53, 3)
+        live.top_k(0, 5)
+        assert len(knn_spy) == 3
+        gate = threading.Event()
+        real = live._build_epoch
+
+        def gated(indexed_ids, number):
+            assert gate.wait(30)
+            return real(indexed_ids, number)
+
+        monkeypatch.setattr(live, "_build_epoch", gated)
+        ticket = live.rebuild_async()
+        late = add_pending(live, 54, 2)  # still pending after the swap
+        live.top_k(0, 5)
+        assert len(knn_spy) == 5
+        gate.set()
+        ticket.result(60)
+        assert live.n_pending == 2
+        live.top_k(0, 5)
+        live.top_k(late[0], 5)
+        assert len(knn_spy) == 7  # only the two survivors, once, new epoch
+        assert all(shape == (1, live._dim) for shape in knn_spy)
+
+    def test_removing_a_pending_point_recomputes_no_other_row(self, knn_spy):
+        features = two_cluster_features(55)
+        live = LiveEngine(features, auto_rebuild_fraction=None)
+        added = add_pending(live, 55, 4)
+        live.top_k(0, 5)
+        memo = live._neighbour_memo[live._epoch]
+        kept = {gid: memo[gid] for gid in added if gid != added[1]}
+        live.remove(added[1])
+        assert added[1] not in memo
+        live.top_k(0, 5)
+        live.top_k_batch([3, added[0]], 5)
+        assert len(knn_spy) == 4
+        for gid, row in kept.items():
+            assert live._neighbour_memo[live._epoch][gid] is row
+
+
+class TestOverfetchCountsOnlyIndexedTombstones:
+    @staticmethod
+    def spy_base(monkeypatch, live) -> list[int]:
+        seen: list[int] = []
+        ranker = live.engine
+        for name in ("top_k", "top_k_batch", "top_k_out_of_sample"):
+            real = getattr(ranker, name)
+
+            def spy(query, k, *args, _real=real, **kwargs):
+                seen.append(k)
+                return _real(query, k, *args, **kwargs)
+
+            monkeypatch.setattr(ranker, name, spy)
+        return seen
+
+    def test_overfetch_follows_the_served_epoch(self, monkeypatch):
+        features = two_cluster_features(57)
+        live = LiveEngine(features, auto_rebuild_fraction=None)
+        added = add_pending(live, 57, 3)
+        for node in (5, 9, 60):
+            live.remove(node)
+        live.remove(added[0])  # pending: the base index can never return it
+        seen = self.spy_base(monkeypatch, live)
+        live.top_k(0, 7)
+        live.top_k_batch([1, 2], 7)
+        live.top_k(added[1], 7)  # pending query: the out-of-sample path
+        assert seen == [7 + 1 + 3, 7 + 1 + 3, 7 + 1 + 3]
+        live.rebuild()
+        seen = self.spy_base(monkeypatch, live)
+        live.top_k(0, 7)
+        live.top_k_out_of_sample(features[0] + 0.01, 7)
+        assert seen == [7 + 1, 7]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_snapshot_count_matches_intersection(self, seed):
+        features = two_cluster_features(59 + seed, n_per=25)
+        graph = build_knn_graph(features, k=4)
+        base = MogulRanker(graph)
+        live = LiveEngine.from_engine(base, k=4, auto_rebuild_fraction=None)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            action = rng.random()
+            if action < 0.4:
+                live.add(rng.normal(scale=0.6, size=live._dim))
+            elif action < 0.8:
+                alive = np.flatnonzero(live._live_mask())
+                if alive.size > 10:
+                    live.remove(int(rng.choice(alive)))
+            elif action < 0.9:
+                live.rebuild()
+            else:
+                state = live.mutable_state()
+                live.close()
+                live = LiveEngine.from_engine(base, k=4, auto_rebuild_fraction=None)
+                live.restore_mutable_state(state)
+            snap = live._snapshot()
+            expected = len(snap.tombstones & set(snap.epoch.indexed_ids.tolist()))
+            assert snap.indexed_tombstones == expected
+        live.close()
+
+
+class TestHistoryIndependence:
+    @staticmethod
+    def answers(engine, pending: list[int], probe: np.ndarray) -> list:
+        out = [engine.top_k(q, 9) for q in (0, 33, 61, *pending)]
+        out += engine.top_k_batch([2, pending[0], 70, pending[-1]], 9)
+        out.append(engine.top_k_out_of_sample(probe, 9))
+        return out
+
+    def test_interleavings_reach_bitwise_equal_answers(self):
+        # 24-dim features: the pending k-NN rows run through BLAS (no
+        # KD-tree), where a batched search rounds by batch shape.
+        features = two_cluster_features(61, dim=24)
+        rng = np.random.default_rng(61)
+        new = rng.normal(scale=0.6, size=(9, 24)) + 4.0 * (np.arange(9) % 2)[:, None]
+        probe = features.mean(axis=0)
+        straight = LiveEngine(features, auto_rebuild_fraction=None)
+        woven = LiveEngine(features, auto_rebuild_fraction=None)
+        ids = [straight.add(row) for row in new]
+        woven_ids = []
+        for i, row in enumerate(new):
+            woven_ids.append(woven.add(row))
+            if i % 3 == 0:
+                woven.top_k(0, 5)
+            elif i % 3 == 1:
+                woven.top_k_batch([1, woven_ids[0]], 4)
+            else:
+                woven.top_k_out_of_sample(probe + i, 6)
+        assert ids == woven_ids
+        for a, b in zip(
+            self.answers(straight, ids, probe), self.answers(woven, ids, probe)
+        ):
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.scores.view(np.uint64), b.scores.view(np.uint64))
+
+    @pytest.mark.parametrize("engine_cls", [DynamicMogulRanker, LiveEngine])
+    def test_memo_does_not_pin_a_retired_epoch(self, engine_cls):
+        features = two_cluster_features(63)
+        engine = engine_cls(features, auto_rebuild_fraction=None)
+        add_pending(engine, 63, 4)
+        engine.top_k(0, 5)
+        retired = weakref.ref(engine._epoch)
+        assert retired() in engine._neighbour_memo
+        engine.rebuild()
+        gc.collect()
+        assert retired() is None
