@@ -1,4 +1,4 @@
-"""Benchmarks for the dynamic (buffered-write) layer.
+"""Benchmarks for the buffered-write path of :class:`LiveEngine`.
 
 Measured: insert latency (buffered — should be microseconds), query
 latency as a function of the pending-buffer size (the estimate pass adds
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import get_dataset
-from repro.core.dynamic import DynamicMogulRanker
+from repro.core.live import LiveEngine
 
 DATASET = "pubfig"
 K = 10
@@ -20,11 +20,11 @@ K = 10
 _state: dict = {}
 
 
-def fresh_database(pending: int = 0, key_suffix: str = "") -> DynamicMogulRanker:
+def fresh_database(pending: int = 0, key_suffix: str = "") -> LiveEngine:
     key = ("db", pending, key_suffix)
     if key not in _state:
         dataset = get_dataset(DATASET)
-        database = DynamicMogulRanker(
+        database = LiveEngine(
             dataset.features, alpha=0.99, auto_rebuild_fraction=None
         )
         rng = np.random.default_rng(1)
@@ -33,6 +33,14 @@ def fresh_database(pending: int = 0, key_suffix: str = "") -> DynamicMogulRanker
             database.add(base + rng.normal(scale=0.02, size=base.shape))
         _state[key] = database
     return _state[key]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_databases():
+    yield
+    for database in _state.values():
+        database.close()
+    _state.clear()
 
 
 def test_insert_latency(benchmark):
@@ -75,13 +83,14 @@ def test_rebuild_cost(benchmark):
     rng = np.random.default_rng(4)
 
     def build_then_rebuild():
-        database = DynamicMogulRanker(
+        database = LiveEngine(
             dataset.features, alpha=0.99, auto_rebuild_fraction=None
         )
         for _ in range(50):
             base = dataset.features[int(rng.integers(dataset.n_points))]
             database.add(base + rng.normal(scale=0.02, size=base.shape))
         database.rebuild()
+        database.close()
         return database
 
     benchmark.group = "dynamic:rebuild"

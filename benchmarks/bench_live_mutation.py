@@ -6,10 +6,10 @@ take the serving path down.  This benchmark measures exactly that, at
 the engine layer (no HTTP noise): a closed-loop query thread runs while
 the index is rebuilt two ways on the same mutated database:
 
-* ``stop_the_world`` — :meth:`LiveEngine.rebuild_stop_the_world`, the
-  pre-LiveEngine baseline: the whole graph + factorization happens while
-  holding the mutation lock, so a concurrent query stalls for the whole
-  build;
+* ``stop_the_world`` — :func:`_rebuild_holding_lock`, the baseline
+  without a background worker: the whole graph + factorization happens
+  while holding the mutation lock, so a concurrent query stalls for the
+  whole build;
 * ``background`` — :meth:`LiveEngine.rebuild_async`: the build runs on a
   worker thread and only the atomic epoch swap takes the lock.
 
@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.live import LiveEngine
+from repro.core.live import LiveEngine, RebuildTicket
 from repro.datasets.registry import load_dataset
 from repro.service.metrics import LatencyHistogram
 
@@ -67,6 +67,18 @@ def _mutated_engine(
         base = features[int(rng.integers(features.shape[0]))]
         engine.add(base + rng.normal(scale=0.05, size=features.shape[1]))
     return engine
+
+
+def _rebuild_holding_lock(engine: LiveEngine) -> None:
+    """Build while *holding* the mutation lock, then swap.
+
+    The same build and swap a background rebuild runs, minus the
+    worker thread: every concurrent query stalls for the whole build.
+    """
+    with engine._lock:
+        snapshot_ids = engine._live_ids()
+        epoch = engine._build_epoch(snapshot_ids, number=-1)
+        engine._install_epoch(epoch, snapshot_ids, RebuildTicket())
 
 
 def _query_load(
@@ -122,7 +134,7 @@ def _measure_mode(
     rebuild_started = time.perf_counter()
     swap_seconds = None
     if mode == "stop_the_world":
-        engine.rebuild_stop_the_world()
+        _rebuild_holding_lock(engine)
     else:
         ticket = engine.rebuild_async()
         assert ticket.wait(600), "background rebuild never finished"

@@ -29,7 +29,6 @@ Main entry points
 from repro.baselines import EMRRanker, FMRRanker
 from repro.core import (
     BatchStats,
-    DynamicMogulRanker,
     Engine,
     LiveEngine,
     MogulIndex,
@@ -54,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BatchStats",
-    "DynamicMogulRanker",
     "EMRRanker",
     "Engine",
     "ExactRanker",

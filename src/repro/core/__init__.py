@@ -22,10 +22,15 @@ MogulE (§4.6.1); :meth:`MogulRanker.top_k_out_of_sample` implements §4.6.2.
 from repro.core.batch import BatchQuery, BatchStats, top_k_batch_search
 from repro.core.bounds import BoundsTable, ClusterBoundData, precompute_cluster_bounds
 from repro.core.diagnostics import IndexReport, diagnose_index, expected_prune_rate
-from repro.core.dynamic import DynamicMogulRanker, EngineEpoch, LiveSnapshot
 from repro.core.engine import Engine, engine_from_index
 from repro.core.index import MogulIndex, MogulRanker
-from repro.core.live import LiveEngine, LiveState, RebuildTicket
+from repro.core.live import (
+    EngineEpoch,
+    LiveEngine,
+    LiveSnapshot,
+    LiveState,
+    RebuildTicket,
+)
 from repro.core.permutation import Permutation, build_permutation
 from repro.core.profile import BuildProfile
 from repro.core.search import (
@@ -74,7 +79,6 @@ __all__ = [
     "ClusterBoundData",
     "ClusterSolver",
     "DEFAULT_ACCURACY",
-    "DynamicMogulRanker",
     "Engine",
     "EngineEpoch",
     "IndexReport",

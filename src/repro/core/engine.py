@@ -134,11 +134,10 @@ def engine_from_index(
     ``live=True`` wraps the base engine in a
     :class:`repro.core.live.LiveEngine` (thread-safe writes + background
     rebuilds with atomic epoch swap); ``live_kwargs`` forwards its knobs
-    (``k``, ``auto_rebuild_fraction``, ``pending_penalty``, ``jobs``,
-    ``fill_level``).  Both exact base kinds work: a sharded artifact
-    rebuilds sharded, a flat one rebuilds flat, and rebuilds replay the
-    ``search_kwargs`` applied here (they are read back off the base
-    engine).  Unsupported combinations — a spectral artifact asked to be
+    (``k``, ``auto_rebuild_fraction``, ``jobs``, ``fill_level``).  Both
+    exact base kinds work: a sharded artifact rebuilds sharded, a flat
+    one rebuilds flat, and rebuilds replay the ``search_kwargs`` applied
+    here (they are read back off the base engine).  Unsupported combinations — a spectral artifact asked to be
     live, a spectral artifact asked to be its own nomination tier —
     raise :class:`ValueError` naming the artifact kind.
     """

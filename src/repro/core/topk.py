@@ -2,7 +2,7 @@
 
 Every component that manipulates ranked answers — the single-query search
 heap (:class:`repro.core.search.TopKAccumulator`), the batched engine's
-result assembly, the dynamic ranker's pending-point splice, the service
+result assembly, the live engine's pending-point splice, the service
 scheduler's mixed-k truncation, and the sharded index's scatter-gather
 merger — must agree on one total order, or "identical answers" stops
 being a meaningful guarantee.  That order is:

@@ -62,7 +62,7 @@ def ambient_stat(attr: str, doc: str) -> property:
 class AmbientStatsMixin:
     """Thread-local ``last_*`` stats plus explicit ``*_with_stats`` wrappers.
 
-    Mixed into :class:`Ranker` (and the dynamic live engine, which is not
+    Mixed into :class:`Ranker` (and the live engine, which is not
     a ``Ranker`` subclass).  The ambient attributes remain a convenience
     — callers that probe one query at a time from one thread keep
     working untouched — but they are no longer load-bearing for

@@ -7,7 +7,7 @@ the full query identity (node id or feature bytes, plus k and any
 ranking parameters), counts hits and misses, and exposes
 :meth:`invalidate` for the moment the index *does* change:
 :meth:`attach` registers that invalidation with a
-:class:`repro.core.DynamicMogulRanker` so inserts, deletes and rebuilds
+:class:`repro.core.LiveEngine` so inserts, deletes and rebuilds
 drop every cached answer.
 
 Thread-safe (single lock around the ordered dict): the scheduler probes
@@ -111,7 +111,7 @@ class ResultCache:
     def attach(self, dynamic_ranker) -> None:
         """Invalidate automatically on every mutation of a dynamic database.
 
-        ``dynamic_ranker`` is a :class:`repro.core.DynamicMogulRanker`;
+        ``dynamic_ranker`` is a :class:`repro.core.LiveEngine`;
         its ``add`` / ``remove`` / ``rebuild`` all change what a correct
         answer is, so each triggers :meth:`invalidate`.
         """

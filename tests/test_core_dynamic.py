@@ -1,4 +1,4 @@
-"""Tests for the dynamic (buffered-write) layer over the Mogul index.
+"""Tests for the buffered-write behaviour of :class:`LiveEngine`.
 
 Key guarantees:
 
@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicMogulRanker, rank_scores_by_pairs
 from repro.core.index import MogulRanker
+from repro.core.live import LiveEngine
+from repro.core.topk import dedupe_ranked
 from repro.graph.build import build_knn_graph
 from tests.conftest import three_cluster_features
 
@@ -26,7 +27,7 @@ from tests.conftest import three_cluster_features
 def db():
     features, labels = three_cluster_features(per_cluster=40)
     return (
-        DynamicMogulRanker(features, alpha=0.95, auto_rebuild_fraction=None),
+        LiveEngine(features, alpha=0.95, auto_rebuild_fraction=None),
         features,
         labels,
     )
@@ -148,12 +149,13 @@ class TestDeletion:
 class TestRebuildPolicy:
     def test_auto_rebuild_fires(self):
         features, _ = three_cluster_features(per_cluster=20)
-        dynamic = DynamicMogulRanker(
+        dynamic = LiveEngine(
             features, alpha=0.95, auto_rebuild_fraction=0.1
         )
         rng = np.random.default_rng(0)
         for _ in range(7):  # 10% of 60 = 6 pending triggers at the 7th
             dynamic.add(features[0] + rng.normal(scale=0.01, size=features.shape[1]))
+        dynamic.close()  # join the background rebuild
         assert dynamic.rebuild_count >= 1
         assert dynamic.n_pending < 7
 
@@ -170,16 +172,14 @@ class TestRebuildPolicy:
     def test_validation(self):
         features, _ = three_cluster_features(per_cluster=10)
         with pytest.raises(ValueError, match="auto_rebuild_fraction"):
-            DynamicMogulRanker(features, auto_rebuild_fraction=0.0)
-        with pytest.raises(ValueError, match="pending_penalty"):
-            DynamicMogulRanker(features, pending_penalty=0.0)
+            LiveEngine(features, auto_rebuild_fraction=0.0)
         with pytest.raises(ValueError, match="2 rows"):
-            DynamicMogulRanker(features[:1])
+            LiveEngine(features[:1])
 
 
 class TestPairRanking:
     def test_orders_and_dedups(self):
-        result = rank_scores_by_pairs(
+        result = dedupe_ranked(
             np.asarray([5, 3, 5, 9]), np.asarray([0.1, 0.5, 0.4, 0.4])
         )
         np.testing.assert_array_equal(result.indices, [3, 5, 9])
@@ -200,7 +200,7 @@ class TestBatchedInterleaved:
     def test_batch_matches_sequential_after_mutations(self, n_shards, seed):
         rng = np.random.default_rng(seed)
         features, _ = three_cluster_features(per_cluster=30)
-        dynamic = DynamicMogulRanker(
+        dynamic = LiveEngine(
             features,
             alpha=0.95,
             auto_rebuild_fraction=None,
@@ -232,14 +232,14 @@ class TestBatchedInterleaved:
 
     def test_batch_rejects_tombstoned_query(self):
         features, _ = three_cluster_features(per_cluster=20)
-        dynamic = DynamicMogulRanker(features, auto_rebuild_fraction=None)
+        dynamic = LiveEngine(features, auto_rebuild_fraction=None)
         dynamic.remove(3)
         with pytest.raises(ValueError, match="removed"):
             dynamic.top_k_batch([0, 3], 5)
 
     def test_sharded_engine_exposed(self):
         features, _ = three_cluster_features(per_cluster=20)
-        dynamic = DynamicMogulRanker(
+        dynamic = LiveEngine(
             features, auto_rebuild_fraction=None, n_shards=2
         )
         assert dynamic.engine.index.n_shards == 2

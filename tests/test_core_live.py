@@ -16,8 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-import repro.core.dynamic as dynamic_module
-from repro.core.dynamic import DynamicMogulRanker
+import repro.core.live as live_module
 from repro.core.engine import Engine, engine_from_index
 from repro.core.index import MogulRanker
 from repro.core.live import LiveEngine
@@ -63,7 +62,7 @@ class TestBackgroundEqualsBlocking:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rebuild_bitwise_identical(self, n_shards, seed):
         features = two_cluster_features(seed)
-        blocking = DynamicMogulRanker(
+        blocking = LiveEngine(
             features, auto_rebuild_fraction=None, n_shards=n_shards
         )
         live = LiveEngine(
@@ -93,7 +92,7 @@ class TestBackgroundEqualsBlocking:
 
     def test_factors_bitwise_identical_flat(self):
         features = two_cluster_features(7)
-        blocking = DynamicMogulRanker(features, auto_rebuild_fraction=None)
+        blocking = LiveEngine(features, auto_rebuild_fraction=None)
         live = LiveEngine(features, auto_rebuild_fraction=None)
         apply_mutations(blocking, 7)
         apply_mutations(live, 7)
@@ -103,19 +102,6 @@ class TestBackgroundEqualsBlocking:
         b = live.index.factors
         assert np.array_equal(a.lower.toarray(), b.lower.toarray())
         assert np.array_equal(a.diag, b.diag)
-
-    def test_stop_the_world_baseline_identical(self):
-        """The benchmark baseline produces the same index too."""
-        features = two_cluster_features(3)
-        live = LiveEngine(features, auto_rebuild_fraction=None)
-        baseline = LiveEngine(features, auto_rebuild_fraction=None)
-        apply_mutations(live, 3)
-        apply_mutations(baseline, 3)
-        live.rebuild()
-        seconds = baseline.rebuild_stop_the_world()
-        assert seconds > 0
-        for query in (0, 41, 79):
-            assert_bitwise_equal(live.top_k(query, 9), baseline.top_k(query, 9))
 
 
 class TestNonBlockingQueries:
@@ -409,27 +395,28 @@ class TestDeletesCountTowardAutoRebuild:
 
     def test_blocking_engine_rebuilds_on_deletes_too(self):
         features = two_cluster_features(43, n_per=20)
-        engine = DynamicMogulRanker(features, auto_rebuild_fraction=0.1)
+        engine = LiveEngine(features, auto_rebuild_fraction=0.1)
         engine.add(features[0] + 0.01)
         for node in range(3):
             engine.remove(node)
         assert engine.rebuild_count == 0  # 1 pending + 3 deletes = 4
         engine.remove(3)
+        engine.close()  # join the background rebuild
         assert engine.rebuild_count == 1
         assert engine.n_indexed == 37 and engine.n_pending == 0
 
 
 @pytest.fixture()
 def knn_spy(monkeypatch):
-    """Record the query shape of every k-NN search the dynamic layer runs."""
+    """Record the query shape of every k-NN search the live engine runs."""
     calls: list[tuple] = []
-    real = dynamic_module.knn_search
+    real = live_module.knn_search
 
     def spy(points, k, queries=None, **kwargs):
         calls.append(np.shape(queries))
         return real(points, k, queries=queries, **kwargs)
 
-    monkeypatch.setattr(dynamic_module, "knn_search", spy)
+    monkeypatch.setattr(live_module, "knn_search", spy)
     return calls
 
 
@@ -593,7 +580,7 @@ class TestHistoryIndependence:
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.scores.view(np.uint64), b.scores.view(np.uint64))
 
-    @pytest.mark.parametrize("engine_cls", [DynamicMogulRanker, LiveEngine])
+    @pytest.mark.parametrize("engine_cls", [LiveEngine])
     def test_memo_does_not_pin_a_retired_epoch(self, engine_cls):
         features = two_cluster_features(63)
         engine = engine_cls(features, auto_rebuild_fraction=None)

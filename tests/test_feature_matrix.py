@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicMogulRanker
 from repro.core.index import MogulIndex, MogulRanker
+from repro.core.live import LiveEngine
 from repro.graph.build import build_knn_graph
 from tests.conftest import three_cluster_features
 
@@ -100,7 +100,7 @@ class TestExactCompositions:
 class TestDynamicCompositions:
     def test_dynamic_with_exact_base(self):
         features, labels = three_cluster_features(per_cluster=25)
-        database = DynamicMogulRanker(
+        database = LiveEngine(
             features, alpha=0.95, exact=True, auto_rebuild_fraction=None
         )
         new_id = database.add(features[labels == 1].mean(axis=0))
@@ -109,7 +109,7 @@ class TestDynamicCompositions:
 
     def test_dynamic_rebuild_then_remove_then_query(self):
         features, _ = three_cluster_features(per_cluster=25)
-        database = DynamicMogulRanker(features, alpha=0.95, auto_rebuild_fraction=None)
+        database = LiveEngine(features, alpha=0.95, auto_rebuild_fraction=None)
         added = [database.add(features[i] + 0.01) for i in range(6)]
         database.rebuild()
         database.remove(added[0])
@@ -121,7 +121,7 @@ class TestDynamicCompositions:
 
     def test_dynamic_out_of_sample_with_pending(self):
         features, labels = three_cluster_features(per_cluster=25)
-        database = DynamicMogulRanker(features, alpha=0.95, auto_rebuild_fraction=None)
+        database = LiveEngine(features, alpha=0.95, auto_rebuild_fraction=None)
         center = features[labels == 0].mean(axis=0)
         new_id = database.add(center + 0.01)
         result = database.top_k_out_of_sample(center, 10)

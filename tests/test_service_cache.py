@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicMogulRanker
+from repro.core.live import LiveEngine
 from repro.service.cache import ResultCache
 
 
@@ -81,7 +81,7 @@ class TestDynamicInvalidation:
     @pytest.fixture()
     def dynamic(self):
         features, _ = _two_blob_features()
-        return DynamicMogulRanker(features, k=4, auto_rebuild_fraction=None)
+        return LiveEngine(features, k=4, auto_rebuild_fraction=None)
 
     def test_insert_invalidates(self, dynamic):
         cache = ResultCache(capacity=8)
