@@ -137,9 +137,10 @@ def engine_from_index(
     (``k``, ``auto_rebuild_fraction``, ``jobs``, ``fill_level``).  Both
     exact base kinds work: a sharded artifact rebuilds sharded, a flat
     one rebuilds flat, and rebuilds replay the ``search_kwargs`` applied
-    here (they are read back off the base engine).  Unsupported combinations — a spectral artifact asked to be
-    live, a spectral artifact asked to be its own nomination tier —
-    raise :class:`ValueError` naming the artifact kind.
+    here (they are read back off the base engine).  Unsupported
+    combinations — a spectral artifact asked to be live, a spectral
+    artifact asked to be its own nomination tier — raise
+    :class:`ValueError` naming the artifact kind.
     """
     from repro.core.index import MogulIndex, MogulRanker
     from repro.core.sharded import ShardedMogulIndex, ShardedMogulRanker

@@ -261,8 +261,7 @@ class _StallCounters:
 
 
 class LiveEngine(AmbientStatsMixin):
-    """Mogul with buffered insertions and tombstone deletions, safe for
-    concurrent serving.
+    """Mogul with buffered insertions and tombstone deletions, thread-safe.
 
     Node ids are *stable across rebuilds*: the i-th point ever added
     (counting the initial features first) keeps id ``i`` forever; deleted
