@@ -85,17 +85,7 @@ def _state_bytes(state) -> int:
     total = 0
     for csr in [state.rows, state.bounds_table.matrix, *state.couplings]:
         total += csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
-    for block in state.blocks:
-        if getattr(block, "uses_superlu", False):
-            total += (
-                block._l_data.nbytes
-                + block._l_indices.nbytes
-                + block._l_indptr.nbytes
-            )
-        elif getattr(block, "_unit_csc", None) is not None:
-            unit = block._unit_csc
-            total += unit.data.nbytes + unit.indices.nbytes + unit.indptr.nbytes
-    return total
+    return total + sum(block.nbytes for block in state.blocks)
 
 
 def _shared_bytes(index: ShardedMogulIndex) -> int:

@@ -286,7 +286,6 @@ def _pack_cluster_blocks(
     rows: sp.csr_matrix,
     span_start: int,
     cluster_slices: tuple[slice, ...],
-    use_superlu: bool | None = None,
 ) -> list[PackedUnitLower]:
     """Pack the diagonal block of every cluster in a shard's factor rows.
 
@@ -309,11 +308,7 @@ def _pack_cluster_blocks(
             (data[a:b], cols - sl.start, indptr[lo : hi + 1] - a),
             shape=(sl.stop - sl.start, sl.stop - sl.start),
         )
-        blocks.append(
-            PackedUnitLower.from_strict_lower_trusted(
-                block, use_superlu=use_superlu
-            )
-        )
+        blocks.append(PackedUnitLower.from_strict_lower_trusted(block))
     return blocks
 
 
@@ -325,7 +320,6 @@ def _carve_shard_state(
     border_rows: sp.csr_matrix,
     diag: np.ndarray,
     prepacked_blocks: list[PackedUnitLower] | None = None,
-    use_superlu: bool | None = None,
 ) -> ShardState:
     """Derive one shard's query-time state from its factor rows.
 
@@ -344,7 +338,7 @@ def _carve_shard_state(
     blocks = (
         prepacked_blocks
         if prepacked_blocks is not None
-        else _pack_cluster_blocks(rows, span[0], cluster_slices, use_superlu)
+        else _pack_cluster_blocks(rows, span[0], cluster_slices)
     )
 
     couplings: list[sp.csr_matrix] = []
@@ -673,7 +667,6 @@ def _shard_factor_worker(payload: tuple) -> dict:
         w_diag,
         floor,
         local_cluster_spans,
-        use_superlu,
     ) = payload
     started = time.perf_counter()
     span = factor_row_span(
@@ -687,7 +680,6 @@ def _shard_factor_worker(payload: tuple) -> dict:
         local,
         0,
         tuple(slice(a, b) for a, b in local_cluster_spans),
-        use_superlu,
     )
     return {
         "values": span.values,
@@ -709,7 +701,6 @@ def _shard_payloads(
     layout: ShardLayout,
     permutation: Permutation,
     floor: float,
-    use_superlu: bool | None,
 ) -> list[tuple]:
     """Build one picklable worker payload per shard (local coordinates)."""
     lower_w = sp.tril(w_permuted, k=-1, format="csr")
@@ -733,7 +724,6 @@ def _shard_payloads(
                     (sl.start - rs, sl.stop - rs)
                     for sl in permutation.cluster_slices[c_lo:c_hi]
                 ],
-                use_superlu,
             )
         )
     return payloads
@@ -809,7 +799,6 @@ class ShardedMogulIndex:
         shard_sources=None,
         shard_nnz: list[int] | None = None,
         factors: LDLFactors | None = None,
-        use_superlu: bool | None = None,
         graph=None,
     ):
         self.permutation = permutation
@@ -825,15 +814,13 @@ class ShardedMogulIndex:
         #: The k-NN graph the index was built from (the build's own
         #: KnnGraph, or a loaded artifact's StoredGraph); save() writes it.
         self.graph = graph
-        self._use_superlu = use_superlu
         border_start = permutation.border_slice.start
         n = permutation.n_nodes
         #: Shared top-level border block: its diagonal factor block ...
         self.border_block = PackedUnitLower.from_strict_lower_trusted(
             _csr_column_range(
                 border_rows, 0, n - border_start, border_start, n
-            ),
-            use_superlu=use_superlu,
+            )
         )
         #: ... and its coupling rows to every interior column (consumed
         #: as one SpMV per query batch, shared by all shards).
@@ -989,7 +976,6 @@ class ShardedMogulIndex:
                 rows,
                 self.border_rows,
                 self.diag,
-                use_superlu=self._use_superlu,
             )
             self._states[shard_id] = state
         self._note_materialized(shard_id, state)
@@ -1162,8 +1148,7 @@ class ShardedMogulIndex:
         """
         if self._full_block is None:
             self._full_block = PackedUnitLower.from_strict_lower_trusted(
-                self.assemble_factors().lower.tocsr(),
-                use_superlu=self._use_superlu,
+                self.assemble_factors().lower.tocsr()
             )
         z = self._full_block.solve_lower(np.asarray(q_vec, dtype=np.float64))
         y = z / (self.diag if z.ndim == 1 else self.diag[:, None])
@@ -1258,8 +1243,7 @@ class ShardedMogulIndex:
             )
             floor = global_pivot_floor(w_permuted)
             payloads = _shard_payloads(
-                w_permuted, pat_indptr, pat_indices, layout, permutation,
-                floor, None,
+                w_permuted, pat_indptr, pat_indices, layout, permutation, floor
             )
             results, mode = _run_shard_workers(payloads, jobs, parallel)
             profile.shard_parallel_mode = mode
@@ -1326,7 +1310,6 @@ class ShardedMogulIndex:
         cluster_members: tuple[np.ndarray, ...] | None = None,
         profile: BuildProfile | None = None,
         prepacked_blocks: list[list[PackedUnitLower]] | None = None,
-        use_superlu: bool | None = None,
     ) -> "ShardedMogulIndex":
         """Carve a sharded index out of an existing global factorization.
 
@@ -1389,7 +1372,6 @@ class ShardedMogulIndex:
                         if prepacked_blocks is not None
                         else None
                     ),
-                    use_superlu=use_superlu,
                 )
             )
             carve_seconds.append(time.perf_counter() - carve_started)
@@ -1415,7 +1397,6 @@ class ShardedMogulIndex:
             shard_states=states,
             shard_nnz=[state.nnz for state in states],
             factors=factors,
-            use_superlu=use_superlu,
             graph=graph,
         )
 

@@ -173,17 +173,15 @@ class ClusterSolver:
         The :math:`LDL^T` factorization of the permuted system matrix.
     permutation:
         The Algorithm 1 permutation the factors were computed under.
-    use_superlu:
-        Forwarded to :class:`repro.linalg.PackedUnitLower` (``None`` =
-        auto-detect; ``False`` forces the public-API fallback, used by
-        equivalence tests).
+
+    Every block solves with :mod:`repro.linalg.packed`'s kernel (compiled
+    when a C compiler is available, ``gstrs`` otherwise; bitwise equal).
     """
 
     def __init__(
         self,
         factors: LDLFactors,
         permutation: Permutation,
-        use_superlu: bool | None = None,
     ):
         if factors.n != permutation.n_nodes:
             raise ValueError(
@@ -219,11 +217,7 @@ class ClusterSolver:
                     lower, border.start, n, border.start, n
                 )
                 self._couplings.append(None)
-            self._blocks.append(
-                PackedUnitLower.from_strict_lower_trusted(
-                    block, use_superlu=use_superlu
-                )
-            )
+            self._blocks.append(PackedUnitLower.from_strict_lower_trusted(block))
 
         # Border rows' coupling to every earlier column, consumed as one
         # SpMV against z = D y in the forward pass.
@@ -231,9 +225,7 @@ class ClusterSolver:
             lower, border.start, n, 0, border.start
         )
         # Whole-factor solver for full solves and the no-sparsity ablation.
-        self._full = PackedUnitLower.from_strict_lower_trusted(
-            lower, use_superlu=use_superlu
-        )
+        self._full = PackedUnitLower.from_strict_lower_trusted(lower)
         # The interior range [0, c_N) of U is *block diagonal* (interior
         # clusters never couple to each other, Lemma 3), so the no-pruning
         # configuration can score every interior cluster with ONE solve
@@ -249,9 +241,7 @@ class ClusterSolver:
             ),
             shape=(border.start, border.start),
         )
-        self._interior = PackedUnitLower.from_strict_lower_trusted(
-            interior_block, use_superlu=use_superlu
-        )
+        self._interior = PackedUnitLower.from_strict_lower_trusted(interior_block)
         self._interior_coupling = _csr_column_range(
             upper, 0, border.start, border.start, n
         )

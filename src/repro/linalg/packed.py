@@ -2,48 +2,125 @@
 
 :func:`scipy.sparse.linalg.spsolve_triangular` spends the bulk of its time
 on per-call validation, copies and format conversion — two orders of
-magnitude more than the compiled substitution itself for the small
-cluster-sized systems Mogul solves per query (Lemmas 4/5 restrict each
-query to a handful of blocks).  :class:`PackedUnitLower` does all of that
-work **once**: it packs a unit-lower-triangular block into the exact CSC
-arrays SuperLU's ``gstrs`` kernel consumes and then answers each solve with
-a single compiled call.
-
-One packed block serves both substitution directions, because Mogul's back
-substitution runs on :math:`U = L^T` (paper Eq. 5) and ``gstrs`` can apply
-the transposed operator:
+magnitude more than the substitution itself for the small cluster-sized
+systems Mogul solves per query (Lemmas 4/5 restrict each query to a
+handful of blocks).  :class:`PackedUnitLower` does all of that work
+**once**: it packs a unit-lower-triangular block into CSC arrays and then
+answers each solve with a single compiled call.  One packed block serves
+both directions, because Mogul's back substitution runs on :math:`U = L^T`
+(paper Eq. 5):
 
 * :meth:`PackedUnitLower.solve_lower` — forward substitution
   :math:`(I + L_{strict})\\,z = b` (paper Eq. 4 after diagonal scaling).
 * :meth:`PackedUnitLower.solve_upper` — back substitution
   :math:`(I + L_{strict})^T\\,z = b`.
 
-Both accept a single ``(n,)`` right-hand side or an ``(n, b)`` matrix of
-``b`` right-hand sides.  The multi-RHS form is what the batched query
-engine (:mod:`repro.core.batch`) is built on: ``gstrs`` sweeps the factor
-once per column inside compiled code, so a batch of queries pays the
-per-call overhead once instead of ``b`` times, and each column is bitwise
-identical to the corresponding single-RHS solve.
+Both accept a single ``(n,)`` right-hand side or an ``(n, b)`` matrix, the
+form the batched engine (:mod:`repro.core.batch`) is built on: a batch
+pays the per-call overhead once, and each column is bitwise identical to
+the corresponding single-RHS solve.
 
-``gstrs`` is a private SciPy API, so a pure public-API fallback
-(``spsolve_triangular``) is kept behind the same interface; construction
-chooses automatically and tests force the fallback to assert both tiers
-agree to machine precision.
+**Kernel.**  The loop is ``unit_lower_solve`` in ``_unit_trsv.c`` beside
+this module, called through :mod:`ctypes` (which releases the GIL).  It
+replaces SciPy's private ``_superlu.gstrs``, which in SciPy 1.17 leaks one
+allocation per call, so a server's RSS grew with the queries it answered.
+It keeps ``gstrs``'s operation order and is built without floating-point
+contraction, so the two agree bitwise.
+
+**Build cache.**  On first import the source is compiled with
+``sysconfig``'s ``CC`` and ``-O2 -ffp-contract=off`` into the
+``__pycache__`` beside it, named by a hash of the source and the command,
+via a temporary file and :func:`os.replace`.  If that directory is not
+writable the build goes to a fresh private temporary directory: a library
+found in a shared directory is never loaded.
+
+**Fallback.**  Without a working compiler the solves call ``gstrs`` — the
+same answers, with the leak.  :data:`KERNEL` names the kernel in use
+(``"compiled"`` or ``"gstrs"``); with neither, import raises
+:class:`ImportError`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-try:  # pragma: no cover - exercised implicitly by every solve
-    from scipy.sparse._sputils import safely_cast_index_arrays
-    from scipy.sparse.linalg._dsolve import _superlu
+try:  # pragma: no cover - depends on the scipy build
+    from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
+except ImportError:  # pragma: no cover
+    _gstrs = None
 
-    HAVE_SUPERLU_GSTRS = True
-except ImportError:  # pragma: no cover - depends on scipy build
-    HAVE_SUPERLU_GSTRS = False
+_SOURCE = Path(__file__).with_name("_unit_trsv.c")
+#: No -ffast-math or -march: a fused multiply-add changes the rounding,
+#: and the compiled and gstrs kernels must agree bitwise.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build(command: list[str], target: Path) -> None:
+    """Compile into a temporary file beside ``target``, then rename it."""
+    fd, partial = tempfile.mkstemp(suffix=".tmp", dir=target.parent)
+    os.close(fd)
+    try:
+        build = [*command, "-o", partial, str(_SOURCE)]
+        subprocess.run(build, check=True, capture_output=True)
+        os.replace(partial, target)
+    finally:
+        Path(partial).unlink(missing_ok=True)
+
+
+def _compile_kernel(cache_dir: Path | None = None):
+    """Build (or reuse) the compiled kernel; ``None`` if that fails."""
+    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS]
+    digest = hashlib.sha256(_SOURCE.read_bytes() + "\0".join(command).encode())
+    cache_dir = cache_dir or _SOURCE.parent / "__pycache__"
+    private = None
+    try:
+        cache_dir.mkdir(exist_ok=True)
+        writable = os.access(cache_dir, os.W_OK)
+    except OSError:
+        writable = False
+    if not writable:
+        cache_dir = private = Path(tempfile.mkdtemp(prefix="repro-trsv-"))
+    target = cache_dir / f"_unit_trsv.{digest.hexdigest()[:16]}.so"
+    try:
+        if not target.exists():
+            _build(command, target)
+        kernel = ctypes.CDLL(str(target)).unit_lower_solve
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    finally:
+        if private is not None:  # the loaded mapping outlives the file
+            shutil.rmtree(private, ignore_errors=True)
+    # n, nrhs, data, indices, indptr, x, trans
+    kernel.argtypes = (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 4 + (ctypes.c_int,)
+    kernel.restype = None
+    return kernel
+
+
+def _select_kernel(cache_dir: Path | None = None):
+    """``(compiled kernel or None, KERNEL name)``."""
+    kernel = _compile_kernel(cache_dir)
+    if kernel is not None:
+        return kernel, "compiled"
+    if _gstrs is None:  # pragma: no cover - no compiler and an unusual scipy
+        raise ImportError(
+            f"repro.linalg.packed needs a C compiler to build {_SOURCE.name} "
+            "or scipy's private _superlu.gstrs, and found neither"
+        )
+    return None, "gstrs"
+
+
+_kernel, KERNEL = _select_kernel()
 
 
 class PackedUnitLower:
@@ -56,147 +133,88 @@ class PackedUnitLower:
         (the unit diagonal is implied, matching
         :class:`repro.linalg.LDLFactors` storage).  Anything on or above
         the diagonal raises.
-    use_superlu:
-        ``True`` forces the SuperLU kernel (raises if unavailable),
-        ``False`` forces the public spsolve_triangular fallback, ``None``
-        picks SuperLU when present.
     """
 
-    def __init__(self, strict_lower: sp.spmatrix, use_superlu: bool | None = None):
-        strict_lower = strict_lower.tocsr()
+    def __init__(self, strict_lower: sp.spmatrix):
         rows, cols = strict_lower.shape
         if rows != cols:
             raise ValueError(f"block must be square, got shape {strict_lower.shape}")
-        coo = strict_lower.tocoo()
-        if np.any(coo.row <= coo.col) and coo.nnz:
-            # Explicit zeros on/above the diagonal are tolerated; values not.
-            bad = coo.data[coo.row <= coo.col]
-            if np.any(bad != 0.0):
-                raise ValueError("strict_lower has entries on or above the diagonal")
-        self.n = rows
-        if use_superlu is None:
-            use_superlu = HAVE_SUPERLU_GSTRS
-        elif use_superlu and not HAVE_SUPERLU_GSTRS:  # pragma: no cover
-            raise RuntimeError("SuperLU gstrs kernel is not available in this scipy")
-        self.uses_superlu = bool(use_superlu) and self.n > 1
-
-        if self.n <= 1:
-            # 0x0 and 1x1 unit systems are identities; no packing needed.
-            self._unit_csc = None
-            return
-
-        unit = (strict_lower + sp.identity(self.n, format="csr")).tocsc()
-        unit.sum_duplicates()
-        unit.sort_indices()
-        unit = unit.astype(np.float64)
-        if self.uses_superlu:
-            indices, indptr = safely_cast_index_arrays(unit, np.intc, "SuperLU")
-            self._l_data = np.ascontiguousarray(unit.data)
-            self._l_indices = np.ascontiguousarray(indices)
-            self._l_indptr = np.ascontiguousarray(indptr)
-            self._l_nnz = unit.nnz
-            # gstrs wants an (empty) U factor alongside L.
-            self._u_data = np.empty(0, dtype=np.float64)
-            self._u_index = np.empty(0, dtype=np.intc)
-            self._u_indptr = np.zeros(self.n + 1, dtype=np.intc)
-            self._unit_csc = None
-        else:
-            self._unit_csc = unit.tocsr()
-            self._unit_csc_t = self._unit_csc.T.tocsr()
+        # Explicit zeros on/above the diagonal are tolerated; values not.
+        if sp.triu(strict_lower).count_nonzero():
+            raise ValueError("strict_lower has entries on or above the diagonal")
+        self._assemble(sp.tril(strict_lower, k=-1, format="csr"))
 
     @classmethod
     def from_strict_lower_trusted(
-        cls, strict_lower: sp.csr_matrix, use_superlu: bool | None = None
+        cls, strict_lower: sp.csr_matrix
     ) -> "PackedUnitLower":
         """Pack a sorted strictly-lower CSR block without scipy conversions.
 
-        Assembles the unit CSC arrays directly (diagonal entry first,
-        then the block column's rows, already ascending) — the same
-        arrays ``__init__`` produces via ``+ identity`` and ``tocsc``,
-        so solves are bitwise identical.  Index construction packs a
-        block per cluster; this path is what keeps that linear in nnz
-        instead of in scipy conversions.  "Trusted" refers to skipping
-        the ``tocoo`` materialisation only: strict-lowerness itself is
-        still verified with one O(nnz) vectorized check, because a
-        diagonal entry would silently shift the assembled columns.
+        Skips ``__init__``'s ``triu``/``tril`` passes and assembles the
+        same arrays, so solves are bitwise identical.  Index construction
+        packs a block per cluster; this path is what keeps that linear in
+        nnz instead of in scipy conversions.  Strict-lowerness is still
+        verified with one O(nnz) vectorized check, because a diagonal
+        entry would silently shift the assembled columns.
         """
-        n = strict_lower.shape[0]
-        if use_superlu is None:
-            use_superlu = HAVE_SUPERLU_GSTRS
-        if (
-            n <= 1
-            or not use_superlu
-            or not HAVE_SUPERLU_GSTRS
-            or strict_lower.nnz + n > np.iinfo(np.intc).max
-        ):
-            # Cold paths (empty, fallback tier, missing kernel, index
-            # overflow) carry no packing cost worth skipping — reuse the
-            # validated route, which also raises __init__'s clear error
-            # for an explicit use_superlu=True without the kernel.
-            return cls(strict_lower, use_superlu=use_superlu)
         strict_lower = strict_lower.tocsr()
+        n = strict_lower.shape[0]
         entry_rows = np.repeat(
             np.arange(n, dtype=np.int64), np.diff(strict_lower.indptr)
         )
         if np.any(strict_lower.indices >= entry_rows):
             raise ValueError("strict_lower has entries on or above the diagonal")
         self = cls.__new__(cls)
-        self.n = n
-        self.uses_superlu = True
-        self._unit_csc = None
+        self._assemble(strict_lower)
+        return self
+
+    def _assemble(self, strict_lower: sp.csr_matrix) -> None:
+        """Pack the unit CSC arrays back to back in one buffer.
+
+        Each column holds its diagonal entry first, then its rows of
+        ``strict_lower`` in ascending order.  One buffer means a solve
+        reads one base address, not three (each ``.ctypes.data`` read
+        costs microseconds); only offsets are kept, never addresses, so a
+        pickled block stays valid.
+        """
+        self.n = n = strict_lower.shape[0]
+        if n <= 1:
+            return  # 0x0 and 1x1 unit systems are identities
         transposed = strict_lower.T.tocsr()  # rows = columns of L
         transposed.sort_indices()
-        nnz = transposed.nnz
-        counts = np.diff(transposed.indptr)
-        indptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(counts + 1, out=indptr[1:])
-        indices = np.empty(nnz + n, dtype=np.intc)
-        data = np.empty(nnz + n, dtype=np.float64)
+        self._nnz = nnz = transposed.nnz + n
+        if nnz > np.iinfo(np.intc).max:
+            raise ValueError(f"{nnz} stored entries overflow the kernel's int32")
+        self._buffer = np.empty(12 * nnz + 4 * (n + 1), dtype=np.uint8)
+        data, indices, indptr = self._arrays()
+        indptr[0] = 0
+        np.cumsum(np.diff(transposed.indptr) + 1, out=indptr[1:])
         diag_pos = indptr[:-1]
         indices[diag_pos] = np.arange(n, dtype=np.intc)
         data[diag_pos] = 1.0
-        off_diag = np.ones(nnz + n, dtype=bool)
+        off_diag = np.ones(nnz, dtype=bool)
         off_diag[diag_pos] = False
         indices[off_diag] = transposed.indices
         data[off_diag] = transposed.data
-        self._l_data = data
-        self._l_indices = indices
-        self._l_indptr = indptr
-        self._l_nnz = nnz + n
-        self._u_data = np.empty(0, dtype=np.float64)
-        self._u_index = np.empty(0, dtype=np.intc)
-        self._u_indptr = np.zeros(n + 1, dtype=np.intc)
-        return self
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)`` views into the packed buffer."""
+        buffer, a, b = self._buffer, 8 * self._nnz, 12 * self._nnz
+        return (
+            buffer[:a].view(np.float64),
+            buffer[a:b].view(np.intc),
+            buffer[b:].view(np.intc),
+        )
 
     @property
     def nnz(self) -> int:
         """Stored non-zeros including the unit diagonal."""
-        if self.n <= 1:
-            return self.n
-        if self.uses_superlu:
-            return int(self._l_nnz)
-        return self._unit_csc.nnz
+        return self.n if self.n <= 1 else self._nnz
 
     @property
     def nbytes(self) -> int:
         """Bytes of the packed factor arrays (memory-accounting surface)."""
-        if self.n <= 1:
-            return 0
-        if self.uses_superlu:
-            return int(
-                self._l_data.nbytes
-                + self._l_indices.nbytes
-                + self._l_indptr.nbytes
-                + self._u_data.nbytes
-                + self._u_index.nbytes
-                + self._u_indptr.nbytes
-            )
-        return int(
-            sum(
-                m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                for m in (self._unit_csc, self._unit_csc_t)
-            )
-        )
+        return 0 if self.n <= 1 else int(self._buffer.nbytes)
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """Solve :math:`(I + L_{strict})\\,z = b` (forward substitution).
@@ -223,25 +241,34 @@ class PackedUnitLower:
             )
         if self.n <= 1 or (b.ndim == 2 and b.shape[1] == 0):
             return b.copy()
-        if self.uses_superlu:
-            x, info = _superlu.gstrs(
-                trans,
+        # Both kernels answer in a Fortran-ordered copy of b.
+        x = np.array(b, order="F")
+        if _kernel is not None:
+            # The address is read per call, never stored: packed blocks are
+            # pickled back from build workers and land at new addresses.
+            base = self._buffer.ctypes.data
+            _kernel(
                 self.n,
-                self._l_nnz,
-                self._l_data,
-                self._l_indices,
-                self._l_indptr,
-                self.n,
-                0,
-                self._u_data,
-                self._u_index,
-                self._u_indptr,
-                b.copy(),
+                1 if x.ndim == 1 else x.shape[1],
+                base,
+                base + 8 * self._nnz,
+                base + 12 * self._nnz,
+                x.ctypes.data,
+                trans == "T",
             )
-            if info:  # pragma: no cover - unit diagonal cannot be singular
-                raise np.linalg.LinAlgError("triangular solve reported singularity")
             return x
-        matrix = self._unit_csc if trans == "N" else self._unit_csc_t
-        return spla.spsolve_triangular(
-            matrix, b, lower=(trans == "N"), unit_diagonal=True
+        x, info = _gstrs(
+            trans,
+            self.n,
+            self._nnz,
+            *self._arrays(),
+            self.n,
+            0,
+            np.empty(0, dtype=np.float64),  # gstrs wants an (empty) U factor
+            np.empty(0, dtype=np.intc),
+            np.zeros(self.n + 1, dtype=np.intc),
+            x,
         )
+        if info:  # pragma: no cover - unit diagonal cannot be singular
+            raise np.linalg.LinAlgError("triangular solve reported singularity")
+        return x

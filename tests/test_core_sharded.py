@@ -121,6 +121,24 @@ class TestFactorIdentity:
         assert np.array_equal(a.lower.data, b.lower.data)
         assert np.array_equal(a.diag, b.diag)
 
+    def test_fork_pool_blocks_answer_like_serial(self, graph):
+        """Packed blocks pickled back from fork workers solve exactly as
+        blocks packed in-process: they carry no stale raw pointers."""
+        serial = ShardedMogulIndex.build(graph, 4, jobs=1, parallel="serial")
+        forked = ShardedMogulIndex.build(graph, 4, jobs=2, parallel="process")
+        assert forked.profile.shard_parallel_mode == "process"
+        serial_ranker = ShardedMogulRanker.from_index(graph, serial)
+        forked_ranker = ShardedMogulRanker.from_index(graph, forked)
+        queries = np.random.default_rng(5).choice(graph.n_nodes, 16, replace=False)
+        for a, b in zip(
+            serial_ranker.top_k_batch(queries, 8), forked_ranker.top_k_batch(queries, 8)
+        ):
+            _assert_results_equal(a, b)
+        for query in queries[:4]:
+            _assert_results_equal(
+                serial_ranker.top_k(int(query), 8), forked_ranker.top_k(int(query), 8)
+            )
+
     def test_reference_backend_matches_unsharded_reference(self, graph):
         base = MogulIndex.build(graph, factor_backend="reference")
         shard = ShardedMogulIndex.build(graph, 2, factor_backend="reference")

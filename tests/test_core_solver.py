@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.permutation import build_permutation
 from repro.core.solver import ClusterSolver
+from repro.linalg import packed
 from repro.linalg.ldl import complete_ldl, incomplete_ldl
-from repro.linalg.packed import HAVE_SUPERLU_GSTRS
 from repro.linalg.triangular import (
     back_substitute,
     forward_substitute,
@@ -29,6 +29,19 @@ def build_parts(graph, alpha=0.95, factorize=incomplete_ldl):
     w = permutation.permute_matrix(ranking_matrix(graph.adjacency, alpha))
     factors = factorize(w)
     return permutation, factors
+
+
+def _solver_answers(solver, permutation):
+    """Full, restricted-forward and batched solves for a fixed query."""
+    q = np.zeros(solver.n)
+    q[0] = 1.0
+    batch = np.random.default_rng(4).normal(size=(solver.n, 3))
+    first_cluster = [int(permutation.cluster_of_position[0])]
+    return (
+        solver.solve(q),
+        solver.forward(q, first_cluster),
+        solver.solve(batch),
+    )
 
 
 @pytest.fixture(scope="module", params=["incomplete", "complete"])
@@ -143,17 +156,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="do not match this permutation"):
             ClusterSolver(factors_wrong, permutation)
 
-    @pytest.mark.skipif(not HAVE_SUPERLU_GSTRS, reason="no SuperLU kernel")
-    def test_fallback_tier_agrees(self, bridged_graph):
+    @pytest.mark.skipif(
+        packed.KERNEL != "compiled" or packed._gstrs is None,
+        reason="needs the compiled kernel and scipy's gstrs",
+    )
+    def test_fallback_tier_agrees(self, bridged_graph, monkeypatch):
+        """The compiled kernel and forced gstrs answer bitwise alike."""
         permutation, factors = build_parts(bridged_graph)
-        fast = ClusterSolver(factors, permutation, use_superlu=True)
-        slow = ClusterSolver(factors, permutation, use_superlu=False)
-        q = np.zeros(factors.n)
-        q[0] = 1.0
-        np.testing.assert_allclose(fast.solve(q), slow.solve(q), atol=1e-12)
-        y_fast = fast.forward(q, [int(permutation.cluster_of_position[0])])
-        y_slow = slow.forward(q, [int(permutation.cluster_of_position[0])])
-        np.testing.assert_allclose(y_fast, y_slow, atol=1e-12)
+        solver = ClusterSolver(factors, permutation)
+        compiled = _solver_answers(solver, permutation)
+        monkeypatch.setattr(packed, "_kernel", None)
+        for got, want in zip(_solver_answers(solver, permutation), compiled):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(packed._gstrs is None, reason="needs scipy's gstrs")
+    def test_without_a_compiler_gstrs_answers(
+        self, bridged_graph, monkeypatch, tmp_path
+    ):
+        """No usable compiler and an empty cache: KERNEL is "gstrs", and a
+        solver built then answers exactly as the compiled kernel does."""
+        permutation, factors = build_parts(bridged_graph)
+        compiled = _solver_answers(ClusterSolver(factors, permutation), permutation)
+        monkeypatch.setattr(
+            packed.sysconfig, "get_config_var", lambda name: "/nonexistent/cc"
+        )
+        kernel, name = packed._select_kernel(tmp_path)
+        monkeypatch.setattr(packed, "_kernel", kernel)
+        monkeypatch.setattr(packed, "KERNEL", name)
+        assert packed.KERNEL == "gstrs"
+        fallback = _solver_answers(ClusterSolver(factors, permutation), permutation)
+        for got, want in zip(fallback, compiled):
+            assert np.array_equal(got, want)
 
 
 class TestMultiRHS:

@@ -1,11 +1,13 @@
 """Tests for the packed triangular solver (repro.linalg.packed).
 
 The contract: :class:`PackedUnitLower` answers repeated unit-triangular
-solves and must agree, to machine precision, with dense numpy reference
-solves and with the public-API fallback — whichever kernel it picked.
+solves, agrees to machine precision with dense numpy reference solves,
+and its compiled kernel agrees **bitwise** with the ``gstrs`` fallback.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,29 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg.packed import HAVE_SUPERLU_GSTRS, PackedUnitLower
+from repro.linalg import packed
+from repro.linalg.packed import PackedUnitLower
+
+needs_both_kernels = pytest.mark.skipif(
+    packed.KERNEL != "compiled" or packed._gstrs is None,
+    reason="needs the compiled kernel and scipy's gstrs",
+)
+
+
+def solve_both_kernels(block, method, b):
+    """``block.<method>(b)`` under the compiled kernel, then forced gstrs."""
+    compiled = getattr(block, method)(b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "_kernel", None)
+        fallback = getattr(block, method)(b)
+    return compiled, fallback
+
+
+def assert_kernels_bitwise_equal(block, b):
+    for method in ("solve_lower", "solve_upper"):
+        compiled, fallback = solve_both_kernels(block, method, b)
+        assert np.array_equal(compiled, fallback), method
+        assert compiled.flags.f_contiguous and fallback.flags.f_contiguous
 
 
 def random_strict_lower(n: int, density: float, seed: int) -> sp.csr_matrix:
@@ -67,22 +91,56 @@ class TestAgainstDenseReference:
 
 
 class TestKernelEquivalence:
-    @pytest.mark.skipif(not HAVE_SUPERLU_GSTRS, reason="no SuperLU kernel")
+    """The compiled kernel against forced ``gstrs``: bitwise, not close."""
+
+    @needs_both_kernels
     @pytest.mark.parametrize("n", [2, 16, 40])
     def test_superlu_matches_fallback(self, n):
-        strict = random_strict_lower(n, 0.25, seed=n)
-        fast = PackedUnitLower(strict, use_superlu=True)
-        slow = PackedUnitLower(strict, use_superlu=False)
-        assert fast.uses_superlu and not slow.uses_superlu
+        block = PackedUnitLower(random_strict_lower(n, 0.25, seed=n))
         rng = np.random.default_rng(0)
         for _ in range(3):
-            b = rng.normal(size=n)
-            np.testing.assert_allclose(
-                fast.solve_lower(b), slow.solve_lower(b), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                fast.solve_upper(b), slow.solve_upper(b), atol=1e-12
-            )
+            assert_kernels_bitwise_equal(block, rng.normal(size=n))
+
+    @needs_both_kernels
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(min_value=2, max_value=120),
+        density=st.floats(min_value=0.005, max_value=0.3),
+        nrhs=st.integers(min_value=0, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_compiled_matches_gstrs_bitwise(self, n, density, nrhs, seed):
+        """nrhs = 0 stands for a 1-D right-hand side; both directions."""
+        block = PackedUnitLower.from_strict_lower_trusted(
+            random_strict_lower(n, density, seed)
+        )
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=n) if nrhs == 0 else rng.normal(size=(n, nrhs))
+        assert_kernels_bitwise_equal(block, b)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/status"
+    )
+    def test_solves_do_not_grow_rss(self):
+        """200 000 solves leave RSS flat; the leaking gstrs adds tens of MB."""
+
+        def vm_rss_mb() -> float:
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1]) / 1024
+            raise AssertionError("no VmRSS line")
+
+        assert packed.KERNEL == "compiled"
+        block = PackedUnitLower(random_strict_lower(200, 0.05, seed=3))
+        b = np.random.default_rng(3).normal(size=200)
+        block.solve_lower(b)
+        block.solve_upper(b)
+        before = vm_rss_mb()
+        for _ in range(100_000):
+            block.solve_lower(b)
+            block.solve_upper(b)
+        assert vm_rss_mb() - before < 5.0
 
 
 class TestEdgeCases:
@@ -168,18 +226,11 @@ class TestMultiRHS:
             np.testing.assert_array_equal(lower[:, j], packed.solve_lower(b[:, j]))
             np.testing.assert_array_equal(upper[:, j], packed.solve_upper(b[:, j]))
 
-    @pytest.mark.skipif(not HAVE_SUPERLU_GSTRS, reason="needs SuperLU gstrs")
+    @needs_both_kernels
     def test_kernels_agree_on_matrix_rhs(self):
-        strict = random_strict_lower(23, 0.3, seed=9)
-        fast = PackedUnitLower(strict, use_superlu=True)
-        fallback = PackedUnitLower(strict, use_superlu=False)
+        block = PackedUnitLower(random_strict_lower(23, 0.3, seed=9))
         b = np.random.default_rng(2).normal(size=(23, 5))
-        np.testing.assert_allclose(
-            fast.solve_lower(b), fallback.solve_lower(b), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            fast.solve_upper(b), fallback.solve_upper(b), atol=1e-12
-        )
+        assert_kernels_bitwise_equal(block, b)
 
     def test_zero_column_rhs(self):
         packed = PackedUnitLower(random_strict_lower(6, 0.5, seed=1))
@@ -212,3 +263,31 @@ class TestTrustedPacking:
         bad = sp.csr_matrix(np.tril(np.ones((6, 6))))  # unit diagonal present
         with pytest.raises(ValueError, match="on or above the diagonal"):
             PackedUnitLower.from_strict_lower_trusted(bad)
+
+
+class TestKernelBuild:
+    """The compile-on-first-use cache and its fallbacks."""
+
+    @pytest.mark.skipif(packed.KERNEL != "compiled", reason="no C compiler")
+    def test_builds_once_into_the_cache_dir(self, tmp_path):
+        kernel, name = packed._select_kernel(tmp_path)
+        assert name == "compiled" and kernel is not None
+        (library,) = tmp_path.iterdir()  # no temporary files left behind
+        assert library.name.startswith("_unit_trsv.") and library.suffix == ".so"
+        built = library.stat().st_mtime_ns
+        assert packed._select_kernel(tmp_path)[1] == "compiled"
+        assert [p.name for p in tmp_path.iterdir()] == [library.name]
+        assert library.stat().st_mtime_ns == built
+
+    @pytest.mark.skipif(packed.KERNEL != "compiled", reason="no C compiler")
+    def test_unwritable_cache_builds_privately(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(packed.os, "access", lambda *args: False)
+        assert packed._select_kernel(tmp_path)[1] == "compiled"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(packed._gstrs is None, reason="needs scipy's gstrs")
+    def test_missing_compiler_selects_gstrs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            packed.sysconfig, "get_config_var", lambda name: "/nonexistent/cc"
+        )
+        assert packed._select_kernel(tmp_path) == (None, "gstrs")
