@@ -91,15 +91,14 @@ def _serve_and_load(
 ) -> dict:
     """One serving pass: load the artifact, serve it, verify under load."""
     index = load_sharded_index(path)
-    ranker = engine_from_index(graph, index, query_jobs=2, **engine_kwargs)
+    ranker = engine_from_index(graph, index, **engine_kwargs)
     with BackgroundServer(
         ranker,
         port=0,
         max_batch_size=MAX_BATCH_SIZE,
         cache_capacity=0,
-        query_workers=2,
     ) as server:
-        run_load_test(  # warm-up: fault shards, spin worker stacks
+        run_load_test(  # warm-up: fault shards, spin the engine thread
             port=server.port,
             concurrency=CONCURRENCY,
             total_requests=2 * CONCURRENCY,

@@ -202,15 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit one machine-readable JSON document (the same encoding "
         "the HTTP server's /search responses use)",
     )
-    search.add_argument(
-        "--query-jobs",
-        type=_positive_int,
-        default=1,
-        metavar="J",
-        help="threads for a sharded index's per-shard scans (default 1; "
-        "answers are identical at any setting; no-op on flat/spectral "
-        "indexes)",
-    )
     _add_memory_budget_flags(search)
     search.set_defaults(handler=_cmd_search)
 
@@ -242,26 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="LRU result-cache entries (default 1024; 0 disables)",
-    )
-    serve.add_argument(
-        "--query-workers",
-        type=_positive_int,
-        default=1,
-        metavar="W",
-        help="engine worker threads solving dispatched batches "
-        "(default 1 = serialize every dispatch; more workers overlap "
-        "the solves of different lanes on multi-core hosts — each lane "
-        "keeps one batch in flight; answers are identical at any "
-        "setting)",
-    )
-    serve.add_argument(
-        "--query-jobs",
-        type=_positive_int,
-        default=1,
-        metavar="J",
-        help="threads for a sharded index's per-shard scans inside one "
-        "solve (default 1; no-op on flat/spectral indexes; composes "
-        "with --query-workers — total engine threads ~ W*J)",
     )
     serve.add_argument(
         "--mutable",
@@ -619,7 +590,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     ranker = engine_from_index(
         graph,
         index,
-        query_jobs=args.query_jobs,
         memory_budget_mb=args.memory_budget_mb,
         bounds_dtype=args.bounds_dtype,
     )
@@ -721,7 +691,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tracing=not args.no_tracing,
         slowlog_capacity=args.slowlog_capacity,
         slow_threshold_ms=args.slow_threshold_ms,
-        query_workers=args.query_workers,
         request_timeout_ms=args.request_timeout_ms or None,
         max_queue_depth=args.max_queue_depth or None,
         max_queue_delay_ms=args.max_queue_delay_ms,
@@ -740,7 +709,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             k=graph.k,
             auto_rebuild_fraction=args.auto_rebuild_fraction or None,
         ),
-        query_jobs=args.query_jobs,
         memory_budget_mb=args.memory_budget_mb,
         bounds_dtype=args.bounds_dtype,
     )

@@ -50,7 +50,7 @@ class Engine(Protocol):
     the stats explicitly use the ``*_with_stats`` wrappers the mixin
     provides (``top_k_with_stats`` et al.), which return
     ``(answer, stats)`` without relying on ambient state at all — the
-    serving scheduler's multi-worker pool uses exactly those.
+    serving scheduler's engine thread uses exactly those.
     """
 
     #: Human-readable method name (used by /healthz and result tables).
@@ -113,12 +113,9 @@ def engine_from_index(
     :class:`repro.core.spectral.SpectralIndex` (``.npz`` with the
     spectral marker).  ``search_kwargs`` are forwarded to the engine
     constructor (``use_pruning``, ``cluster_order``, ...); a standalone
-    spectral artifact takes none.  ``query_jobs`` is accepted for *any*
-    artifact so deployment flags need not know the artifact kind: it
-    parallelises the sharded engine's per-shard scans and is a
-    documented no-op on flat and spectral engines (they have no
-    shard-level parallelism to unlock).  ``memory_budget_mb`` and
-    ``bounds_dtype`` are accepted the same way: on a sharded artifact
+    spectral artifact takes none.  ``memory_budget_mb`` and
+    ``bounds_dtype`` are accepted for *any* artifact so deployment
+    flags need not know the artifact kind: on a sharded artifact
     they configure LRU shard residency and compact bound tables via
     :meth:`repro.core.sharded.ShardedMogulIndex.configure_memory_budget`
     before the engine attaches; on flat and spectral artifacts they are
@@ -146,10 +143,9 @@ def engine_from_index(
     from repro.core.sharded import ShardedMogulIndex, ShardedMogulRanker
     from repro.core.spectral import SpectralEngine, SpectralIndex
 
-    # query_jobs / memory_budget_mb / bounds_dtype only mean something
-    # to the sharded engine; popping them here lets callers pass them
+    # memory_budget_mb / bounds_dtype only mean something to the
+    # sharded engine; popping them here lets callers pass them
     # unconditionally whatever the artifact kind.
-    query_jobs = int(search_kwargs.pop("query_jobs", 1))
     memory_budget_mb = search_kwargs.pop("memory_budget_mb", None)
     bounds_dtype = str(search_kwargs.pop("bounds_dtype", "float64"))
     if isinstance(index, ShardedMogulIndex):
@@ -157,9 +153,7 @@ def engine_from_index(
             index.configure_memory_budget(
                 memory_budget_mb, bounds_dtype=bounds_dtype
             )
-        base = ShardedMogulRanker.from_index(
-            graph, index, query_jobs=query_jobs, **search_kwargs
-        )
+        base = ShardedMogulRanker.from_index(graph, index, **search_kwargs)
     elif isinstance(index, MogulIndex):
         base = MogulRanker.from_index(graph, index, **search_kwargs)
     elif isinstance(index, SpectralIndex):

@@ -278,8 +278,9 @@ class LiveEngine(AmbientStatsMixin):
     Answers are fully thread-safe.  The informational stats attributes
     (``last_stats`` / ``last_batch_stats``) are thread-local (see
     :class:`repro.ranking.base.AmbientStatsMixin`), so under concurrent
-    calls — including the serving scheduler's multi-worker pool — each
-    thread reads back exactly its own call's counters.
+    calls — a library caller beside the serving scheduler's engine
+    thread, or a background rebuild — each thread reads back exactly
+    its own call's counters.
 
     Parameters
     ----------
@@ -390,7 +391,6 @@ class LiveEngine(AmbientStatsMixin):
         self.use_pruning = True
         self.use_sparsity = True
         self.cluster_order = "index"
-        self.query_jobs = 1
         # Stats of the most recent single / batched query (the
         # :class:`repro.core.engine.Engine` protocol surface).  These
         # assignments route through AmbientStatsMixin's thread-local
@@ -434,9 +434,8 @@ class LiveEngine(AmbientStatsMixin):
         built with).
 
         Rebuilds replay the adopted engine's search configuration
-        (``use_pruning`` / ``use_sparsity`` / ``cluster_order`` /
-        ``query_jobs``) so a rebuilt epoch answers the same way epoch 0
-        did.  ``fill_level``
+        (``use_pruning`` / ``use_sparsity`` / ``cluster_order``) so a
+        rebuilt epoch answers the same way epoch 0 did.  ``fill_level``
         is *not* recorded in index artifacts — pass the value the
         artifact was built with if it was non-zero, or the first rebuild
         reverts to the paper's ICF (fill 0).
@@ -462,7 +461,6 @@ class LiveEngine(AmbientStatsMixin):
         live.use_pruning = engine.use_pruning
         live.use_sparsity = getattr(engine, "use_sparsity", True)
         live.cluster_order = engine.cluster_order
-        live.query_jobs = int(getattr(engine, "query_jobs", 1))
         n = engine.graph.n_nodes
         live._epoch = EngineEpoch(
             number=0,
@@ -959,7 +957,6 @@ class LiveEngine(AmbientStatsMixin):
                 use_pruning=self.use_pruning,
                 cluster_order=self.cluster_order,
                 jobs=self.jobs,
-                query_jobs=self.query_jobs,
             )
         else:
             ranker = MogulRanker(

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -489,7 +489,7 @@ class ShardResidencyManager:
     itself.  :class:`ShardedMogulIndex` drives it — registering bytes on
     materialisation, pinning around in-flight scans, asking for LRU
     victims when the budget is exceeded — under the manager's single
-    lock, so ``query_jobs`` workers and eviction cannot race the
+    lock, so concurrent callers and eviction cannot race the
     counters.  A ``budget_bytes`` of ``None`` disables eviction but
     keeps the accounting surface (``/stats`` residency) live.
     """
@@ -903,7 +903,7 @@ class ShardedMogulIndex:
         """The shard's query-time state, materialised on first touch.
 
         Thread-safe: a per-shard lock makes the lazy carve exactly-once
-        even when several ``query_jobs`` workers (or a query racing
+        even when several concurrent callers (or a query racing
         eviction) hit a cold shard together.  The lock-free fast path
         returns a local reference, so a concurrent eviction can never
         hand the caller a torn state — the arrays it holds stay valid,
@@ -1419,39 +1419,12 @@ class ShardedMogulIndex:
 # -- scatter-gather search -------------------------------------------------
 
 
-def _run_shard_scans(index, n_shards: int, query_jobs: int, pool, scan_one):
-    """Run ``scan_one(shard_id)`` for every shard, serially or in parallel.
-
-    The scan bodies are pure with respect to shared state — they read the
-    router's border scores and thresholds, write ``x_mat`` only inside
-    their own shard's disjoint row span, and return their counters
-    instead of mutating shared stats — so running them on threads is
-    safe and (because each shard's scan is independent and deterministic)
-    bitwise identical to the serial loop.  numpy's triangular solves and
-    SpMMs release the GIL, which is where the parallel speedup comes
-    from.  Results are returned in shard id order either way.
-    """
-    jobs = min(int(query_jobs), n_shards)
-    if jobs <= 1 or n_shards <= 1:
-        return [scan_one(shard_id) for shard_id in range(n_shards)]
-    # Cold shards materialise exactly once under their per-shard state
-    # locks — workers hitting the same shard serialize on the carve, and
-    # a memory-budgeted index only materialises the shards its scans
-    # actually visit (pre-loading everything here would defeat eviction).
-    if pool is not None:
-        return list(pool.map(scan_one, range(n_shards)))
-    with ThreadPoolExecutor(max_workers=jobs) as ephemeral:
-        return list(ephemeral.map(scan_one, range(n_shards)))
-
-
 def scatter_gather_search(
     index: ShardedMogulIndex,
     queries,
     k: int,
     use_pruning: bool = True,
     cluster_order: str = "index",
-    query_jobs: int = 1,
-    pool: ThreadPoolExecutor | None = None,
 ) -> tuple[list[list[tuple[int, float]]], BatchStats, list[SearchStats]]:
     """Answer a batch of queries across the shards, merging local top-k.
 
@@ -1464,11 +1437,6 @@ def scatter_gather_search(
     unsharded engine's — scores come from the same factor via the same
     packed solves, pruning is conservative under any threshold schedule,
     and the merge order matches the heap's.
-
-    ``query_jobs`` runs the per-shard scans on a thread pool (``pool``
-    reuses a caller-owned executor; otherwise an ephemeral one is
-    created); 1 keeps the serial loop.  Answers and stats are bitwise
-    identical at any ``query_jobs``.
 
     Returns ``(answers, per-query stats, per-shard aggregate stats)``.
     """
@@ -1558,9 +1526,7 @@ def scatter_gather_search(
     # shard body is pure with respect to shared state: it reads the
     # frozen border scores/thresholds, writes x_mat only inside its own
     # shard's disjoint row span, keeps its accumulators local, and
-    # returns its per-query counter deltas instead of mutating ``stats``
-    # — which is exactly what lets ``query_jobs > 1`` run shards on
-    # threads with bitwise-identical answers *and* counters.
+    # returns its per-query counter deltas instead of mutating ``stats``.
     x_border_abs = np.abs(x_mat[border_start:, :])
 
     def scan_shard(shard_id: int):
@@ -1720,9 +1686,8 @@ def scatter_gather_search(
 
     shard_answer_lists: list[list[list[tuple[int, float]]]] = []
     shard_totals: list[SearchStats] = []
-    for shard_stats, answer_list, deltas in _run_shard_scans(
-        index, n_shards, query_jobs, pool, scan_shard
-    ):
+    for shard_id in range(n_shards):
+        shard_stats, answer_list, deltas = scan_shard(shard_id)
         shard_totals.append(shard_stats)
         shard_answer_lists.append(answer_list)
         bound_evals, pruned_c, pruned_n, scored_c, scored_n = deltas
@@ -1754,8 +1719,6 @@ def scatter_gather_rerank(
     candidates_list,
     use_pruning: bool = True,
     cluster_order: str = "index",
-    query_jobs: int = 1,
-    pool: ThreadPoolExecutor | None = None,
 ) -> tuple[list[list[tuple[int, float]]], BatchStats, list[SearchStats]]:
     """Candidate-restricted scatter-gather: the sharded exact re-rank.
 
@@ -1876,8 +1839,7 @@ def scatter_gather_rerank(
 
     # Stage 3 — scatter over candidate-owning clusters only.  Same
     # purity contract as scatter_gather_search's shard scan: disjoint
-    # x_mat row spans, local accumulators, counter deltas returned — so
-    # ``query_jobs > 1`` is bitwise identical to the serial loop.
+    # x_mat row spans, local accumulators, counter deltas returned.
     x_border_abs = np.abs(x_mat[border_start:, :])
 
     def scan_shard(shard_id: int):
@@ -2020,9 +1982,8 @@ def scatter_gather_rerank(
 
     shard_answer_lists: list[list[list[tuple[int, float]]]] = []
     shard_totals: list[SearchStats] = []
-    for shard_stats, answer_list, deltas in _run_shard_scans(
-        index, n_shards, query_jobs, pool, scan_shard
-    ):
+    for shard_id in range(n_shards):
+        shard_stats, answer_list, deltas = scan_shard(shard_id)
         shard_totals.append(shard_stats)
         shard_answer_lists.append(answer_list)
         bound_evals, pruned_c, pruned_n, scored_c, scored_n = deltas
@@ -2060,9 +2021,10 @@ class ShardedMogulRanker(Ranker):
     aggregate pruning counters of the most recent call (per-thread, like
     every ambient stats attribute).
 
-    ``query_jobs > 1`` scans shards on a persistent thread pool at query
-    time — bitwise identical answers and stats, with the speedup coming
-    from numpy releasing the GIL inside the per-shard solves.
+    A query scans its shards in a plain loop on the calling thread.
+    Entry points are reentrant, so concurrent callers share one engine
+    safely; a second thread per query measured slower, not faster (see
+    the README's "Query-time concurrency" note).
     """
 
     #: Per-shard aggregate stats of this thread's most recent engine call.
@@ -2086,7 +2048,6 @@ class ShardedMogulRanker(Ranker):
         jobs: int = 1,
         factor_backend: str = DEFAULT_BACKEND,
         parallel: str = "auto",
-        query_jobs: int = 1,
     ):
         super().__init__(graph, alpha)
         index = ShardedMogulIndex.build(
@@ -2101,7 +2062,7 @@ class ShardedMogulRanker(Ranker):
             factor_backend=factor_backend,
             parallel=parallel,
         )
-        self._init_from_index(index, use_pruning, cluster_order, query_jobs)
+        self._init_from_index(index, use_pruning, cluster_order)
 
     @classmethod
     def from_index(
@@ -2110,7 +2071,6 @@ class ShardedMogulRanker(Ranker):
         index: ShardedMogulIndex,
         use_pruning: bool = True,
         cluster_order: str = "index",
-        query_jobs: int = 1,
     ) -> "ShardedMogulRanker":
         """Attach a prebuilt (e.g. loaded) sharded index to a feature graph."""
         if graph.n_nodes != index.n_nodes:
@@ -2125,7 +2085,7 @@ class ShardedMogulRanker(Ranker):
             )
         ranker = cls.__new__(cls)
         Ranker.__init__(ranker, graph, index.alpha)
-        ranker._init_from_index(index, use_pruning, cluster_order, query_jobs)
+        ranker._init_from_index(index, use_pruning, cluster_order)
         return ranker
 
     def _init_from_index(
@@ -2133,7 +2093,6 @@ class ShardedMogulRanker(Ranker):
         index: ShardedMogulIndex,
         use_pruning: bool,
         cluster_order: str,
-        query_jobs: int = 1,
     ) -> None:
         self.index = index
         self.exact = index.factorization == "complete"
@@ -2143,34 +2102,12 @@ class ShardedMogulRanker(Ranker):
         )
         self.use_pruning = use_pruning
         self.cluster_order = cluster_order
-        self.query_jobs = check_positive_int(query_jobs, "query_jobs")
         # Ambient stats (thread-local descriptors): start every slot
         # empty for the constructing thread.
         self.last_stats = None
         self.last_batch_stats = None
         self.last_shard_stats = None
         self.last_breakdown = None
-
-    def _scan_pool(self) -> ThreadPoolExecutor | None:
-        """The persistent shard-scan pool (``None`` when scans are serial).
-
-        Created lazily and raced safely: ``dict.setdefault`` is atomic
-        under the GIL, and a losing candidate pool has spawned no
-        threads yet (ThreadPoolExecutor starts threads on first submit),
-        so discarding it is free.
-        """
-        if self.query_jobs <= 1 or self.index.n_shards <= 1:
-            return None
-        pool = self.__dict__.get("_scan_pool_obj")
-        if pool is None:
-            candidate = ThreadPoolExecutor(
-                max_workers=min(self.query_jobs, self.index.n_shards),
-                thread_name_prefix="shard-scan",
-            )
-            pool = self.__dict__.setdefault("_scan_pool_obj", candidate)
-            if pool is not candidate:
-                candidate.shutdown(wait=False)
-        return pool
 
     # -- scoring ----------------------------------------------------------
 
@@ -2433,7 +2370,6 @@ class ShardedMogulRanker(Ranker):
             "shards.scan",
             shards=self.index.n_shards,
             batch=len(batch),
-            query_jobs=self.query_jobs,
         ) as node:
             answers, batch_stats, shard_stats = scatter_gather_rerank(
                 self.index,
@@ -2442,8 +2378,6 @@ class ShardedMogulRanker(Ranker):
                 candidates_list,
                 use_pruning=self.use_pruning,
                 cluster_order=self.cluster_order,
-                query_jobs=self.query_jobs,
-                pool=self._scan_pool(),
             )
             node.annotate(
                 scored=[int(s.clusters_scored) for s in shard_stats],
@@ -2469,7 +2403,6 @@ class ShardedMogulRanker(Ranker):
             "shards.scan",
             shards=self.index.n_shards,
             batch=len(batch),
-            query_jobs=self.query_jobs,
         ) as node:
             answers, batch_stats, shard_stats = scatter_gather_search(
                 self.index,
@@ -2477,8 +2410,6 @@ class ShardedMogulRanker(Ranker):
                 k,
                 use_pruning=self.use_pruning,
                 cluster_order=self.cluster_order,
-                query_jobs=self.query_jobs,
-                pool=self._scan_pool(),
             )
             node.annotate(
                 scored=[int(s.clusters_scored) for s in shard_stats],

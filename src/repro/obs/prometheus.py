@@ -28,14 +28,9 @@ _HELP = {
     ),
     "repro_max_batch_size": ("gauge", "Largest batch dispatched so far."),
     "repro_queue_depth": ("gauge", "Requests currently queued in the scheduler."),
-    "repro_query_workers": ("gauge", "Size of the engine worker pool."),
-    "repro_workers_busy": (
-        "gauge",
-        "Engine workers currently inside a solve.",
-    ),
     "repro_engine_wait_seconds_total": (
         "counter",
-        "Seconds dispatched batches spent waiting for a free engine worker.",
+        "Seconds dispatched batches spent waiting for the engine thread.",
     ),
     "repro_cache_hits_total": ("counter", "Result-cache hits."),
     "repro_cache_misses_total": ("counter", "Result-cache misses."),
@@ -199,7 +194,7 @@ def render_prometheus(
     queue_depth: int = 0,
     cache_stats: dict | None = None,
     slowlog_stats: dict | None = None,
-    worker_stats: dict | None = None,
+    engine_wait_seconds: float | None = None,
     residency_stats: dict | None = None,
 ) -> str:
     """The full exposition document for one scrape.
@@ -207,11 +202,10 @@ def render_prometheus(
     ``metrics`` is a :class:`repro.service.metrics.ServiceMetrics`
     (duck-typed: anything exposing ``snapshot()``, ``latency`` and
     ``stage_histograms()``); the optional dicts carry the surfaces owned
-    by other components (scheduler queue + worker pool, cache, flight
-    recorder, shard residency), mirroring the JSON ``/metrics`` assembly
-    in the server.  ``worker_stats`` carries ``query_workers``,
-    ``workers_busy`` and ``engine_wait_seconds`` from the scheduler
-    snapshot.  ``residency_stats`` is a
+    by other components (scheduler queue and engine thread, cache,
+    flight recorder, shard residency), mirroring the JSON ``/metrics``
+    assembly in the server.  ``engine_wait_seconds`` is the scheduler's
+    cumulative engine-thread wait.  ``residency_stats`` is a
     :meth:`repro.core.sharded.ShardedMogulIndex.residency_snapshot`
     dict; the residency gauges and counters are emitted whenever it is
     present (even unbudgeted — accounting without eviction), so
@@ -226,13 +220,8 @@ def render_prometheus(
     writer.sample("repro_queries_batched_total", snapshot["queries_batched"])
     writer.sample("repro_max_batch_size", snapshot["max_batch_size"])
     writer.sample("repro_queue_depth", queue_depth)
-    if worker_stats:
-        writer.sample("repro_query_workers", worker_stats.get("query_workers", 1))
-        writer.sample("repro_workers_busy", worker_stats.get("workers_busy", 0))
-        writer.sample(
-            "repro_engine_wait_seconds_total",
-            worker_stats.get("engine_wait_seconds", 0.0),
-        )
+    if engine_wait_seconds is not None:
+        writer.sample("repro_engine_wait_seconds_total", engine_wait_seconds)
     if cache_stats:
         writer.sample("repro_cache_hits_total", cache_stats["hits"])
         writer.sample("repro_cache_misses_total", cache_stats["misses"])

@@ -119,12 +119,6 @@ class AdmissionController:
         self.max_queue_depth = max_queue_depth
         self.max_queue_delay_ms = max_queue_delay_ms
         self.metrics = metrics
-        #: Engine worker pool size, set by the scheduler at construction
-        #: (1 until then).  The delay estimate drains the backlog
-        #: through this many concurrent solvers, so a pool of 4 halves
-        #: the estimated wait twice over — without it the controller
-        #: would shed at a quarter of the real capacity.
-        self.query_workers = 1
         self._lock = threading.Lock()
         self.admitted_total = 0
         self.shed_total = 0
@@ -140,8 +134,8 @@ class AdmissionController:
         """Expected wait of a request enqueued *now*, from live metrics.
 
         ``depth / mean_batch_size`` dispatches must drain ahead of it,
-        each costing the mean observed ``engine.dispatch`` stage time,
-        spread across :attr:`query_workers` concurrent engine workers.
+        each costing the mean observed ``engine.dispatch`` stage time on
+        the scheduler's one engine thread.
         Returns ``None`` until tracing has fed the per-stage histograms
         (the depth threshold alone governs admission until then).
         """
@@ -157,8 +151,7 @@ class AdmissionController:
             # rather than divide into 0/inf downstream.
             return None
         batch = max(1.0, self.metrics.mean_batch_size)
-        workers = max(1, int(self.query_workers))
-        estimate = (depth / batch) * mean_seconds / workers
+        estimate = (depth / batch) * mean_seconds
         if not math.isfinite(estimate):
             return None
         return estimate
@@ -213,6 +206,5 @@ class AdmissionController:
             "enabled": self.enabled,
             "max_queue_depth": self.max_queue_depth,
             "max_queue_delay_ms": self.max_queue_delay_ms,
-            "query_workers": self.query_workers,
             **counters,
         }

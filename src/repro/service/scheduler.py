@@ -13,14 +13,15 @@ on a timer for company: a batched query costs about what a sequential
 one does, so coalescing only amortises dispatch overhead, and a busy
 engine gets that for free from whatever queued while it solved.
 
-The engine runs on a pool of ``query_workers`` worker threads so the
-event loop keeps accepting requests mid-solve, and the per-query answers
-fan back out through futures, resolved straight from the worker's
-completion callback.  Each lane keeps **one batch in flight**; engines
-are reentrant (per-thread ambient stats, see
-:class:`repro.ranking.base.AmbientStatsMixin`) and numpy releases the
-GIL for the heavy kernels, so on a multi-core host ``--query-workers 4``
-genuinely overlaps the solves of *different* lanes.
+The engine runs on one dedicated engine thread so the event loop keeps
+accepting requests mid-solve, and the per-query answers fan back out
+through futures, resolved straight from that thread's completion
+callback.  Each lane keeps **one batch in flight**, and batches from the
+two lanes take turns on the engine thread.  One thread is a measured
+choice, not a placeholder: a query's solve is a few small triangular
+solves plus a pruned scan (well under a millisecond), and handing it to
+a second solver thread measured no faster (see the README's
+"Query-time concurrency" note).
 
 Correctness is inherited, not approximated: batching is purely an
 execution strategy (answers are bitwise identical to per-request
@@ -32,7 +33,7 @@ ordered by (score desc, id asc), so the top-k prefix of a top-K answer
 There are exactly two lanes, ``node`` (in-database queries) and
 ``oos`` (out-of-sample feature vectors), because they enter different
 engine entry points; each has its own pending list, both feed the
-shared engine worker pool.  A request carries a payload and a ``k`` and
+one engine thread.  A request carries a payload and a ``k`` and
 nothing else; there is no per-request accuracy setting.
 """
 
@@ -124,7 +125,7 @@ class _Lane:
     #: The scheduled launch (a ``call_soon`` handle, or the timer of a
     #: ``scheduler.queue`` stall); its requests are still in ``pending``.
     launch: asyncio.Handle | None = None
-    #: The executor future of the batch on a worker, if any.
+    #: The executor future of the batch on the engine thread, if any.
     solving: Future | None = None
 
 
@@ -175,16 +176,6 @@ class MicroBatchScheduler:
         setting.  ``False`` forces every dispatch through the batch
         engine, which is what benchmarks use to isolate the coalescing
         policy at batch size 1.
-    query_workers:
-        Size of the engine worker pool.  1 (the default) reproduces the
-        historical single-worker behaviour: every dispatch serializes on
-        one thread.  Larger values let batches from *different* lanes
-        solve concurrently (a lane keeps one batch in flight, so a lone
-        busy lane uses one worker) — answers are unchanged at any
-        setting (engines are reentrant and batching is semantics-free),
-        only the overlap changes.  Sizing guidance lives in the README's
-        "Parallel query execution" section; more workers than cores buys
-        nothing.
     """
 
     def __init__(
@@ -197,46 +188,33 @@ class MicroBatchScheduler:
         faults: FaultInjector | None = None,
         exclude_query: bool = True,
         sequential_singletons: bool = True,
-        query_workers: int = 1,
     ):
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        query_workers = int(query_workers)
-        if query_workers < 1:
-            raise ValueError(f"query_workers must be >= 1, got {query_workers}")
         self.ranker = ranker
-        self.query_workers = query_workers
         self.max_batch_size = max_batch_size
         self.cache = cache
         self.metrics = metrics
         self.admission = admission
-        if admission is not None:
-            # The delay estimate drains `depth` requests through
-            # `query_workers` concurrent solvers, not one.
-            admission.query_workers = query_workers
         self.faults = faults
         self.exclude_query = exclude_query
         self.sequential_singletons = sequential_singletons
         self._lanes: dict[str, _Lane] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: The engine worker pool.  Engines are reentrant (per-thread
-        #: ambient stats; numpy releases the GIL for the heavy kernels),
-        #: so `query_workers` threads may solve concurrently — the
-        #: answers are identical at any pool size.
+        #: The one engine thread: every solve and mutation runs here,
+        #: never on the event loop.
         self._executor: ThreadPoolExecutor | None = None
         self._running = False
-        #: Requests handed to the engine workers but not yet answered.
+        #: Requests handed to the engine thread but not yet answered.
         #: Admission must see these: a launch takes a whole batch off
         #: its lane at once, so queue depth alone under-counts the real
         #: backlog by up to (lanes x max_batch_size).
         self._in_flight = 0
-        #: Guards the worker gauges below (touched from pool threads).
-        self._workers_lock = threading.Lock()
-        #: Workers currently inside an engine solve (gauge for /metrics).
-        self._workers_busy = 0
-        #: Cumulative seconds batches spent waiting for a free engine
-        #: worker after dispatch (the serialization stall the pool is
-        #: meant to shrink; benchmarks read it before/after).
+        #: Guards `_engine_wait_seconds`, written on the engine thread
+        #: and read from the event loop.
+        self._wait_lock = threading.Lock()
+        #: Cumulative seconds dispatched batches spent waiting for the
+        #: engine thread (behind the other lane's batch or a mutation).
         self._engine_wait_seconds = 0.0
         self.batches_dispatched = 0
         self.queries_dispatched = 0
@@ -245,18 +223,18 @@ class MicroBatchScheduler:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        """Create the worker pool and the two base lanes."""
+        """Create the engine thread and the two base lanes."""
         if self._running:
             raise RuntimeError("scheduler is already running")
         self._running = True
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.query_workers, thread_name_prefix="mogul-engine"
+            max_workers=1, thread_name_prefix="mogul-engine"
         )
         self._lanes = {"node": _Lane(), "oos": _Lane()}
 
     async def stop(self) -> None:
-        """Fail what never reached a worker, let in-flight batches finish.
+        """Fail what never reached the engine, let in-flight batches finish.
 
         Every request still in a lane's pending list — queued behind a
         batch, taken by a launch that has not run yet, or held in a
@@ -264,7 +242,7 @@ class MicroBatchScheduler:
         :class:`SchedulerStoppedError`; the server maps it to 503 +
         ``Connection: close``, so clients can tell "server going away"
         (retry elsewhere) from an engine bug (500).  A batch already on
-        a worker finishes and its members are answered normally.
+        the engine thread finishes and its members are answered normally.
         """
         if not self._running:
             return
@@ -307,7 +285,7 @@ class MicroBatchScheduler:
 
     @property
     def in_flight(self) -> int:
-        """Requests assembled into batches and awaiting an engine worker."""
+        """Requests assembled into batches and awaiting the engine thread."""
         return self._in_flight
 
     @property
@@ -316,39 +294,29 @@ class MicroBatchScheduler:
 
         The admission controller's depth signal.  Queue depth alone is
         gameable by dispatch itself (a launch moves a whole batch off
-        its lane, parking it in front of the engine worker pool), so a
-        bound on the queue would not bound the wait.  Backlog is what an
+        its lane, parking it in front of the engine thread), so a bound
+        on the queue would not bound the wait.  Backlog is what an
         arriving request actually stands behind — the admission
-        controller converts it to an expected delay by dividing through
-        the pool size (its ``query_workers``, set by this scheduler at
-        construction).
+        controller converts it to an expected delay at the observed
+        per-query service time.
         """
         return self.queue_depth + self._in_flight
 
     @property
-    def workers_busy(self) -> int:
-        """Workers currently inside an engine solve (0..query_workers)."""
-        with self._workers_lock:
-            return self._workers_busy
-
-    @property
     def engine_wait_seconds(self) -> float:
-        """Cumulative seconds dispatched batches waited for a free worker.
+        """Cumulative seconds dispatched batches waited for the engine thread.
 
-        The serialization stall: with one worker every concurrent batch
-        queues behind the solve in progress; with a pool the wait
-        shrinks toward zero until all workers are busy.  Monotonic —
-        benchmarks difference it across runs.
+        The serialization stall: a batch dispatched while the other
+        lane's batch or a mutation holds the engine thread queues
+        behind it.  Monotonic — benchmarks difference it across runs.
         """
-        with self._workers_lock:
+        with self._wait_lock:
             return self._engine_wait_seconds
 
     def snapshot(self) -> dict:
         """Scheduler configuration and live counters for ``GET /stats``."""
         out = {
             "max_batch_size": self.max_batch_size,
-            "query_workers": self.query_workers,
-            "workers_busy": self.workers_busy if self._running else 0,
             "engine_wait_seconds": self.engine_wait_seconds,
             "queue_depth": self.queue_depth if self._running else 0,
             "in_flight": self._in_flight if self._running else 0,
@@ -429,7 +397,7 @@ class MicroBatchScheduler:
     async def insert(self, feature: np.ndarray) -> int:
         """Insert a point; returns its permanent id.
 
-        The O(1) buffer append runs on the engine worker so it
+        The O(1) buffer append runs on the engine thread so it
         serializes with query dispatches; a rebuild it triggers runs on
         the engine's *own* background thread — never here, so queued
         queries are not stalled behind it.
@@ -454,7 +422,7 @@ class MicroBatchScheduler:
         """Kick off (or join) a background rebuild; returns its ticket.
 
         ``wait=True`` blocks *this request* until the swap lands — on
-        the default executor, never the engine worker, so concurrent
+        the default executor, never the engine thread, so concurrent
         queries keep flowing while the caller waits.
         """
         engine = self._live_engine()
@@ -473,7 +441,7 @@ class MicroBatchScheduler:
         A request cannot receive more answers than there are nodes, and
         the top-k accumulator allocates O(k) — an unbounded client value
         must not size an allocation (a single huge ``k`` would otherwise
-        OOM the engine worker).  Capping is exact: ``top_k(min(k, n))``
+        OOM the engine thread).  Capping is exact: ``top_k(min(k, n))``
         returns the same answers as ``top_k(k)`` for any ``k >= n``.
         """
         if k <= 0:
@@ -559,7 +527,7 @@ class MicroBatchScheduler:
         self._dispatch(lane)
 
     def _dispatch(self, lane: str) -> None:
-        """Hand up to ``max_batch_size`` pending requests to a worker."""
+        """Hand up to ``max_batch_size`` pending requests to the engine thread."""
         state = self._lanes[lane]
         state.launch = None
         batch: list[_Pending] = []
@@ -578,7 +546,7 @@ class MicroBatchScheduler:
                     batch.append(pending)
         if not batch:
             return
-        # One engine span tree is built per dispatch (on the worker
+        # One engine span tree is built per dispatch (on the engine
         # thread) and shared by every coalesced member's trace: the
         # engine ran once for all of them, and the shared subtree is the
         # honest record of that.
@@ -594,7 +562,7 @@ class MicroBatchScheduler:
             traced,
             dispatched,
         )
-        # The worker hops back to the loop itself: no dispatcher task
+        # The engine thread hops back to the loop itself: no dispatcher task
         # sits between the executor future and the request futures.
         state.solving.add_done_callback(
             lambda outcome: self._loop.call_soon_threadsafe(
@@ -626,7 +594,7 @@ class MicroBatchScheduler:
     def _complete(
         self, lane: str, batch: list[_Pending], dispatched: float, outcome: Future
     ) -> None:
-        """A worker finished ``batch``: answer it, then refill the lane."""
+        """The engine thread finished ``batch``: answer it, then refill the lane."""
         state = self._lanes[lane]
         state.solving = None
         self._in_flight -= len(batch)
@@ -650,7 +618,7 @@ class MicroBatchScheduler:
             return
         results, per_query, engine_span, kept = outcome.result()
         # Members whose deadline lapsed while the batch waited for the
-        # worker thread were dropped at solve start (the second, last
+        # engine thread were dropped at solve start (the second, last
         # possible expiry check): 504 them now, on the event loop.
         kept_set = set(kept)
         ended = time.perf_counter()
@@ -700,113 +668,99 @@ class MicroBatchScheduler:
         traced: bool = False,
         dispatched: float | None = None,
     ) -> tuple[list[TopKResult], tuple[SearchStats, ...], Span | None, list[int]]:
-        """Run one coalesced batch on the engine (a pool worker thread).
+        """Run one coalesced batch on the engine (on the engine thread).
 
         Deadlines are re-checked here, at the last instant before the
-        solve: a batch can sit behind other dispatches waiting for a
-        free pool worker after passing the assembly-time check, and
+        solve: a batch can sit behind another dispatch waiting for the
+        engine thread after passing the assembly-time check, and
         solving a member nobody is waiting for is pure waste.  The
-        check runs on whichever worker picked the batch up, against
-        that worker's own start time — per-worker by construction.  The
         returned ``kept`` index list names the members actually solved
         (``results``/``per_query`` align with it); completion fails
         the dropped ones with 504.
 
-        ``dispatched`` is the ``perf_counter`` at submit to the pool;
-        the gap to solve start is the time this batch spent waiting for
-        a free worker, accumulated into :attr:`engine_wait_seconds`.
+        ``dispatched`` is the ``perf_counter`` at submit to the engine
+        thread; the gap to solve start is the time this batch spent
+        waiting for it, accumulated into :attr:`engine_wait_seconds`.
 
         Stats come back through the engines' explicit ``*_with_stats``
-        entry points, never ambient engine attributes — with several
-        pool workers solving concurrently, an ambient read could
-        otherwise observe a sibling dispatch's counters.  (The ambient
-        attributes are per-thread too, so this is belt and braces.)
+        entry points, never ambient engine attributes, so a library
+        caller sharing the engine from another thread cannot leak its
+        counters into a dispatch.
 
         A singleton batch takes the sequential fast path when
         ``sequential_singletons`` is on (the default); its answers are
         identical to a one-column batch call.
 
         When ``traced``, the whole dispatch runs under an activated
-        ``engine.dispatch`` span (whose meta names the ``worker_id``
-        that ran it), so the instrumentation points down in
+        ``engine.dispatch`` span, so the instrumentation points down in
         :mod:`repro.core` (seed/border solves, shard scans, live
         snapshots) attach their stage spans beneath it; the finished
         tree is returned for completion to graft onto each coalesced
         request's trace.
         """
         now = time.perf_counter()
-        with self._workers_lock:
-            if dispatched is not None:
+        if dispatched is not None:
+            with self._wait_lock:
                 self._engine_wait_seconds += max(0.0, now - dispatched)
-            self._workers_busy += 1
-        try:
-            kept = [
-                index
-                for index, deadline_at in enumerate(deadlines)
-                if deadline_at is None or now < deadline_at
-            ]
-            if not kept:
-                return [], (), None, kept
-            if self.faults is not None and self.faults.armed:
-                # Chaos site: a raised InjectedFault flows through the same
-                # path as a real engine failure (every coalesced member's
-                # future gets the exception, the client sees a 500); latency
-                # rules sleep right here on the worker thread — the
-                # bottleneck resource — so queues genuinely back up.
-                self.faults.maybe("engine.solve")
-            payloads = [payloads[index] for index in kept]
-            k = max(ks[index] for index in kept)
-            ranker = self.ranker
-            singleton = len(payloads) == 1 and self.sequential_singletons
-            # "mogul-engine_3" -> worker 3 (executor thread names are
-            # `<prefix>_<index>`); the raw name if the pattern changes.
-            thread_name = threading.current_thread().name
-            worker_id = thread_name.rpartition("_")[2] or thread_name
-            engine_span = (
-                Span(
-                    "engine.dispatch",
-                    meta={
-                        "lane": lane,
-                        "batch_size": len(payloads),
-                        "engine": ranker.name,
-                        "worker_id": worker_id,
-                    },
-                )
-                if traced
-                else None
+        kept = [
+            index
+            for index, deadline_at in enumerate(deadlines)
+            if deadline_at is None or now < deadline_at
+        ]
+        if not kept:
+            return [], (), None, kept
+        if self.faults is not None and self.faults.armed:
+            # Chaos site: a raised InjectedFault flows through the same
+            # path as a real engine failure (every coalesced member's
+            # future gets the exception, the client sees a 500); latency
+            # rules sleep right here on the engine thread — the
+            # bottleneck resource — so queues genuinely back up.
+            self.faults.maybe("engine.solve")
+        payloads = [payloads[index] for index in kept]
+        k = max(ks[index] for index in kept)
+        ranker = self.ranker
+        singleton = len(payloads) == 1 and self.sequential_singletons
+        engine_span = (
+            Span(
+                "engine.dispatch",
+                meta={
+                    "lane": lane,
+                    "batch_size": len(payloads),
+                    "engine": ranker.name,
+                },
             )
-            with activate(engine_span):
-                if lane == "node":
-                    if singleton:
-                        result, stats = ranker.top_k_with_stats(
-                            int(payloads[0]),
-                            k,
-                            exclude_query=self.exclude_query,
-                        )
-                        results, per_query = [result], (stats,)
-                    else:
-                        results, batch_stats = ranker.top_k_batch_with_stats(
-                            np.asarray(payloads, dtype=np.int64),
-                            k,
-                            exclude_query=self.exclude_query,
-                        )
-                        per_query = batch_stats.per_query
-                elif singleton:
-                    result, stats = ranker.top_k_out_of_sample_with_stats(
-                        payloads[0], k
+            if traced
+            else None
+        )
+        with activate(engine_span):
+            if lane == "node":
+                if singleton:
+                    result, stats = ranker.top_k_with_stats(
+                        int(payloads[0]),
+                        k,
+                        exclude_query=self.exclude_query,
                     )
                     results, per_query = [result], (stats,)
                 else:
-                    results, batch_stats = ranker.top_k_out_of_sample_batch_with_stats(
-                        np.asarray(payloads), k
+                    results, batch_stats = ranker.top_k_batch_with_stats(
+                        np.asarray(payloads, dtype=np.int64),
+                        k,
+                        exclude_query=self.exclude_query,
                     )
                     per_query = batch_stats.per_query
-            if engine_span is not None:
-                engine_span.end()
-            return results, per_query, engine_span, kept
-        finally:
-            with self._workers_lock:
-                self._workers_busy -= 1
+            elif singleton:
+                result, stats = ranker.top_k_out_of_sample_with_stats(
+                    payloads[0], k
+                )
+                results, per_query = [result], (stats,)
+            else:
+                results, batch_stats = ranker.top_k_out_of_sample_batch_with_stats(
+                    np.asarray(payloads), k
+                )
+                per_query = batch_stats.per_query
+        if engine_span is not None:
+            engine_span.end()
+        return results, per_query, engine_span, kept
 
 
 def _truncate(result: TopKResult, k: int) -> TopKResult:

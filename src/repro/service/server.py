@@ -3,7 +3,7 @@
 A deliberately small HTTP/1.1 front end — request line + headers +
 ``Content-Length`` body, keep-alive connections, JSON in and out — built
 on ``asyncio.start_server`` so the whole service (transport, scheduling,
-engine worker) runs in one process with zero dependencies beyond the
+engine thread) runs in one process with zero dependencies beyond the
 library itself.
 
 Endpoints
@@ -44,7 +44,7 @@ Tracing
 -------
 When tracing is on (the default), every ``/search`` / ``/search_oos``
 request gets a :class:`repro.obs.trace.Trace`: the scheduler records the
-queue wait (or the cache hit), the engine worker attaches the
+queue wait (or the cache hit), the engine thread attaches the
 dispatch tree with per-stage solve spans beneath it, and the finished
 trace feeds the per-stage latency histograms and the flight recorder.
 Responses carry the trace id in the ``X-Repro-Trace-Id`` header;
@@ -160,11 +160,6 @@ class RetrievalServer:
     faults:
         Optional armed :class:`repro.service.faults.FaultInjector`
         (chaos harness — tests/CI only; ``None`` in production).
-    query_workers:
-        Size of the scheduler's engine worker pool (``--query-workers``).
-        1 serializes every dispatch on one thread (the historical
-        behaviour); more workers overlap solves on multi-core hosts.
-        Answers are identical at any setting.
     """
 
     def __init__(
@@ -182,7 +177,6 @@ class RetrievalServer:
         max_queue_delay_ms: float | None = None,
         max_body_bytes: int = MAX_BODY_BYTES,
         faults: FaultInjector | None = None,
-        query_workers: int = 1,
     ):
         self.ranker = ranker
         self.host = host
@@ -214,7 +208,6 @@ class RetrievalServer:
             metrics=self.metrics,
             admission=self.admission,
             faults=faults,
-            query_workers=query_workers,
         )
         self._server: asyncio.AbstractServer | None = None
         self._started_at = time.time()
@@ -639,19 +632,10 @@ class RetrievalServer:
             payload["epoch"] = self.ranker.epoch
         return payload
 
-    def _worker_stats(self) -> dict:
-        """The scheduler's worker-pool gauges (shared by both metric views)."""
-        scheduler = self.scheduler
-        return {
-            "query_workers": scheduler.query_workers,
-            "workers_busy": scheduler.workers_busy,
-            "engine_wait_seconds": scheduler.engine_wait_seconds,
-        }
-
     def _metrics(self) -> dict:
         snapshot = self.metrics.snapshot()
         snapshot["queue_depth"] = self.scheduler.queue_depth
-        snapshot.update(self._worker_stats())
+        snapshot["engine_wait_seconds"] = self.scheduler.engine_wait_seconds
         snapshot["cache"] = self.cache.stats()
         snapshot["tracing"] = self.tracing
         snapshot["slowlog"] = self.flight.stats()
@@ -667,7 +651,7 @@ class RetrievalServer:
             queue_depth=self.scheduler.queue_depth,
             cache_stats=self.cache.stats(),
             slowlog_stats=self.flight.stats(),
-            worker_stats=self._worker_stats(),
+            engine_wait_seconds=self.scheduler.engine_wait_seconds,
             residency_stats=self._residency_stats(),
         )
 
@@ -849,7 +833,6 @@ def run_server(
     max_queue_delay_ms: float | None = None,
     max_body_bytes: int = MAX_BODY_BYTES,
     faults: FaultInjector | None = None,
-    query_workers: int = 1,
     announce: Callable[[str], None] = print,
 ) -> None:
     """Serve ``ranker`` until SIGINT or SIGTERM (the CLI's blocking entry point).
@@ -871,7 +854,6 @@ def run_server(
         max_queue_delay_ms=max_queue_delay_ms,
         max_body_bytes=max_body_bytes,
         faults=faults,
-        query_workers=query_workers,
     )
     if faults is not None and faults.armed:
         announce(f"chaos harness ARMED: {faults.snapshot()['rules']}")
@@ -892,7 +874,7 @@ def run_server(
             announce(
                 f"serving {ranker.name} index of {ranker.n_nodes} nodes on "
                 f"http://{server.host}:{bound} "
-                f"(max_batch_size={max_batch_size}, query_workers={query_workers})"
+                f"(max_batch_size={max_batch_size}, one engine thread)"
             )
             await stopping.wait()
             announce("shutting down")

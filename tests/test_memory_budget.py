@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import sys
 import threading
 
 import numpy as np
@@ -223,9 +224,9 @@ class TestBudgetedIdentity:
     """The tentpole property: budget/dtype never change an answer."""
 
     @pytest.mark.parametrize("bounds_dtype", BOUND_TABLE_DTYPES)
-    @pytest.mark.parametrize("query_jobs", (1, 4))
+    @pytest.mark.parametrize("callers", (1, 4))
     def test_sharded_bitwise_identity_under_eviction(
-        self, graph, saved_index, reference, bounds_dtype, query_jobs
+        self, graph, saved_index, reference, bounds_dtype, callers
     ):
         index = load_sharded_index(saved_index)
         # A budget this small cannot hold even one shard: every scan
@@ -233,15 +234,30 @@ class TestBudgetedIdentity:
         mgr = index.configure_memory_budget(
             0.005, bounds_dtype=bounds_dtype
         )
-        ranker = ShardedMogulRanker.from_index(
-            graph, index, query_jobs=query_jobs
-        )
-        for query in QUERY_SET:
-            expected, expected_stats = reference[query]
-            result = ranker.top_k(query, TOP_K)
-            assert np.array_equal(result.indices, expected.indices)
-            assert np.array_equal(result.scores, expected.scores)
-            assert ranker.last_stats == expected_stats
+        ranker = ShardedMogulRanker.from_index(graph, index)
+        start = threading.Barrier(callers, timeout=60)
+
+        def run_query_set() -> None:
+            # Each caller thread checks its own ambient stats, so a
+            # concurrent caller's counters can never pass for its own.
+            start.wait()
+            for query in QUERY_SET * 3:
+                expected, expected_stats = reference[query]
+                result = ranker.top_k(query, TOP_K)
+                assert np.array_equal(result.indices, expected.indices)
+                assert np.array_equal(result.scores, expected.scores)
+                assert ranker.last_stats == expected_stats
+
+        # A short switch interval makes threads interleave inside top_k,
+        # between a caller's stats write and its read-back.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(callers) as pool:
+                for future in [pool.submit(run_query_set) for _ in range(callers)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert mgr.evictions_total > 0
         assert mgr.faults_total > 0
 
@@ -361,11 +377,11 @@ class TestLazyLoadRace:
                     assert np.array_equal(result.scores, expected.scores)
 
     def test_parallel_scans_race_eviction(self, graph, saved_index, reference):
-        # query_jobs workers pin shards mid-scan while a tiny budget
+        # Concurrent callers pin shards mid-scan while a tiny budget
         # forces the engine to evict between (never during) scans.
         index = load_sharded_index(saved_index)
         index.configure_memory_budget(0.005, bounds_dtype="float32")
-        ranker = ShardedMogulRanker.from_index(graph, index, query_jobs=4)
+        ranker = ShardedMogulRanker.from_index(graph, index)
         with concurrent.futures.ThreadPoolExecutor(4) as pool:
             results = list(
                 pool.map(
@@ -498,14 +514,12 @@ class TestServerResidencySurface:
             index,
             memory_budget_mb=0.005,
             bounds_dtype="int8",
-            query_jobs=2,
         )
         with BackgroundServer(
             ranker,
             port=0,
             max_batch_size=4,
             cache_capacity=0,
-            query_workers=2,
         ) as server:
             from repro.service.client import RetrievalClient
 

@@ -160,7 +160,7 @@ class TestBatchAndShardStats:
     def test_concurrent_answers_bitwise_identical(self, graph):
         """Not just the stats: concurrent answers equal sequential ones."""
         ranker = ShardedMogulRanker.from_index(
-            graph, ShardedMogulIndex.build(graph, 3), query_jobs=2
+            graph, ShardedMogulIndex.build(graph, 3)
         )
         queries = [0, 45, 90, 135]
         baselines = {q: ranker.top_k(q, 10) for q in queries}

@@ -405,8 +405,6 @@ class TestValidationAndLifecycle:
     def test_bad_policy_rejected(self, ranker):
         with pytest.raises(ValueError, match="max_batch_size"):
             MicroBatchScheduler(ranker, max_batch_size=0)
-        with pytest.raises(ValueError, match="query_workers"):
-            MicroBatchScheduler(ranker, query_workers=0)
 
     def test_huge_k_is_capped_not_allocated(self, ranker):
         """A client k beyond the database size must not size an allocation."""
