@@ -389,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_memory_budget_flags(parser: argparse.ArgumentParser) -> None:
     """Shard-residency flags shared by ``search`` and ``serve``.
 
-    Both are no-ops on flat and spectral artifacts (loaded whole); on a
+    Both are no-ops on flat artifacts (loaded whole); on a
     sharded index they configure LRU eviction and compact bound tables
     with answers bitwise identical to the unbudgeted engine.
     """
@@ -403,7 +403,7 @@ def _add_memory_budget_flags(parser: argparse.ArgumentParser) -> None:
         help="cap a sharded index's evictable shard-state bytes; least-"
         "recently-used shards are evicted back to their mmap loaders and "
         "re-faulted on demand (default: everything stays resident; no-op "
-        "on flat/spectral indexes; answers are identical at any budget)",
+        "on flat indexes; answers are identical at any budget)",
     )
     parser.add_argument(
         "--bounds-dtype",
@@ -488,10 +488,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     index = load_any_index(args.index)
-    from repro.core.spectral import SpectralIndex
-
-    if isinstance(index, SpectralIndex):
-        return _spectral_info(index)
     sharded = isinstance(index, ShardedMogulIndex)
     if args.verbose:
         if sharded:
@@ -563,24 +559,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
             f"{state.deletes} deletes / {state.rebuilds} rebuilds"
         )
         print(f"  live nodes:     {state.n_total - state.tombstones.shape[0]}")
-    return 0
-
-
-def _spectral_info(index) -> int:
-    """The ``info`` report for a standalone spectral artifact."""
-    print(f"nodes:            {index.n_nodes}")
-    print(f"alpha:            {index.alpha}")
-    print(f"factorization:    {index.factorization}")
-    print(f"spectral rank:    {index.rank}")
-    print(f"clusters:         {index.n_clusters}")
-    print(f"basis non-zeros:  {index.factor_nnz} (dense n x r)")
-    profile = index.profile
-    if profile is not None:
-        if profile.stages:
-            print("build profile:")
-            print(profile.to_text())
-        elif profile.load_seconds is not None:
-            print(f"loaded in:        {profile.load_seconds:.3f}s")
     return 0
 
 

@@ -45,13 +45,9 @@ from repro.core.serialize import (
     load_index,
     load_live_state,
     load_sharded_index,
-    load_spectral_index,
-    load_spectral_tier,
     save_index,
     save_live_state,
     save_sharded_index,
-    save_spectral_index,
-    spectral_tier_path,
 )
 from repro.core.sharded import (
     ShardedMogulIndex,
@@ -106,18 +102,14 @@ __all__ = [
     "load_index",
     "load_live_state",
     "load_sharded_index",
-    "load_spectral_index",
-    "load_spectral_tier",
     "plan_shards",
     "precompute_cluster_bounds",
     "preset_candidates",
     "save_index",
     "save_live_state",
     "save_sharded_index",
-    "save_spectral_index",
     "scatter_gather_rerank",
     "scatter_gather_search",
-    "spectral_tier_path",
     "top_k_batch_search",
     "top_k_rerank",
     "top_k_search",

@@ -89,44 +89,31 @@ def _artifact_kind(index) -> str:
     """A human name for an index artifact, for error messages."""
     from repro.core.index import MogulIndex
     from repro.core.sharded import ShardedMogulIndex
-    from repro.core.spectral import SpectralIndex
 
     if isinstance(index, ShardedMogulIndex):
         return "a sharded Mogul index"
     if isinstance(index, MogulIndex):
         return "a flat Mogul index"
-    if isinstance(index, SpectralIndex):
-        return "a spectral index"
     return f"an unsupported artifact of type {type(index).__name__}"
 
 
 def engine_from_index(
     graph, index, live: bool = False, live_kwargs: dict | None = None,
-    spectral=None,
     **search_kwargs,
 ) -> "Engine":
     """Attach the right engine to a loaded index artifact.
 
     ``index`` is whatever :func:`repro.core.serialize.load_any_index`
-    returned — a legacy :class:`repro.core.MogulIndex` (``.npz`` file),
-    a :class:`repro.core.ShardedMogulIndex` (directory layout), or a
-    :class:`repro.core.spectral.SpectralIndex` (``.npz`` with the
-    spectral marker).  ``search_kwargs`` are forwarded to the engine
-    constructor (``use_pruning``, ``cluster_order``, ...); a standalone
-    spectral artifact takes none.  ``memory_budget_mb`` and
+    returned — a flat :class:`repro.core.MogulIndex` (``.npz`` file) or
+    a :class:`repro.core.ShardedMogulIndex` (directory layout).
+    ``search_kwargs`` are forwarded to the engine constructor
+    (``use_pruning``, ``cluster_order``, ...).  ``memory_budget_mb`` and
     ``bounds_dtype`` are accepted for *any* artifact so deployment
     flags need not know the artifact kind: on a sharded artifact
     they configure LRU shard residency and compact bound tables via
     :meth:`repro.core.sharded.ShardedMogulIndex.configure_memory_budget`
-    before the engine attaches; on flat and spectral artifacts they are
-    no-ops (those artifacts are loaded whole — there is no per-shard
-    state to evict).
-
-    ``spectral`` composes a tiered engine: pass a
-    :class:`repro.core.spectral.SpectralIndex` (e.g. from
-    :func:`repro.core.serialize.load_spectral_tier`) and the exact base
-    engine is wrapped in a :class:`repro.core.tiered.TieredEngine` with
-    that nomination tier.
+    before the engine attaches; on a flat artifact they are no-ops (it
+    is loaded whole — there is no per-shard state to evict).
 
     ``live=True`` wraps the base engine in a
     :class:`repro.core.live.LiveEngine` (thread-safe writes + background
@@ -134,14 +121,11 @@ def engine_from_index(
     (``k``, ``auto_rebuild_fraction``, ``jobs``, ``fill_level``).  Both
     exact base kinds work: a sharded artifact rebuilds sharded, a flat
     one rebuilds flat, and rebuilds replay the ``search_kwargs`` applied
-    here (they are read back off the base engine).  Unsupported
-    combinations — a spectral artifact asked to be live, a spectral
-    artifact asked to be its own nomination tier — raise
-    :class:`ValueError` naming the artifact kind.
+    here (they are read back off the base engine).  Any other artifact
+    raises :class:`ValueError` naming its type.
     """
     from repro.core.index import MogulIndex, MogulRanker
     from repro.core.sharded import ShardedMogulIndex, ShardedMogulRanker
-    from repro.core.spectral import SpectralEngine, SpectralIndex
 
     # memory_budget_mb / bounds_dtype only mean something to the
     # sharded engine; popping them here lets callers pass them
@@ -156,45 +140,12 @@ def engine_from_index(
         base = ShardedMogulRanker.from_index(graph, index, **search_kwargs)
     elif isinstance(index, MogulIndex):
         base = MogulRanker.from_index(graph, index, **search_kwargs)
-    elif isinstance(index, SpectralIndex):
-        if live:
-            raise ValueError(
-                f"cannot serve {_artifact_kind(index)} live: mutations "
-                "require an exact (factorization-based) artifact"
-            )
-        if spectral is not None:
-            raise ValueError(
-                f"cannot use {_artifact_kind(index)} as the exact tier of "
-                "a tiered engine; the base artifact must be a flat or "
-                "sharded Mogul index"
-            )
-        if search_kwargs:
-            raise ValueError(
-                f"{_artifact_kind(index)} accepts no search options, got "
-                f"{sorted(search_kwargs)}"
-            )
-        return SpectralEngine.from_index(graph, index)
     else:
         raise ValueError(
             f"cannot build an engine around {_artifact_kind(index)}; "
-            "expected a flat Mogul index (.npz), a sharded Mogul index "
-            "(directory), or a spectral index (.npz)"
+            "expected a flat Mogul index (.npz) or a sharded Mogul index "
+            "(directory)"
         )
-    if spectral is not None:
-        if not isinstance(spectral, SpectralIndex):
-            raise ValueError(
-                "spectral tier must be a SpectralIndex, got "
-                f"{_artifact_kind(spectral)}"
-            )
-        if live:
-            raise ValueError(
-                "cannot combine a tiered engine with live mutations: the "
-                "spectral tier cannot follow writes; serve the exact "
-                "artifact live or the tiered engine read-only"
-            )
-        from repro.core.tiered import TieredEngine
-
-        return TieredEngine(base, SpectralEngine.from_index(graph, spectral))
     if not live:
         return base
     from repro.core.live import LiveEngine

@@ -43,9 +43,6 @@ class BuildProfile:
         paper's ICF, > 1 with fill).
     n_shards:
         Shard count of the build (1 for the unsharded index).
-    spectral_rank:
-        Retained eigenpair count of a spectral index build; ``None`` for
-        factorization-based (Mogul/MogulE) indexes.
     shard_parallel_mode:
         How the sharded build executed its span workers (``"process"`` or
         ``"serial"``); ``None`` for unsharded or reference-backend builds.
@@ -71,7 +68,6 @@ class BuildProfile:
     fill_ratio: float = 0.0
     n_shards: int = 1
     shard_parallel_mode: str | None = None
-    spectral_rank: int | None = None
     #: Per-shard build cost (span factorization + state carving) in
     #: seconds; empty for unsharded builds.  Measured as each shard's
     #: *work*, so it is meaningful even on time-shared cores.
@@ -131,9 +127,6 @@ class BuildProfile:
             "fill_ratio": float(self.fill_ratio),
             "n_shards": int(self.n_shards),
             "shard_parallel_mode": self.shard_parallel_mode,
-            "spectral_rank": (
-                None if self.spectral_rank is None else int(self.spectral_rank)
-            ),
             "shard_seconds": [float(s) for s in self.shard_seconds],
             "critical_path_seconds": self.critical_path_seconds,
             "load_seconds": (
@@ -150,7 +143,6 @@ class BuildProfile:
             raise ValueError("build profile 'stages' must be a mapping")
         load_seconds = payload.get("load_seconds")
         mode = payload.get("shard_parallel_mode")
-        spectral_rank = payload.get("spectral_rank")
         return cls(
             stages={str(k): float(v) for k, v in stages.items()},
             factor_backend=str(payload.get("factor_backend", "csr")),
@@ -163,7 +155,6 @@ class BuildProfile:
             fill_ratio=float(payload.get("fill_ratio", 0.0)),
             n_shards=int(payload.get("n_shards", 1)),
             shard_parallel_mode=None if mode is None else str(mode),
-            spectral_rank=None if spectral_rank is None else int(spectral_rank),
             shard_seconds=[float(s) for s in payload.get("shard_seconds", [])],
             load_seconds=None if load_seconds is None else float(load_seconds),
             load_warnings=[str(w) for w in payload.get("load_warnings", [])],
@@ -193,8 +184,6 @@ class BuildProfile:
             shard_note = f" shards={self.n_shards}"
             if self.shard_parallel_mode:
                 shard_note += f"({self.shard_parallel_mode})"
-        if self.spectral_rank is not None:
-            shard_note += f" spectral_rank={self.spectral_rank}"
         lines.append(
             f"backend={self.factor_backend} jobs={self.jobs}{shard_note} "
             f"nodes={self.n_nodes} clusters={self.n_clusters} "

@@ -120,7 +120,7 @@ def graph_from_index(index, features: np.ndarray):
     the index was built over) without re-running the k-NN search.  Every
     :class:`KnnGraph` check applies, so a feature matrix whose row count
     differs from the graph's raises :class:`ValueError`, as does an
-    artifact that carries no graph (a spectral index).
+    index that carries no graph.
     """
     from repro.core.engine import _artifact_kind
     from repro.graph.adjacency import KnnGraph
@@ -1087,217 +1087,6 @@ def load_live_state(index_path: "str | os.PathLike"):
         )
 
 
-# -- spectral index ---------------------------------------------------------
-#
-# The spectral engine's artifact is a single .npz like the flat Mogul
-# index, but with its own member set (basis vectors/values instead of a
-# factor) and its own version marker key — `spectral_format_version` —
-# so `load_any_index` can dispatch on the zip's member names without
-# reading any array data.
-
-SPECTRAL_FORMAT_VERSION = 1
-_SPECTRAL_VERSION_KEY = "spectral_format_version"
-_SPECTRAL_REQUIRED_KEYS = (
-    _SPECTRAL_VERSION_KEY,
-    "vectors",
-    "values",
-    "alpha",
-    "cluster_means",
-    "member_nodes",
-    "member_starts",
-)
-SPECTRAL_SIDECAR_MEMBER = "spectral.npz"
-
-
-def save_spectral_index(
-    index, path: "str | os.PathLike", compressed: bool = False
-) -> str:
-    """Write a :class:`repro.core.spectral.SpectralIndex`; returns the path.
-
-    Same conventions as :func:`save_index`: ``.npz`` suffix appended when
-    missing, atomic temp-file + rename, uncompressed by default.  Cluster
-    membership is stored flattened (``member_nodes`` + ``member_starts``
-    offsets) since clusters are ragged.
-    """
-    members = index.cluster_members
-    starts = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum([nodes.size for nodes in members], out=starts[1:])
-    nodes = (
-        np.concatenate(members).astype(np.int64)
-        if members
-        else np.zeros(0, dtype=np.int64)
-    )
-    payload = {
-        _SPECTRAL_VERSION_KEY: np.int64(SPECTRAL_FORMAT_VERSION),
-        "vectors": np.asarray(index.basis.vectors, dtype=np.float64),
-        "values": np.asarray(index.basis.values, dtype=np.float64),
-        "alpha": np.float64(index.alpha),
-        "cluster_means": np.asarray(index.cluster_means, dtype=np.float64),
-        "member_nodes": nodes,
-        "member_starts": starts,
-    }
-    if index.profile is not None:
-        payload["build_profile"] = np.str_(
-            json.dumps(_profile_payload(index.profile))
-        )
-    writer = np.savez_compressed if compressed else np.savez
-    target = os.fspath(path)
-    if not target.endswith(".npz"):
-        target += ".npz"
-    _atomic_write(target, lambda stream: writer(stream, **payload))
-    return target
-
-
-def is_spectral_index_path(path: "str | os.PathLike") -> bool:
-    """``True`` when ``path`` is an ``.npz`` carrying a spectral index.
-
-    Decided from the zip member names alone (no array reads), so the
-    check is cheap enough for :func:`load_any_index` dispatch.
-    """
-    target = os.fspath(path)
-    if not os.path.isfile(target):
-        return False
-    try:
-        with zipfile.ZipFile(target) as archive:
-            return f"{_SPECTRAL_VERSION_KEY}.npy" in archive.namelist()
-    except (OSError, zipfile.BadZipFile):
-        return False
-
-
-def load_spectral_index(path: "str | os.PathLike"):
-    """Read a :class:`repro.core.spectral.SpectralIndex` saved by
-    :func:`save_spectral_index`, validating before reconstruction.
-    """
-    from repro.core.profile import BuildProfile
-    from repro.core.spectral import SpectralIndex
-    from repro.linalg.spectral import SpectralBasis
-
-    load_started = time.perf_counter()
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError) as error:
-        raise ValueError(
-            f"not a spectral index file ({os.fspath(path)!r} is not a "
-            f"readable .npz archive: {error})"
-        ) from None
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(
-            f"not a spectral index file ({os.fspath(path)!r} is a plain "
-            f"array, expected an .npz archive)"
-        )
-    with archive:
-        missing = [key for key in _SPECTRAL_REQUIRED_KEYS if key not in archive]
-        if missing:
-            raise ValueError(
-                f"not a spectral index file (missing keys {missing})"
-            )
-        version_array = archive[_SPECTRAL_VERSION_KEY]
-        if version_array.size != 1 or not np.issubdtype(
-            version_array.dtype, np.integer
-        ):
-            raise ValueError(
-                "corrupt spectral index file: format version is not an integer"
-            )
-        version = int(version_array)
-        if version != SPECTRAL_FORMAT_VERSION:
-            raise ValueError(
-                f"spectral index file has format version {version}, "
-                f"this library reads version {SPECTRAL_FORMAT_VERSION}"
-            )
-        vectors = np.asarray(archive["vectors"], dtype=np.float64)
-        values = np.asarray(archive["values"], dtype=np.float64)
-        if vectors.ndim != 2:
-            raise ValueError(
-                f"corrupt spectral index file: vectors has shape "
-                f"{vectors.shape}, expected (n, r)"
-            )
-        n, rank = vectors.shape
-        if values.shape != (rank,):
-            raise ValueError(
-                f"corrupt spectral index file: values has shape "
-                f"{values.shape}, expected ({rank},)"
-            )
-        alpha = float(archive["alpha"])
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(
-                f"corrupt spectral index file: alpha {alpha} outside (0, 1)"
-            )
-        means = np.asarray(archive["cluster_means"], dtype=np.float64)
-        starts = np.asarray(archive["member_starts"], dtype=np.int64)
-        nodes = np.asarray(archive["member_nodes"], dtype=np.int64)
-        if means.ndim != 2 or starts.ndim != 1 or starts.size < 1:
-            raise ValueError(
-                "corrupt spectral index file: cluster tables malformed"
-            )
-        if means.shape[0] != starts.size - 1:
-            raise ValueError(
-                f"corrupt spectral index file: {means.shape[0]} cluster means "
-                f"but {starts.size - 1} member ranges"
-            )
-        if int(starts[0]) != 0 or np.any(np.diff(starts) < 0):
-            raise ValueError(
-                "corrupt spectral index file: member_starts is not "
-                "monotonic from 0"
-            )
-        if int(starts[-1]) != nodes.shape[0]:
-            raise ValueError(
-                f"corrupt spectral index file: member_starts declares "
-                f"{int(starts[-1])} members but {nodes.shape[0]} are stored"
-            )
-        if nodes.size and (int(nodes.min()) < 0 or int(nodes.max()) >= n):
-            raise ValueError(
-                f"corrupt spectral index file: member ids outside [0, {n})"
-            )
-        profile = None
-        if "build_profile" in archive:
-            try:
-                profile = BuildProfile.from_json(str(archive["build_profile"]))
-            except (ValueError, TypeError):
-                profile = None  # a broken profile never blocks a load
-    basis = SpectralBasis(vectors=vectors, values=values)
-    members = tuple(
-        nodes[starts[cid] : starts[cid + 1]] for cid in range(starts.size - 1)
-    )
-    if profile is None:
-        profile = BuildProfile(
-            factor_backend="eigsh",
-            n_nodes=n,
-            n_clusters=len(members),
-            factor_nnz=int(vectors.size),
-            spectral_rank=rank,
-        )
-    profile.load_seconds = time.perf_counter() - load_started
-    return SpectralIndex(
-        basis=basis,
-        alpha=alpha,
-        cluster_means=means,
-        cluster_members=members,
-        profile=profile,
-    )
-
-
-def spectral_tier_path(index_path: "str | os.PathLike") -> str:
-    """Where the spectral-tier sidecar of an exact artifact lives.
-
-    Mirrors :func:`live_state_path`: ``<dir>/spectral.npz`` for sharded
-    directories, ``foo.idx.spectral.npz`` next to ``foo.idx.npz``.
-    """
-    target = os.fspath(index_path)
-    if os.path.isdir(target):
-        return os.path.join(target, SPECTRAL_SIDECAR_MEMBER)
-    if target.endswith(".npz"):
-        target = target[:-4]
-    return target + ".spectral.npz"
-
-
-def load_spectral_tier(index_path: "str | os.PathLike"):
-    """Read an artifact's spectral sidecar; ``None`` when absent."""
-    target = spectral_tier_path(index_path)
-    if not os.path.isfile(target):
-        return None
-    return load_spectral_index(target)
-
-
 def is_sharded_index_path(path: "str | os.PathLike") -> bool:
     """``True`` when ``path`` looks like a sharded index directory."""
     target = os.fspath(path)
@@ -1310,11 +1099,9 @@ def load_any_index(path: "str | os.PathLike"):
     """Load whichever index artifact lives at ``path``.
 
     Dispatches on the on-disk shape: a directory with a manifest loads as
-    a :class:`repro.core.ShardedMogulIndex`, an ``.npz`` carrying the
-    spectral marker as a :class:`repro.core.spectral.SpectralIndex`, and
-    anything else through the legacy single-file :func:`load_index` —
-    the one entry point the CLI and service use, so every artifact kind
-    stays interchangeable.
+    a :class:`repro.core.ShardedMogulIndex`, and anything else through the
+    single-file :func:`load_index` — the one entry point the CLI and
+    service use, so both artifact kinds stay interchangeable.
     """
     if is_sharded_index_path(path):
         return load_sharded_index(path)
@@ -1323,8 +1110,6 @@ def load_any_index(path: "str | os.PathLike"):
             f"{os.fspath(path)!r} is a directory without a {MANIFEST_NAME}; "
             "not an index artifact"
         )
-    if is_spectral_index_path(path):
-        return load_spectral_index(path)
     return load_index(path)
 
 

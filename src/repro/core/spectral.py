@@ -99,7 +99,7 @@ class SpectralIndex:
     cluster_members:
         Original node ids per cluster.
     profile:
-        Build/load profile; ``None`` when assembled by hand (tests).
+        Build profile; ``None`` when assembled by hand (tests).
     """
 
     basis: SpectralBasis
@@ -157,7 +157,6 @@ class SpectralIndex:
         profile.n_clusters = n_clusters
         profile.w_nnz = int(s.nnz)
         profile.factor_nnz = int(basis.vectors.size)
-        profile.spectral_rank = basis.rank
         return cls(
             basis=basis,
             alpha=alpha,
@@ -191,19 +190,6 @@ class SpectralIndex:
         """Dense coefficient count of the basis (the stats-surface analogue
         of the factor's non-zeros)."""
         return int(self.basis.vectors.size)
-
-    def save(self, path) -> None:
-        """Persist to ``.npz`` (see :mod:`repro.core.serialize`)."""
-        from repro.core.serialize import save_spectral_index
-
-        save_spectral_index(self, path)
-
-    @classmethod
-    def load(cls, path) -> "SpectralIndex":
-        """Restore an index saved with :meth:`save`."""
-        from repro.core.serialize import load_spectral_index
-
-        return load_spectral_index(path)
 
 
 class SpectralEngine(Ranker):
@@ -243,7 +229,7 @@ class SpectralEngine(Ranker):
 
     @classmethod
     def from_index(cls, graph: KnnGraph, index: SpectralIndex) -> "SpectralEngine":
-        """Attach a prebuilt (e.g. loaded) spectral index to its graph."""
+        """Attach a prebuilt spectral index to its graph."""
         if graph.n_nodes != index.n_nodes:
             raise ValueError(
                 f"graph has {graph.n_nodes} nodes but the index covers "

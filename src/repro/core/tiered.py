@@ -13,7 +13,7 @@ answer the spectral tier failed to nominate, and the recall of that
 nomination is what ``m`` dials:
 
 * ``accuracy="fast"`` — ``m = max(4k, 32)``: smallest candidate sets,
-  highest q/s, recall certified by ``benchmarks/bench_tiered.py``.
+  highest q/s, lowest recall.
 * ``accuracy="balanced"`` (default) — ``m = max(16k, 128)``: recall@10
   indistinguishable from exact on the benchmark graphs.
 * ``accuracy="exact"`` — bypass the spectral tier entirely and delegate

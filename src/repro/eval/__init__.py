@@ -7,8 +7,6 @@
   sparsity patterns (Figure 6).
 * :mod:`repro.eval.harness` — timing loops and aligned result tables used
   by every ``repro.experiments`` module and benchmark.
-* :mod:`repro.eval.tiered` — recall@k-versus-latency sweeps of the tiered
-  engine's accuracy dial against the exact engine.
 """
 
 from repro.eval.harness import (
@@ -27,21 +25,17 @@ from repro.eval.metrics import (
     retrieval_precision,
 )
 from repro.eval.sparsity import block_structure_stats, sparsity_raster
-from repro.eval.tiered import DialPoint, curve_table, recall_latency_curve
 
 __all__ = [
-    "DialPoint",
     "ExperimentTable",
     "average_precision_at_k",
     "block_structure_stats",
-    "curve_table",
     "iter_batches",
     "ndcg_at_k",
     "p_at_k",
     "rank_correlation",
     "reciprocal_rank",
     "retrieval_precision",
-    "recall_latency_curve",
     "sample_queries",
     "sparsity_raster",
     "time_queries",

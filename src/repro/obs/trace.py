@@ -1,8 +1,8 @@
 """Request tracing primitives: spans, traces and the ambient context.
 
 The serving stack spans six layers (HTTP front end → micro-batching
-scheduler → result cache → tiered nominate → exact re-rank → sharded
-scatter-gather / live epochs); aggregate percentiles say *that* a p99
+scheduler → result cache → seed forward solve → border solve → cluster
+scan); aggregate percentiles say *that* a p99
 spike happened, a trace says *where*.  A :class:`Trace` is one request's
 span tree: the server creates it, the scheduler records the coalescing
 wait, and the engine worker activates it so instrumentation points deep
@@ -281,7 +281,7 @@ def current() -> Span | _NoopSpan:
 def span(name: str, **meta: object) -> Span | _NoopSpan:
     """Open a child of the ambient span (the core instrumentation point).
 
-    ``with obs.span("tier.nominate"): ...`` — when no trace is active on
+    ``with obs.span("solve.border"): ...`` — when no trace is active on
     this thread, returns the no-op singleton: one thread-local read, no
     allocation, nothing recorded.
     """
@@ -316,8 +316,9 @@ def format_trace(tree: dict, indent: int = 0) -> str:
         request                      12.41 ms
           scheduler.wait              1.93 ms  batch_size=4
           engine.dispatch             9.80 ms  lane=node
-            tier.nominate             1.02 ms
-            tier.rerank               8.01 ms
+            solve.seed_forward        0.77 ms
+            solve.border              1.02 ms
+            scan.clusters             8.01 ms
     """
     meta = tree.get("meta") or {}
     note = "  " + " ".join(f"{k}={v}" for k, v in meta.items()) if meta else ""

@@ -2,8 +2,8 @@
 
 Covers the numerics (:mod:`repro.linalg.spectral`), the engine wrapper
 (:mod:`repro.core.spectral`) including the cheap nomination path, and
-the ``.npz`` persistence + sidecar dispatch in
-:mod:`repro.core.serialize`.  The load-bearing property: at full rank
+that :func:`repro.core.serialize.load_any_index` refuses a leftover
+spectral ``.npz``.  The load-bearing property: at full rank
 the spectral scores equal the exact dense solve, so the truncation is
 the *only* source of approximation anywhere in the tier.
 """
@@ -13,19 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import engine_from_index
-from repro.core.serialize import (
-    is_spectral_index_path,
-    load_any_index,
-    load_spectral_index,
-    load_spectral_tier,
-    save_index,
-    save_spectral_index,
-    spectral_tier_path,
-)
+from repro.core.serialize import load_any_index
 from repro.core.spectral import (
     SpectralEngine,
-    SpectralIndex,
     nominate_from_scores,
 )
 from repro.linalg.spectral import (
@@ -180,7 +170,7 @@ class TestSpectralEngine:
     def test_build_profile(self, engine):
         profile = engine.index.profile
         assert profile.factor_backend == "eigsh"
-        assert profile.spectral_rank == 40
+        assert engine.index.rank == 40
         assert profile.n_nodes == engine.n_nodes
         assert profile.n_clusters == engine.index.n_clusters > 0
         assert engine.index.factorization == "spectral"
@@ -259,66 +249,24 @@ class TestSpectralEngine:
 
 
 class TestPersistence:
-    @pytest.fixture(scope="class")
-    def saved(self, engine, tmp_path_factory):
-        path = save_spectral_index(
-            engine.index, tmp_path_factory.mktemp("spec") / "tier"
+    """Spectral indexes have no artifact kind: every index file is Mogul."""
+
+    def test_load_any_index_dispatch(self, engine, tmp_path):
+        index = engine.index
+        leftover = tmp_path / "tier.npz"
+        np.savez(
+            leftover,
+            spectral_format_version=np.int64(1),
+            vectors=index.basis.vectors,
+            values=index.basis.values,
+            alpha=np.float64(index.alpha),
+            cluster_means=index.cluster_means,
         )
-        return path, engine.index
-
-    def test_round_trip(self, saved):
-        path, index = saved
-        assert path.endswith(".npz")
-        loaded = load_spectral_index(path)
-        np.testing.assert_array_equal(
-            loaded.basis.vectors, index.basis.vectors
-        )
-        np.testing.assert_array_equal(loaded.basis.values, index.basis.values)
-        assert loaded.alpha == index.alpha
-        np.testing.assert_array_equal(loaded.cluster_means, index.cluster_means)
-        assert len(loaded.cluster_members) == len(index.cluster_members)
-        for a, b in zip(loaded.cluster_members, index.cluster_members):
-            np.testing.assert_array_equal(a, b)
-        assert loaded.profile.spectral_rank == index.profile.spectral_rank
-
-    def test_marker_detection(self, saved, engine, tmp_path):
-        path, _ = saved
-        assert is_spectral_index_path(path)
-        assert not is_spectral_index_path(tmp_path / "absent.npz")
-
-    def test_mogul_artifact_is_not_spectral(self, clustered_graph, tmp_path):
-        from repro.core.index import MogulIndex
-
-        mogul_path = str(tmp_path / "mogul.npz")
-        save_index(MogulIndex.build(clustered_graph), mogul_path)
-        assert not is_spectral_index_path(mogul_path)
-        with pytest.raises(ValueError, match="not a spectral index"):
-            load_spectral_index(mogul_path)
-
-    def test_load_any_index_dispatch(self, saved, clustered_graph):
-        path, _ = saved
-        loaded = load_any_index(path)
-        assert isinstance(loaded, SpectralIndex)
-        served = engine_from_index(clustered_graph, loaded)
-        assert isinstance(served, SpectralEngine)
-
-    def test_sidecar_path_mapping(self, tmp_path):
-        assert spectral_tier_path(str(tmp_path / "foo.npz")) == str(
-            tmp_path / "foo.spectral.npz"
-        )
-        assert spectral_tier_path(str(tmp_path)) == str(
-            tmp_path / "spectral.npz"
-        )
-
-    def test_load_spectral_tier(self, engine, tmp_path):
-        artifact = str(tmp_path / "index.npz")
-        assert load_spectral_tier(artifact) is None
-        save_spectral_index(engine.index, spectral_tier_path(artifact))
-        tier = load_spectral_tier(artifact)
-        assert tier is not None and tier.rank == engine.rank
+        with pytest.raises(ValueError, match="not a Mogul index file"):
+            load_any_index(leftover)
 
     def test_rejects_non_archive(self, tmp_path):
         bogus = tmp_path / "bogus.npz"
         bogus.write_bytes(b"not a zip at all")
-        with pytest.raises(ValueError, match="not a spectral index"):
-            load_spectral_index(bogus)
+        with pytest.raises(ValueError, match="not a Mogul index file"):
+            load_any_index(bogus)

@@ -5,7 +5,7 @@ The properties under test mirror the serving contract: ``m = n`` and
 entry point (flat *and* sharded base, multiple graph seeds), the dial
 canonicalises and rejects malformed requests, per-tier counters account
 for every query, and :func:`repro.core.engine.engine_from_index` raises
-a clear error naming the artifact kind for unsupported combinations.
+a clear error naming the artifact kind it cannot serve.
 """
 
 from __future__ import annotations
@@ -233,52 +233,13 @@ class TestDialBehaviour:
 
 
 class TestEngineFactory:
-    """Satellite: clear errors naming the artifact kind."""
+    """Clear errors naming the artifact kind."""
 
-    @pytest.fixture(scope="class")
-    def artifacts(self, setup):
-        graph, base, spectral, _ = setup
-        return graph, base.index, spectral.index
-
-    def test_spectral_artifact_serves_standalone(self, artifacts):
-        graph, _, spectral_index = artifacts
-        engine = engine_from_index(graph, spectral_index)
-        assert isinstance(engine, SpectralEngine)
-
-    def test_flat_plus_spectral_is_tiered(self, artifacts):
-        graph, mogul_index, spectral_index = artifacts
-        engine = engine_from_index(graph, mogul_index, spectral=spectral_index)
-        assert isinstance(engine, TieredEngine)
-        assert isinstance(engine.base, MogulRanker)
-
-    def test_spectral_artifact_rejects_live(self, artifacts):
-        graph, _, spectral_index = artifacts
-        with pytest.raises(ValueError, match="spectral index.*live|live.*spectral"):
-            engine_from_index(graph, spectral_index, live=True)
-
-    def test_spectral_artifact_rejects_spectral_tier(self, artifacts):
-        graph, _, spectral_index = artifacts
-        with pytest.raises(ValueError, match="a spectral index"):
-            engine_from_index(graph, spectral_index, spectral=spectral_index)
-
-    def test_spectral_artifact_rejects_search_kwargs(self, artifacts):
-        graph, _, spectral_index = artifacts
-        with pytest.raises(ValueError, match="use_pruning"):
-            engine_from_index(graph, spectral_index, use_pruning=False)
-
-    def test_tiered_rejects_live(self, artifacts):
-        graph, mogul_index, spectral_index = artifacts
-        with pytest.raises(ValueError, match="live"):
-            engine_from_index(
-                graph, mogul_index, live=True, spectral=spectral_index
-            )
-
-    def test_wrong_spectral_tier_type(self, artifacts):
-        graph, mogul_index, _ = artifacts
-        with pytest.raises(ValueError, match="flat Mogul index"):
-            engine_from_index(graph, mogul_index, spectral=mogul_index)
-
-    def test_unknown_artifact_named(self, artifacts):
-        graph, _, _ = artifacts
+    def test_unknown_artifact_named(self, setup):
+        graph, _, spectral, _ = setup
         with pytest.raises(ValueError, match="unsupported artifact of type dict"):
             engine_from_index(graph, {"not": "an index"})
+        with pytest.raises(
+            ValueError, match="unsupported artifact of type SpectralIndex"
+        ):
+            engine_from_index(graph, spectral.index)

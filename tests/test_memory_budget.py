@@ -42,7 +42,6 @@ from repro.core.sharded import (
     ShardedMogulRanker,
     ShardResidencyManager,
 )
-from repro.core.spectral import SpectralIndex
 from repro.graph.build import build_knn_graph
 from tests.conftest import three_cluster_features
 
@@ -270,24 +269,6 @@ class TestBudgetedIdentity:
         plain = engine_from_index(graph, load_any_index(flat_path))
         budgeted = engine_from_index(
             graph, flat, memory_budget_mb=0.001, bounds_dtype="int8"
-        )
-        for query in QUERY_SET[:3]:
-            a = plain.top_k(query, TOP_K)
-            b = budgeted.top_k(query, TOP_K)
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.scores, b.scores)
-
-    def test_tiered_base_accepts_budget(self, graph, saved_index):
-        spectral = SpectralIndex.build(graph, rank=8)
-        plain = engine_from_index(
-            graph, load_sharded_index(saved_index), spectral=spectral
-        )
-        budgeted = engine_from_index(
-            graph,
-            load_sharded_index(saved_index),
-            spectral=spectral,
-            memory_budget_mb=0.005,
-            bounds_dtype="float32",
         )
         for query in QUERY_SET[:3]:
             a = plain.top_k(query, TOP_K)
