@@ -142,7 +142,7 @@ def run_benchmark(
     """Serve resident, then budgeted; return the comparison record."""
     dataset = load_dataset("inria", scale=scale, seed=seed)
     graph = build_knn_graph(dataset.features, k=5, jobs=2)
-    index = ShardedMogulIndex.build(graph, n_shards, jobs=2)
+    index = ShardedMogulIndex.build(graph, n_shards)
     workdir = workdir or tempfile.mkdtemp(prefix="bench_memory_")
     path = Path(workdir) / "idx.shards"
     save_sharded_index(index, path)

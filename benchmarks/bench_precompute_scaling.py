@@ -1,37 +1,35 @@
-"""Precompute pipeline scaling — factor backend x jobs sweep.
+"""Precompute pipeline scaling — reference vs CSR factor backend.
 
 The paper's Figure 8 / Table 2 argument is that Mogul's index
-construction is cheap; this benchmark measures what the compiled,
-parallel precompute pipeline buys end to end on the synthetic 10k-node
-graph (the INRIA substitute at scale 1.25):
+construction is cheap; this benchmark measures what the compiled
+precompute pipeline buys end to end on the synthetic 10k-node graph (the
+INRIA substitute at scale 1.25):
 
-* **graph stage** — the ``"blas"`` prefilter k-NN engine (+ ``jobs``)
-  against the ``"brute"`` reference, neighbour lists asserted identical;
+* **graph stage** — the ``"blas"`` prefilter k-NN engine at ``jobs`` in
+  {1, 2, 4} against the ``"brute"`` reference, neighbour lists asserted
+  identical;
 * **index stage** — :meth:`MogulIndex.build` under the reference
-  pipeline (``factor_backend="reference"``, reference Louvain sweep,
-  single-core) against the CSR-native backend with the fast Louvain
-  sweep at ``jobs`` in {1, 2, 4}.
+  pipeline (``factor_backend="reference"``, reference Louvain sweep)
+  against the CSR-native backend with the fast Louvain sweep.  The
+  index build runs in one thread either way.
 
 Equivalence is attested, not assumed, on every run: the two backends
 must produce factors with the identical sparsity pattern and allclose
-values, the sampled top-k answers must agree exactly in their indices
-(scores to float tolerance), and every ``jobs > 1`` build must be
-**bitwise identical** — factor values and answer scores — to ``jobs=1``.
+values, and the sampled top-k answers must agree exactly in their
+indices (scores to float tolerance).
 
 Two entry points:
 
 * ``python benchmarks/bench_precompute_scaling.py`` — the full 10k-node
   run: prints per-stage tables, asserts the headline speedup
-  (>= 3x index build, new backend + jobs > 1 vs. reference single-core)
+  (>= 3x index build, new backend vs. reference)
   and emits ``BENCH_precompute.json``.
 * ``pytest benchmarks/bench_precompute_scaling.py`` — the same
   equivalence attestations at ``REPRO_BENCH_SCALE`` (CI smoke runs them
   on a tiny graph; no speedup assertion, small inputs are all overhead).
 
-Note the machine dependence: ``jobs > 1`` only buys wall-clock on
-multi-core hosts (the BLAS panels and per-block factorizations run in
-threads), but identical answers are guaranteed everywhere, so the
-speedup floor is carried by the backend + pipeline rewrite alone.
+``jobs > 1`` only buys k-NN wall-clock on multi-core hosts (the BLAS
+panels run in threads); neighbour lists are identical everywhere.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ FULL_RUN_SCALE = 1.25
 FULL_RUN_QUERIES = 64
 FULL_RUN_K = 10
 JOBS_VALUES = (1, 2, 4)
-#: Acceptance floor: reference single-core index build over the best
-#: csr-backend jobs>1 build.
+#: Acceptance floor: reference index build over the csr-backend build.
 TARGET_SPEEDUP = 3.0
 #: Timing passes per configuration (best-of, to shed scheduler noise).
 PASSES = 3
@@ -97,14 +94,6 @@ def _assert_factors_equivalent(reference, csr) -> None:
         raise AssertionError("factor diagonals differ across backends")
 
 
-def _assert_factors_bitwise(a, b, what: str) -> None:
-    if not (
-        np.array_equal(a.factors.lower.data, b.factors.lower.data)
-        and np.array_equal(a.factors.diag, b.factors.diag)
-    ):
-        raise AssertionError(f"{what}: factors are not bitwise identical")
-
-
 def _answers(graph, index, queries, k):
     ranker = MogulRanker.from_index(graph, index)
     return [ranker.top_k(int(q), k) for q in queries]
@@ -142,58 +131,25 @@ def run_benchmark(
 
     queries = sample_queries(graph.n_nodes, n_queries, seed=seed)
 
-    # -- index stage: reference pipeline vs csr backend x jobs -----------
+    # -- index stage: reference pipeline vs csr backend -----------------
     t_ref, index_ref = _best_of(
         lambda: MogulIndex.build(
-            graph,
-            factor_backend="reference",
-            clusterer=louvain_reference,
-            jobs=1,
+            graph, factor_backend="reference", clusterer=louvain_reference
         )
     )
-    reference_answers = _answers(graph, index_ref, queries, k)
+    t_csr, index = _best_of(lambda: MogulIndex.build(graph))
+    _assert_factors_equivalent(index_ref, index)
+    for ref_answer, answer in zip(
+        _answers(graph, index_ref, queries, k), _answers(graph, index, queries, k)
+    ):
+        if not np.array_equal(ref_answer.indices, answer.indices):
+            raise AssertionError("top-k indices differ across backends")
+        if not np.allclose(ref_answer.scores, answer.scores, rtol=1e-9):
+            raise AssertionError("top-k scores differ across backends")
 
-    trajectory = []
-    base_index = None
-    base_scores = None
-    for jobs in jobs_values:
-        elapsed, index = _best_of(
-            lambda jobs=jobs: MogulIndex.build(graph, jobs=jobs)
-        )
-        _assert_factors_equivalent(index_ref, index)
-        answers = _answers(graph, index, queries, k)
-        for ref_answer, answer in zip(reference_answers, answers):
-            if not np.array_equal(ref_answer.indices, answer.indices):
-                raise AssertionError("top-k indices differ across backends")
-            if not np.allclose(ref_answer.scores, answer.scores, rtol=1e-9):
-                raise AssertionError("top-k scores differ across backends")
-        scores = np.concatenate([answer.scores for answer in answers])
-        if jobs == jobs_values[0]:
-            base_index = index
-            base_scores = scores
-        else:
-            _assert_factors_bitwise(base_index, index, f"jobs={jobs}")
-            if not np.array_equal(base_scores, scores):
-                raise AssertionError(
-                    f"jobs={jobs}: answers are not bitwise identical to jobs=1"
-                )
-        trajectory.append(
-            {
-                "factor_backend": "csr",
-                "jobs": jobs,
-                "seconds": elapsed,
-                "speedup_vs_reference": t_ref / elapsed,
-                "stages": {
-                    name: float(t) for name, t in index.profile.stages.items()
-                },
-            }
-        )
-
-    parallel = [entry for entry in trajectory if entry["jobs"] > 1]
-    best_parallel = min(parallel, key=lambda entry: entry["seconds"])
-    speedup = t_ref / best_parallel["seconds"]
+    speedup = t_ref / t_csr
     end_to_end_ref = t_graph_ref + t_ref
-    end_to_end_fast = t_graph_fast + best_parallel["seconds"]
+    end_to_end_fast = t_graph_fast + t_csr
     return {
         "benchmark": "precompute_scaling",
         "dataset": {
@@ -214,18 +170,22 @@ def run_benchmark(
         "index_stage": {
             "reference": {
                 "factor_backend": "reference",
-                "jobs": 1,
                 "seconds": t_ref,
                 "stages": {
                     name: float(t)
                     for name, t in index_ref.profile.stages.items()
                 },
             },
-            "trajectory": trajectory,
-            "speedup_best_parallel_vs_reference": speedup,
+            "csr": {
+                "factor_backend": "csr",
+                "seconds": t_csr,
+                "stages": {
+                    name: float(t) for name, t in index.profile.stages.items()
+                },
+            },
+            "speedup_vs_reference": speedup,
             "factors_equivalent": True,
             "answers_identical_indices": True,
-            "parallel_bitwise_identical": True,
         },
         "end_to_end": {
             "reference_seconds": end_to_end_ref,
@@ -253,15 +213,10 @@ def main(out_path: str = "BENCH_precompute.json") -> int:
         + f"  ({graph_stage['speedup']:.2f}x, neighbours identical)"
     )
     index_stage = record["index_stage"]
-    reference = index_stage["reference"]
+    speedup = index_stage["speedup_vs_reference"]
     print(f"{'config':24s} {'seconds':>9s} {'speedup':>8s}")
-    print(f"{'reference (jobs=1)':24s} {reference['seconds']:9.3f} {1.0:7.2f}x")
-    for entry in index_stage["trajectory"]:
-        label = f"csr (jobs={entry['jobs']})"
-        print(
-            f"{label:24s} {entry['seconds']:9.3f} "
-            f"{entry['speedup_vs_reference']:7.2f}x"
-        )
+    print(f"{'reference':24s} {index_stage['reference']['seconds']:9.3f} {1.0:7.2f}x")
+    print(f"{'csr':24s} {index_stage['csr']['seconds']:9.3f} {speedup:7.2f}x")
     print(
         "end to end (graph + index): "
         f"{record['end_to_end']['reference_seconds']:.2f}s -> "
@@ -271,7 +226,6 @@ def main(out_path: str = "BENCH_precompute.json") -> int:
     Path(out_path).write_text(json.dumps(record, indent=2) + "\n")
     print(f"trajectory written to {out_path}")
 
-    speedup = index_stage["speedup_best_parallel_vs_reference"]
     if speedup < TARGET_SPEEDUP:
         print(
             f"FAIL: index build speedup {speedup:.2f}x < {TARGET_SPEEDUP}x",
@@ -305,7 +259,7 @@ def test_backends_equivalent(small_graph):
     index_ref = MogulIndex.build(
         small_graph, factor_backend="reference", clusterer=louvain_reference
     )
-    index_csr = MogulIndex.build(small_graph, jobs=2)
+    index_csr = MogulIndex.build(small_graph)
     _assert_factors_equivalent(index_ref, index_csr)
     queries = sample_queries(small_graph.n_nodes, 16, seed=0)
     for ref_answer, answer in zip(
@@ -314,19 +268,6 @@ def test_backends_equivalent(small_graph):
     ):
         assert np.array_equal(ref_answer.indices, answer.indices)
         assert np.allclose(ref_answer.scores, answer.scores, rtol=1e-9)
-
-
-def test_parallel_build_bitwise_identical(small_graph):
-    sequential = MogulIndex.build(small_graph, jobs=1)
-    parallel = MogulIndex.build(small_graph, jobs=4)
-    _assert_factors_bitwise(sequential, parallel, "jobs=4")
-    queries = sample_queries(small_graph.n_nodes, 16, seed=0)
-    for a, b in zip(
-        _answers(small_graph, sequential, queries, 10),
-        _answers(small_graph, parallel, queries, 10),
-    ):
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.scores, b.scores)
 
 
 if __name__ == "__main__":

@@ -7,16 +7,13 @@ benchmark attests that on every run, then measures what sharding buys on
 the synthetic 10k-node graph (the INRIA substitute at scale 1.25):
 
 * **Build** — per-shard build costs are instrumented individually, so
-  two numbers are reported per shard count: the measured single-process
-  wall-clock, and the **critical path** (shared stages + slowest shard)
-  — the wall-clock a build pays when each shard runs on its own worker
-  (process, core or machine).  The acceptance floor is on the critical
-  path: at S=4 it must be <= 0.6x the single-shard build.  On multi-core
-  hosts ``jobs=4`` realises the critical path as actual wall-clock via
-  worker processes; a single-core box (like most CI runners — the
-  recorded ``cpu_count`` says which this was) time-shares the workers,
-  so its process-mode wall-clock is *also* recorded but never asserted
-  on.  All builds share one precomputed clustering: the clustering is
+  two numbers are reported per shard count: the measured wall-clock of
+  the build (which factors its shards one after another in one thread),
+  and the **critical path** (shared stages + slowest shard) — the
+  wall-clock a build would pay with one worker per shard (process, core
+  or machine).  The acceptance floor is on the critical path: at S=4 it
+  must be <= 0.6x the single-shard build.  All builds share one
+  precomputed clustering: the clustering is
   identical input to every shard count (sharding partitions its output)
   and is reported separately.
 * **Serving** — queries/sec through each engine at batch sizes 1 and 16
@@ -64,14 +61,14 @@ TARGET_BUILD_RATIO = 0.6
 PASSES = 3
 
 
-def _best_build(graph, labels, n_shards: int, **kwargs):
+def _best_build(graph, labels, n_shards: int):
     """Best-of-PASSES build; returns (seconds, index of the best pass)."""
     best = float("inf")
     index = None
     for _ in range(PASSES):
         started = time.perf_counter()
         candidate = ShardedMogulIndex.build(
-            graph, n_shards, cluster_labels=labels, **kwargs
+            graph, n_shards, cluster_labels=labels
         )
         elapsed = time.perf_counter() - started
         if elapsed < best:
@@ -151,15 +148,11 @@ def run_benchmark(
     single_shard_seconds = None
     trajectory = []
     for n_shards in shard_counts:
-        # Serial, instrumented build: accurate per-shard costs -> the
-        # critical path (what a one-worker-per-shard build pays).
-        wall_serial, index = _best_build(
-            graph, labels, n_shards, jobs=1, parallel="serial"
-        )
+        # Instrumented build: accurate per-shard costs -> the critical
+        # path (what a one-worker-per-shard build would pay).
+        wall_serial, index = _best_build(graph, labels, n_shards)
         profile = index.profile
         critical_path = profile.critical_path_seconds
-        # Process-mode wall-clock (only meaningful on multi-core hosts).
-        wall_process, _ = _best_build(graph, labels, n_shards, jobs=4)
         if n_shards == 1:
             single_shard_seconds = wall_serial
         ranker = ShardedMogulRanker.from_index(graph, index)
@@ -174,7 +167,6 @@ def run_benchmark(
                 "n_shards": index.n_shards,
                 "build": {
                     "wall_serial_seconds": wall_serial,
-                    "wall_process_jobs4_seconds": wall_process,
                     "critical_path_seconds": critical_path,
                     "shard_seconds": list(profile.shard_seconds),
                     "ratio_critical_path_vs_single_shard": (
@@ -220,7 +212,7 @@ def run_benchmark(
         },
         "single_shard_build_seconds": single_shard_seconds,
         "trajectory": trajectory,
-        "shard_parallel_build_ratio": final["build"][
+        "critical_path_build_ratio": final["build"][
             "ratio_critical_path_vs_single_shard"
         ],
         "target_build_ratio": TARGET_BUILD_RATIO,
@@ -228,10 +220,7 @@ def run_benchmark(
             "Builds share one precomputed clustering (identical input to "
             "every shard count). critical_path_seconds = shared stages + "
             "slowest shard: the wall-clock with one worker per shard. "
-            "wall_process_jobs4_seconds is the measured process-pool "
-            "wall-clock on THIS host (cpu_count says how many cores it "
-            "had to work with; on one core it time-shares and exceeds "
-            "the serial build)."
+            "wall_serial_seconds is the measured one-thread build."
         ),
     }
 
@@ -268,7 +257,7 @@ def main(out_path: str = "BENCH_sharded.json") -> int:
     Path(out_path).write_text(json.dumps(record, indent=2) + "\n")
     print(f"trajectory written to {out_path}")
 
-    ratio = record["shard_parallel_build_ratio"]
+    ratio = record["critical_path_build_ratio"]
     if ratio > TARGET_BUILD_RATIO:
         print(
             f"FAIL: S=4 critical-path build ratio {ratio:.2f}x > "
@@ -277,7 +266,7 @@ def main(out_path: str = "BENCH_sharded.json") -> int:
         )
         return 1
     print(
-        f"OK: S=4 shard-parallel (critical-path) build is {ratio:.2f}x the "
+        f"OK: S=4 critical-path build is {ratio:.2f}x the "
         f"single-shard build (target <= {TARGET_BUILD_RATIO}x); answers "
         "identical at every shard count"
     )
@@ -310,23 +299,10 @@ def test_sharded_answers_identical(small_setup, n_shards):
 
 def test_sharded_build_instrumented(small_setup):
     graph, labels, _ = small_setup
-    index = ShardedMogulIndex.build(
-        graph, 2, cluster_labels=labels, parallel="serial"
-    )
+    index = ShardedMogulIndex.build(graph, 2, cluster_labels=labels)
     profile = index.profile
     assert len(profile.shard_seconds) == index.n_shards
     assert 0 < profile.critical_path_seconds <= profile.total_seconds
-
-
-def test_process_build_identical_to_serial(small_setup):
-    graph, labels, _ = small_setup
-    serial = ShardedMogulIndex.build(
-        graph, 2, cluster_labels=labels, parallel="serial"
-    )
-    parallel = ShardedMogulIndex.build(graph, 2, cluster_labels=labels, jobs=2)
-    a, b = serial.assemble_factors(), parallel.assemble_factors()
-    assert np.array_equal(a.lower.data, b.lower.data)
-    assert np.array_equal(a.diag, b.diag)
 
 
 if __name__ == "__main__":

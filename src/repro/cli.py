@@ -5,7 +5,7 @@ without writing Python::
 
     python -m repro datasets
     python -m repro build --dataset coil --out coil.idx.npz
-    python -m repro build --dataset coil --shards 4 --jobs 4 --out coil.shards
+    python -m repro build --dataset coil --shards 4 --out coil.shards
     python -m repro info coil.idx.npz
     python -m repro info coil.shards
     python -m repro search coil.idx.npz --dataset coil --query 42 -k 10
@@ -146,9 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker threads for the parallel precompute stages (k-NN "
-        "search, per-cluster factorization); any value builds an "
-        "identical index (default 1)",
+        help="worker threads for the k-NN search; the index build runs in "
+        "one thread, and any value builds an identical index (default 1)",
     )
     build.add_argument(
         "--factor-backend",
@@ -164,8 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="build a sharded index with S shards (written as a directory: "
         "manifest.json + per-shard .npz); answers are identical to the "
-        "unsharded index for any S, and --jobs > 1 builds the shards in "
-        "parallel worker processes.  Omit for the legacy single .npz",
+        "unsharded index for any S.  Omit for the legacy single .npz",
     )
     build.set_defaults(handler=_cmd_build)
 
@@ -460,7 +458,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         factorization="complete" if args.exact else "incomplete",
         fill_level=0 if args.exact else args.fill_level,
-        jobs=args.jobs,
         factor_backend=args.factor_backend,
     )
     if args.shards is not None:

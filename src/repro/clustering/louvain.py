@@ -25,13 +25,12 @@ tests and as the precompute benchmark baseline.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.validation import check_jobs, check_symmetric
+from repro.utils.validation import check_symmetric
 
 #: Local-move implementations accepted by :func:`louvain`.
 IMPLS = ("fast", "reference")
@@ -116,7 +115,6 @@ def louvain_refined(
     max_cluster_size: int | None = None,
     max_attempts: int = 3,
     tol: float = 1e-9,
-    jobs: int = 1,
     impl: str = "fast",
 ) -> np.ndarray:
     """Louvain with recursive splitting of oversized communities.
@@ -136,18 +134,10 @@ def louvain_refined(
     the user.  Termination is guaranteed because every re-queued piece is
     strictly smaller than its parent.
 
-    ``jobs`` parallelizes the refinement: every oversized community in a
-    wave is an *independent* sub-clustering problem (its member set is
-    fixed before the wave runs), so the sub-Louvain calls spread over a
-    thread pool.  The final labels are identical for every ``jobs``
-    value — piece labels are assigned wave-by-wave in deterministic
-    order and normalised by :func:`_relabel` at the end.
-
     Returns community labels with contiguous ids, like :func:`louvain`.
     """
     adjacency = check_symmetric(adjacency.tocsr(), "adjacency", tol=1e-8)
     n = adjacency.shape[0]
-    jobs = check_jobs(jobs)
     if max_cluster_size is None:
         max_cluster_size = max(64, int(math.ceil(4.0 * math.sqrt(n))))
     elif max_cluster_size < 1:
@@ -157,9 +147,6 @@ def louvain_refined(
         return labels
 
     def split_community(members: np.ndarray) -> np.ndarray | None:
-        # Subgraph extraction happens inside the task, so a wave only
-        # materialises as many community copies as workers are running
-        # (exactly one for the sequential jobs=1 path).
         subgraph = adjacency[members][:, members].tocsr()
         sub_resolution = resolution
         for _ in range(max_attempts):
@@ -178,13 +165,7 @@ def louvain_refined(
         wave = sorted(work)
         work = []
         member_sets = [np.flatnonzero(labels == target) for target in wave]
-        if jobs > 1 and len(member_sets) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(jobs, len(member_sets))
-            ) as pool:
-                splits = list(pool.map(split_community, member_sets))
-        else:
-            splits = [split_community(members) for members in member_sets]
+        splits = [split_community(members) for members in member_sets]
         for target, members, split in zip(wave, member_sets, splits):
             if split is None:
                 continue

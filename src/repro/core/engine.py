@@ -118,7 +118,7 @@ def engine_from_index(
     ``live=True`` wraps the base engine in a
     :class:`repro.core.live.LiveEngine` (thread-safe writes + background
     rebuilds with atomic epoch swap); ``live_kwargs`` forwards its knobs
-    (``k``, ``auto_rebuild_fraction``, ``jobs``, ``fill_level``).  Both
+    (``k``, ``auto_rebuild_fraction``, ``fill_level``).  Both
     exact base kinds work: a sharded artifact rebuilds sharded, a flat
     one rebuilds flat, and rebuilds replay the ``search_kwargs`` applied
     here (they are read back off the base engine).  Any other artifact

@@ -21,7 +21,6 @@ more non-zeros (paper §4.6.1).
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -53,27 +52,10 @@ from repro.ranking.base import (
 )
 from repro.ranking.normalize import ranking_matrix
 from repro.utils.timer import Timer
-from repro.utils.validation import check_alpha, check_jobs, check_positive_int
+from repro.utils.validation import check_alpha, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.serialize import StoredGraph
-
-
-def _run_clusterer(clusterer: ClusterFn, adjacency, jobs: int) -> np.ndarray:
-    """Invoke a clusterer, forwarding ``jobs`` when its signature takes it.
-
-    Clusterers are plain ``adjacency -> labels`` callables; parallel-aware
-    ones (e.g. :func:`repro.clustering.louvain_refined`) advertise a
-    ``jobs`` keyword and receive the build's worker budget.
-    """
-    if jobs > 1:
-        try:
-            parameters = inspect.signature(clusterer).parameters
-        except (TypeError, ValueError):  # builtins/partials without signatures
-            parameters = {}
-        if "jobs" in parameters:
-            return clusterer(adjacency, jobs=jobs)
-    return clusterer(adjacency)
 
 
 @dataclass(frozen=True)
@@ -132,7 +114,6 @@ class MogulIndex:
         cluster_labels: np.ndarray | None = None,
         clusterer: ClusterFn = louvain,
         fill_level: int = 0,
-        jobs: int = 1,
         factor_backend: str = DEFAULT_BACKEND,
     ) -> "MogulIndex":
         """Precompute the full index for a graph.
@@ -145,17 +126,9 @@ class MogulIndex:
         fill: 0 is the paper's ICF, higher values trade factor size for
         accuracy, interpolating toward MogulE.
 
-        ``jobs`` spreads the parallel-friendly stages over worker
-        threads: the factorization of the mutually independent interior
-        cluster blocks (Lemma 3), and the clustering when ``clusterer``
-        accepts a ``jobs`` keyword (e.g.
-        :func:`repro.clustering.louvain_refined`; the default greedy
-        Louvain sweep is order-dependent and stays sequential).  Every
-        ``jobs`` value produces a bitwise-identical index.  Note that
-        these stages are pure-Python loops holding the GIL, so on
-        standard CPython ``jobs > 1`` changes wall-clock only for the
-        (BLAS-backed) k-NN stage of graph construction; the knob is
-        still safe to set everywhere since results never change.
+        The build is one sequential pipeline, like the paper's: its
+        clustering and factorization stages are pure-Python loops that
+        hold the GIL, so worker threads measured no faster.
         ``factor_backend`` picks the LDL implementation —
         ``"csr"`` (default) or the original ``"reference"`` kept for
         equivalence testing and benchmarking (see
@@ -173,13 +146,12 @@ class MogulIndex:
             raise ValueError(
                 f"factor_backend must be one of {BACKENDS}, got {factor_backend!r}"
             )
-        jobs = check_jobs(jobs)
-        profile = BuildProfile(factor_backend=factor_backend, jobs=jobs)
+        profile = BuildProfile(factor_backend=factor_backend)
         stages = profile.stages
 
         started = time.perf_counter()
         if cluster_labels is None:
-            cluster_labels = _run_clusterer(clusterer, graph.adjacency, jobs)
+            cluster_labels = clusterer(graph.adjacency)
             stages["clustering"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -200,14 +172,12 @@ class MogulIndex:
                 fill_level=fill_level,
                 backend=factor_backend,
                 blocks=permutation.cluster_slices,
-                jobs=jobs,
             )
         else:
             factors = complete_ldl(
                 w_permuted,
                 backend=factor_backend,
                 blocks=permutation.cluster_slices,
-                jobs=jobs,
             )
         stages["factorization"] = time.perf_counter() - started
 
@@ -312,10 +282,9 @@ class MogulRanker(Ranker):
         Search-time switches forwarded to
         :func:`repro.core.top_k_search`; defaults are the full Mogul
         algorithm.
-    jobs, factor_backend:
-        Build-time knobs forwarded to :meth:`MogulIndex.build` (worker
-        threads for the parallel stages; LDL backend).  Neither affects
-        answers.
+    factor_backend:
+        LDL backend forwarded to :meth:`MogulIndex.build`; it does not
+        affect answers.
     """
 
     def __init__(
@@ -329,7 +298,6 @@ class MogulRanker(Ranker):
         use_pruning: bool = True,
         use_sparsity: bool = True,
         cluster_order: str = "index",
-        jobs: int = 1,
         factor_backend: str = DEFAULT_BACKEND,
     ):
         super().__init__(graph, alpha)
@@ -345,7 +313,6 @@ class MogulRanker(Ranker):
             cluster_labels=cluster_labels,
             clusterer=clusterer,
             fill_level=0 if exact else fill_level,
-            jobs=jobs,
             factor_backend=factor_backend,
         )
         # Ambient stats (thread-local descriptors via Ranker): each

@@ -300,11 +300,8 @@ class LiveEngine(AmbientStatsMixin):
         (:class:`repro.core.ShardedMogulRanker`) with this many shards.
         Queries, inserts and deletes route to the owning shard through
         the engine's scatter-gather router; rebuilds rebuild every
-        shard (shard-parallel when ``jobs`` permits).  1 (default) keeps
-        the single-index engine — answers are identical either way.
-    jobs:
-        Worker budget forwarded to the base engine's builds (shard-
-        parallel factorization for ``n_shards > 1``).
+        shard.  1 (default) keeps the single-index engine — answers are
+        identical either way.
     fill_level:
         ILU(p)-style fill budget replayed by every (re)build (0 = the
         paper's ICF).
@@ -318,7 +315,6 @@ class LiveEngine(AmbientStatsMixin):
         exact: bool = False,
         auto_rebuild_fraction: float | None = 0.2,
         n_shards: int = 1,
-        jobs: int = 1,
         fill_level: int = 0,
     ):
         features = np.asarray(features, dtype=np.float64)
@@ -329,7 +325,6 @@ class LiveEngine(AmbientStatsMixin):
             exact=exact,
             auto_rebuild_fraction=auto_rebuild_fraction,
             n_shards=n_shards,
-            jobs=jobs,
             fill_level=fill_level,
         )
         self._epoch = self._build_epoch(
@@ -344,7 +339,6 @@ class LiveEngine(AmbientStatsMixin):
         exact: bool,
         auto_rebuild_fraction: float | None,
         n_shards: int,
-        jobs: int,
         fill_level: int = 0,
     ) -> None:
         """Validate parameters and set up the mutable (non-epoch) state."""
@@ -363,7 +357,6 @@ class LiveEngine(AmbientStatsMixin):
             )
         self.auto_rebuild_fraction = auto_rebuild_fraction
         self.n_shards = check_positive_int(n_shards, "n_shards")
-        self.jobs = check_positive_int(jobs, "jobs")
 
         self._dim = features.shape[1]
         #: Callbacks fired after every mutation (insert/delete/rebuild) —
@@ -421,7 +414,6 @@ class LiveEngine(AmbientStatsMixin):
         engine,
         k: int = 5,
         auto_rebuild_fraction: float | None = 0.2,
-        jobs: int = 1,
         fill_level: int = 0,
     ) -> "LiveEngine":
         """Adopt an existing base engine (typically a loaded artifact).
@@ -455,7 +447,6 @@ class LiveEngine(AmbientStatsMixin):
             exact=engine.index.factorization == "complete",
             auto_rebuild_fraction=auto_rebuild_fraction,
             n_shards=n_shards,
-            jobs=jobs,
             fill_level=fill_level,
         )
         live.use_pruning = engine.use_pruning
@@ -956,7 +947,6 @@ class LiveEngine(AmbientStatsMixin):
                 fill_level=self.fill_level,
                 use_pruning=self.use_pruning,
                 cluster_order=self.cluster_order,
-                jobs=self.jobs,
             )
         else:
             ranker = MogulRanker(

@@ -30,8 +30,6 @@ class BuildProfile:
         caller times graph construction into the same profile).
     factor_backend:
         ``"csr"`` or ``"reference"`` — which LDL backend ran.
-    jobs:
-        Worker count the build was asked to use.
     n_nodes, n_clusters, border_size:
         Shape of the built index.
     w_nnz:
@@ -43,9 +41,6 @@ class BuildProfile:
         paper's ICF, > 1 with fill).
     n_shards:
         Shard count of the build (1 for the unsharded index).
-    shard_parallel_mode:
-        How the sharded build executed its span workers (``"process"`` or
-        ``"serial"``); ``None`` for unsharded or reference-backend builds.
     load_seconds:
         Seconds :func:`repro.core.serialize.load_index` spent restoring
         the index, including rebuilding derived structures; ``None`` for
@@ -59,7 +54,6 @@ class BuildProfile:
 
     stages: dict[str, float] = field(default_factory=dict)
     factor_backend: str = "csr"
-    jobs: int = 1
     n_nodes: int = 0
     n_clusters: int = 0
     border_size: int = 0
@@ -67,7 +61,6 @@ class BuildProfile:
     factor_nnz: int = 0
     fill_ratio: float = 0.0
     n_shards: int = 1
-    shard_parallel_mode: str | None = None
     #: Per-shard build cost (span factorization + state carving) in
     #: seconds; empty for unsharded builds.  Measured as each shard's
     #: *work*, so it is meaningful even on time-shared cores.
@@ -91,17 +84,11 @@ class BuildProfile:
         builds.  This is the honest scaling number on machines whose
         cores are time-shared (a single-core CI box cannot demonstrate
         wall-clock parallelism, but the critical path it measures is
-        exactly what a multi-core or multi-machine build pays).
-
-        The decomposition is only meaningful when the shards actually
-        ran serially inside :attr:`total_seconds`; a ``"process"`` build
-        already overlapped them (its factorization stage records the
-        parent's wall-clock, while ``shard_seconds`` are per-worker
-        times possibly inflated by core time-sharing), so there the
-        realized wall-clock *is* the critical path and ``total_seconds``
-        is returned unchanged.
+        exactly what a multi-core or multi-machine build pays).  The
+        build itself factors its shards one after another, inside
+        :attr:`total_seconds`.
         """
-        if not self.shard_seconds or self.shard_parallel_mode == "process":
+        if not self.shard_seconds:
             return self.total_seconds
         return float(
             max(
@@ -118,7 +105,6 @@ class BuildProfile:
             "stages": {name: float(t) for name, t in self.stages.items()},
             "total_seconds": self.total_seconds,
             "factor_backend": self.factor_backend,
-            "jobs": int(self.jobs),
             "n_nodes": int(self.n_nodes),
             "n_clusters": int(self.n_clusters),
             "border_size": int(self.border_size),
@@ -126,7 +112,6 @@ class BuildProfile:
             "factor_nnz": int(self.factor_nnz),
             "fill_ratio": float(self.fill_ratio),
             "n_shards": int(self.n_shards),
-            "shard_parallel_mode": self.shard_parallel_mode,
             "shard_seconds": [float(s) for s in self.shard_seconds],
             "critical_path_seconds": self.critical_path_seconds,
             "load_seconds": (
@@ -142,11 +127,9 @@ class BuildProfile:
         if not isinstance(stages, dict):
             raise ValueError("build profile 'stages' must be a mapping")
         load_seconds = payload.get("load_seconds")
-        mode = payload.get("shard_parallel_mode")
         return cls(
             stages={str(k): float(v) for k, v in stages.items()},
             factor_backend=str(payload.get("factor_backend", "csr")),
-            jobs=int(payload.get("jobs", 1)),
             n_nodes=int(payload.get("n_nodes", 0)),
             n_clusters=int(payload.get("n_clusters", 0)),
             border_size=int(payload.get("border_size", 0)),
@@ -154,7 +137,6 @@ class BuildProfile:
             factor_nnz=int(payload.get("factor_nnz", 0)),
             fill_ratio=float(payload.get("fill_ratio", 0.0)),
             n_shards=int(payload.get("n_shards", 1)),
-            shard_parallel_mode=None if mode is None else str(mode),
             shard_seconds=[float(s) for s in payload.get("shard_seconds", [])],
             load_seconds=None if load_seconds is None else float(load_seconds),
             load_warnings=[str(w) for w in payload.get("load_warnings", [])],
@@ -179,13 +161,9 @@ class BuildProfile:
             share = 100.0 * seconds / total if total > 0 else 0.0
             lines.append(f"{name:18s} {seconds:9.3f} {share:6.1f}%")
         lines.append(f"{'total':18s} {total:9.3f} {100.0:6.1f}%")
-        shard_note = ""
-        if self.n_shards > 1:
-            shard_note = f" shards={self.n_shards}"
-            if self.shard_parallel_mode:
-                shard_note += f"({self.shard_parallel_mode})"
+        shard_note = f" shards={self.n_shards}" if self.n_shards > 1 else ""
         lines.append(
-            f"backend={self.factor_backend} jobs={self.jobs}{shard_note} "
+            f"backend={self.factor_backend}{shard_note} "
             f"nodes={self.n_nodes} clusters={self.n_clusters} "
             f"border={self.border_size} factor_nnz={self.factor_nnz} "
             f"fill={self.fill_ratio:.2f}x"

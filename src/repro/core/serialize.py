@@ -263,16 +263,25 @@ def save_index(index, path: "str | os.PathLike", compressed: bool = False) -> No
     _atomic_write(target, lambda stream: writer(stream, **payload))
 
 
-def _mmap_stored_members(path, keys=_MMAP_KEYS) -> dict[str, np.ndarray]:
-    """Memory-map the uncompressed ``.npy`` members of a zip archive.
+class StoredMember(NamedTuple):
+    """Where one uncompressed ``.npy`` member's payload sits in its file."""
 
-    For every ``ZIP_STORED`` member in ``keys``, locate the raw payload
-    (local file header + npy header) and hand back a read-only
-    ``np.memmap`` view.  Anything unexpected — compression, npy versions
-    or dtypes we do not recognise, a truncated header — simply leaves the
-    member out, and the caller falls back to the ordinary zip read.
+    offset: int
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    order: str
+
+
+def _stored_member_table(path, keys) -> dict[str, StoredMember]:
+    """Locate the uncompressed ``.npy`` members of a zip archive.
+
+    For every ``ZIP_STORED`` member in ``keys``, parse the local file
+    header and the npy header once and record where the raw payload
+    starts.  Anything unexpected — compression, npy versions or dtypes
+    we do not recognise, a truncated header — simply leaves the member
+    out, and the caller falls back to the ordinary zip read.
     """
-    arrays: dict[str, np.ndarray] = {}
+    table: dict[str, StoredMember] = {}
     try:
         with zipfile.ZipFile(path) as archive:
             infos = archive.infolist()
@@ -308,17 +317,40 @@ def _mmap_stored_members(path, keys=_MMAP_KEYS) -> dict[str, np.ndarray]:
                     continue
                 if dtype.hasobject:
                     continue
-                arrays[key] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode="r",
-                    offset=stream.tell(),
-                    shape=shape,
-                    order="F" if fortran else "C",
+                table[key] = StoredMember(
+                    stream.tell(), dtype, shape, "F" if fortran else "C"
                 )
     except (OSError, ValueError, zipfile.BadZipFile, struct.error):
         return {}
-    return arrays
+    return table
+
+
+def _map_members(path, table: dict[str, StoredMember]) -> dict[str, np.ndarray]:
+    """Read-only ``np.memmap`` views of the members ``table`` locates.
+
+    Parses nothing: no zip directory and no npy header (whose parser,
+    ``ast.literal_eval``, is not safe to run from concurrent threads on
+    every CPython), so shard re-faults can call it from any thread.
+    """
+    try:
+        return {
+            key: np.memmap(
+                path,
+                dtype=member.dtype,
+                mode="r",
+                offset=member.offset,
+                shape=member.shape,
+                order=member.order,
+            )
+            for key, member in table.items()
+        }
+    except (OSError, ValueError):
+        return {}
+
+
+def _mmap_stored_members(path, keys=_MMAP_KEYS) -> dict[str, np.ndarray]:
+    """Memory-map the uncompressed ``.npy`` members of a zip archive."""
+    return _map_members(path, _stored_member_table(path, keys))
 
 
 def load_index(path: "str | os.PathLike"):
@@ -669,32 +701,49 @@ class ShardRowsLoader:
     The loader is a shard's ``source`` on :class:`ShardedMogulIndex`:
     calling it maps (or re-maps, after an eviction) the shard file and
     returns the validated CSR rows, whose arrays stay memmap-backed when
-    the file stores them uncompressed.  Unlike the closure it replaces,
-    it keeps references to the maps it created so :meth:`close` can
-    release the underlying file handles — eviction calls it, so a
-    long-running server cycling shards under a memory budget holds a
-    stable fd count instead of leaking one mmap per reload.  A close
-    while some consumer still holds the arrays is safe: the buffers are
-    exported, ``mmap.close`` raises ``BufferError``, and the handle is
-    simply left for the garbage collector as before.
+    the file stores them uncompressed.  ``members`` is the file's
+    :class:`StoredMember` table, parsed once by
+    :func:`load_sharded_index`; a call maps straight from it, so a
+    re-fault from any thread never re-reads the zip directory or an npy
+    header.  Only members the table lacks (compressed or unmappable)
+    go through the zip reader.  The loader keeps references to the maps
+    it created so :meth:`close` can release the underlying file handles
+    — eviction calls it, so a long-running server cycling shards under
+    a memory budget holds a stable fd count instead of leaking one mmap
+    per reload.  numpy keeps no buffer export on the map, so a close
+    unmaps arrays a consumer may still hold: the index closes a loader
+    only under its shard's lock, after dropping the shard's state, and
+    scans pin the shards they read.
     """
 
-    def __init__(self, directory: str, file_name: str, span, n: int, profile):
+    def __init__(
+        self,
+        directory: str,
+        file_name: str,
+        span,
+        n: int,
+        profile,
+        members: dict[str, StoredMember],
+    ):
         self._path = os.path.join(directory, file_name)
         self._file_name = file_name
         self._directory = directory
         self._span = (int(span[0]), int(span[1]))
         self._n = int(n)
         self._profile = profile
+        self._members = members
         self._mapped: dict[str, np.ndarray] = {}
 
     def __call__(self) -> sp.csr_matrix:
         # A re-load (fault after eviction) first drops the previous
-        # generation's maps; anything still in use survives via its
-        # consumers' references.
+        # generation's maps, if eviction has not closed them already.
         self.close()
-        shard_mapped = _mmap_stored_members(self._path, _SHARD_MMAP)
+        shard_mapped = _map_members(self._path, self._members)
         self._mapped = shard_mapped
+        if _SHARD_MMAP <= shard_mapped.keys():
+            return self._rows(
+                shard_mapped["data"], shard_mapped["indices"], shard_mapped["indptr"]
+            )
         with np.load(self._path, allow_pickle=False) as shard_archive:
             for key in ("data", "indices", "indptr"):
                 if key not in shard_archive:
@@ -703,51 +752,44 @@ class ShardRowsLoader:
                         f"missing {key!r}"
                     )
             shard_unmapped = sorted(
-                key
-                for key in _SHARD_MMAP
-                if key in shard_archive and key not in shard_mapped
+                key for key in _SHARD_MMAP if key not in shard_mapped
             )
-
-            def fetch_shard(key: str) -> np.ndarray:
-                return (
-                    shard_mapped[key]
-                    if key in shard_mapped
-                    else shard_archive[key]
+            rows = self._rows(
+                *(
+                    shard_mapped[key] if key in shard_mapped else shard_archive[key]
+                    for key in ("data", "indices", "indptr")
                 )
-
-            data = fetch_shard("data")
-            indices = fetch_shard("indices")
-            indptr = fetch_shard("indptr")
-            m = self._span[1] - self._span[0]
-            _check_row_block_csr(
-                data, indices, indptr, m, self._n, self._span[0],
-                self._file_name,
             )
-            rows = sp.csr_matrix(
-                (
-                    np.asarray(data, dtype=np.float64),
-                    np.asarray(indices, dtype=np.int64),
-                    np.asarray(indptr, dtype=np.int64),
-                ),
-                shape=(m, self._n),
-            )
-        if shard_unmapped:
-            message = (
-                f"memory-map fallback: {self._file_name} members "
-                + ", ".join(shard_unmapped)
-                + " were read through the zip reader"
-            )
-            logger.warning("%s: %s", self._directory, message)
-            self._profile.load_warnings.append(message)
+        message = (
+            f"memory-map fallback: {self._file_name} members "
+            + ", ".join(shard_unmapped)
+            + " were read through the zip reader"
+        )
+        logger.warning("%s: %s", self._directory, message)
+        self._profile.load_warnings.append(message)
         return rows
+
+    def _rows(self, data, indices, indptr) -> sp.csr_matrix:
+        """Validate the shard's stored CSR arrays and wrap them."""
+        m = self._span[1] - self._span[0]
+        _check_row_block_csr(
+            data, indices, indptr, m, self._n, self._span[0], self._file_name
+        )
+        return sp.csr_matrix(
+            (
+                np.asarray(data, dtype=np.float64),
+                np.asarray(indices, dtype=np.int64),
+                np.asarray(indptr, dtype=np.int64),
+            ),
+            shape=(m, self._n),
+        )
 
     def close(self) -> None:
         """Release the file handles behind this loader's memory maps.
 
-        Maps whose buffers are still exported (a consumer holds the
-        arrays) refuse to close with ``BufferError`` and are left to the
-        garbage collector — exactly the pre-close behaviour, so this is
-        never less safe than not calling it.
+        The arrays the last call returned are unmapped with them (see
+        the class docstring); a map that refuses to close is left to the
+        garbage collector.
         """
         mapped, self._mapped = self._mapped, {}
         for array in mapped.values():
@@ -914,6 +956,8 @@ def load_sharded_index(path: "str | os.PathLike", lazy: bool = True):
             "boundaries"
         )
 
+    # Each shard file's member table is parsed here, once and on one
+    # thread; faults and re-faults only map from it.
     sources = [
         ShardRowsLoader(
             directory=target,
@@ -921,6 +965,7 @@ def load_sharded_index(path: "str | os.PathLike", lazy: bool = True):
             span=layout.spans[shard_id],
             n=n,
             profile=profile,
+            members=_stored_member_table(os.path.join(target, name), _SHARD_MMAP),
         )
         for shard_id, name in enumerate(shard_files)
     ]

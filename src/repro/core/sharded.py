@@ -29,20 +29,12 @@ and served:
   merge applies the same total order; only the *pruning trajectory*
   (hence :class:`SearchStats`) may differ, since each shard's threshold
   evolves locally.
-
-* **Shard-parallel builds**: interior factor row spans are mutually
-  independent, so :meth:`ShardedMogulIndex.build` farms one span per
-  shard to worker *processes* (the pure-Python numeric sweep holds the
-  GIL, so threads cannot buy wall-clock) and factors the shared border
-  from their results — bitwise identical to the single-process build
-  (see :func:`repro.linalg.ldl.factor_row_span`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +77,7 @@ from repro.ranking.base import (
 )
 from repro.ranking.normalize import ranking_matrix
 from repro.utils.timer import Timer
-from repro.utils.validation import check_alpha, check_jobs, check_positive_int
-
-#: How the shard-parallel build executes its per-shard span workers.
-PARALLEL_MODES = ("auto", "process", "serial")
+from repro.utils.validation import check_alpha, check_positive_int
 
 
 # -- shard planning --------------------------------------------------------
@@ -649,119 +638,6 @@ class ShardResidencyManager:
             }
 
 
-# -- shard-parallel factorization ------------------------------------------
-
-
-def _shard_factor_worker(payload: tuple) -> dict:
-    """Factor one shard's row span and pack its cluster blocks.
-
-    Module-level so worker processes can import it; everything in
-    ``payload`` and the result pickles.
-    """
-    (
-        pat_indptr,
-        pat_indices,
-        wl_indptr,
-        wl_indices,
-        wl_data,
-        w_diag,
-        floor,
-        local_cluster_spans,
-    ) = payload
-    started = time.perf_counter()
-    span = factor_row_span(
-        pat_indptr, pat_indices, wl_indptr, wl_indices, wl_data, w_diag, floor
-    )
-    m = int(w_diag.shape[0])
-    local = sp.csr_matrix(
-        (span.values, pat_indices, pat_indptr), shape=(m, m)
-    )
-    blocks = _pack_cluster_blocks(
-        local,
-        0,
-        tuple(slice(a, b) for a, b in local_cluster_spans),
-    )
-    return {
-        "values": span.values,
-        "scaled": span.scaled,
-        "diag": span.diag,
-        "perturbations": span.perturbations,
-        "blocks": blocks,
-        # The shard's own compute cost — the per-shard term of the build
-        # critical path (on a time-shared single core this measures the
-        # shard's *work*, which is what a per-shard worker fleet pays).
-        "seconds": time.perf_counter() - started,
-    }
-
-
-def _shard_payloads(
-    w_permuted: sp.csr_matrix,
-    pat_indptr: np.ndarray,
-    pat_indices: np.ndarray,
-    layout: ShardLayout,
-    permutation: Permutation,
-    floor: float,
-) -> list[tuple]:
-    """Build one picklable worker payload per shard (local coordinates)."""
-    lower_w = sp.tril(w_permuted, k=-1, format="csr")
-    lower_w.sort_indices()
-    diag_w = w_permuted.diagonal()
-    payloads = []
-    for shard_id, (rs, re) in enumerate(layout.spans):
-        a, b = int(pat_indptr[rs]), int(pat_indptr[re])
-        wl_a, wl_b = int(lower_w.indptr[rs]), int(lower_w.indptr[re])
-        c_lo, c_hi = layout.cluster_ranges[shard_id]
-        payloads.append(
-            (
-                pat_indptr[rs : re + 1] - a,
-                pat_indices[a:b] - rs,
-                lower_w.indptr[rs : re + 1] - wl_a,
-                lower_w.indices[wl_a:wl_b] - rs,
-                lower_w.data[wl_a:wl_b],
-                diag_w[rs:re],
-                floor,
-                [
-                    (sl.start - rs, sl.stop - rs)
-                    for sl in permutation.cluster_slices[c_lo:c_hi]
-                ],
-            )
-        )
-    return payloads
-
-
-def _run_shard_workers(
-    payloads: list[tuple], jobs: int, parallel: str
-) -> tuple[list[dict], str]:
-    """Execute the span workers, preferring processes; returns (results, mode).
-
-    Falls back to in-process execution when the platform refuses a
-    process pool — results are bitwise identical either way, only the
-    wall-clock differs.
-    """
-    want_processes = (
-        parallel in ("auto", "process") and jobs > 1 and len(payloads) > 1
-    )
-    if want_processes:
-        try:
-            import multiprocessing
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            workers = min(jobs, len(payloads))
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            ) as pool:
-                return list(pool.map(_shard_factor_worker, payloads)), "process"
-        except Exception:
-            if parallel == "process":
-                raise
-            # "auto" degrades to the serial path (sandboxes, spawn-only
-            # platforms without __main__ guards, ...).
-    return [_shard_factor_worker(payload) for payload in payloads], "serial"
-
-
 # -- the sharded index -----------------------------------------------------
 
 
@@ -773,7 +649,7 @@ class ShardedMogulIndex:
     backend) — sharding partitions its rows and the derived query-time
     state, it never changes the math.  Construction paths:
 
-    * :meth:`build` — from a graph, with shard-parallel factorization.
+    * :meth:`build` — from a graph, factoring one row span per shard.
     * :meth:`from_factors` — carve shards out of an existing
       factorization (equivalence tests, reference backend).
     * :meth:`load` / :func:`repro.core.serialize.load_sharded_index` —
@@ -1023,16 +899,15 @@ class ShardedMogulIndex:
                     skip.add(victim)
                     continue
                 self._states[victim] = None
+                state = None
+                # Close under the lock: a re-fault of this shard maps a
+                # new generation through the same loader, and a close
+                # that ran after it would unmap the arrays it returned.
+                close = getattr(self._sources[victim], "close", None)
+                if close is not None:
+                    close()
             finally:
                 lock.release()
-            # Drop our reference before closing the loader: once the
-            # state's arrays deallocate, the mmaps' exported buffers are
-            # gone and the close actually releases the file handles.
-            state = None
-            source = self._sources[victim]
-            close = getattr(source, "close", None)
-            if close is not None:
-                close()
 
     def configure_memory_budget(
         self,
@@ -1166,24 +1041,20 @@ class ShardedMogulIndex:
         cluster_labels: np.ndarray | None = None,
         clusterer: ClusterFn = louvain,
         fill_level: int = 0,
-        jobs: int = 1,
         factor_backend: str = DEFAULT_BACKEND,
-        parallel: str = "auto",
     ) -> "ShardedMogulIndex":
         """Precompute the sharded index for a graph.
 
         The clustering, permutation and ranking matrix are global and
         identical to :meth:`repro.core.MogulIndex.build`; the
-        factorization then runs as one independent span per shard —
-        in worker *processes* when ``jobs > 1`` (``parallel="auto"``;
-        ``"serial"`` forces in-process, ``"process"`` raises when a pool
-        cannot be created) — followed by the shared border rows.  Every
-        (S, jobs, parallel) combination produces a bitwise-identical
-        index; only build wall-clock changes.
+        factorization then runs as one independent span per shard
+        (:func:`repro.linalg.ldl.factor_row_span`), followed by the
+        shared border rows.  Every shard count produces a
+        bitwise-identical factorization.
 
         ``factor_backend="reference"`` keeps the original global
-        dict-of-rows factorization (no shard parallelism) and carves the
-        shard states from its result.
+        dict-of-rows factorization and carves the shard states from its
+        result.
         """
         alpha = check_alpha(alpha)
         if factorization not in ("incomplete", "complete"):
@@ -1196,21 +1067,12 @@ class ShardedMogulIndex:
             raise ValueError(
                 f"factor_backend must be one of {BACKENDS}, got {factor_backend!r}"
             )
-        if parallel not in PARALLEL_MODES:
-            raise ValueError(
-                f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
-            )
-        jobs = check_jobs(jobs)
-        profile = BuildProfile(
-            factor_backend=factor_backend, jobs=jobs, n_shards=n_shards
-        )
+        profile = BuildProfile(factor_backend=factor_backend, n_shards=n_shards)
         stages = profile.stages
 
         started = time.perf_counter()
         if cluster_labels is None:
-            from repro.core.index import _run_clusterer
-
-            cluster_labels = _run_clusterer(clusterer, graph.adjacency, jobs)
+            cluster_labels = clusterer(graph.adjacency)
             stages["clustering"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -1242,15 +1104,49 @@ class ShardedMogulIndex:
                 w_permuted, factorization, fill_level
             )
             floor = global_pivot_floor(w_permuted)
-            payloads = _shard_payloads(
-                w_permuted, pat_indptr, pat_indices, layout, permutation, floor
-            )
-            results, mode = _run_shard_workers(payloads, jobs, parallel)
-            profile.shard_parallel_mode = mode
-            profile.shard_seconds = [float(r["seconds"]) for r in results]
-            interior_values = np.concatenate([r["values"] for r in results])
-            interior_scaled = np.concatenate([r["scaled"] for r in results])
-            interior_diag = np.concatenate([r["diag"] for r in results])
+            lower_w = sp.tril(w_permuted, k=-1, format="csr")
+            lower_w.sort_indices()
+            diag_w = w_permuted.diagonal()
+            span_factors = []
+            prepacked = []
+            for shard_id, (rs, re) in enumerate(layout.spans):
+                # One shard's span in local coordinates ``[0, re - rs)``.
+                shard_started = time.perf_counter()
+                a, b = int(pat_indptr[rs]), int(pat_indptr[re])
+                wl_a, wl_b = int(lower_w.indptr[rs]), int(lower_w.indptr[re])
+                local_indptr = pat_indptr[rs : re + 1] - a
+                local_indices = pat_indices[a:b] - rs
+                span = factor_row_span(
+                    local_indptr,
+                    local_indices,
+                    lower_w.indptr[rs : re + 1] - wl_a,
+                    lower_w.indices[wl_a:wl_b] - rs,
+                    lower_w.data[wl_a:wl_b],
+                    diag_w[rs:re],
+                    floor,
+                )
+                local = sp.csr_matrix(
+                    (span.values, local_indices, local_indptr),
+                    shape=(re - rs, re - rs),
+                )
+                c_lo, c_hi = layout.cluster_ranges[shard_id]
+                prepacked.append(
+                    _pack_cluster_blocks(
+                        local,
+                        0,
+                        tuple(
+                            slice(sl.start - rs, sl.stop - rs)
+                            for sl in permutation.cluster_slices[c_lo:c_hi]
+                        ),
+                    )
+                )
+                span_factors.append(span)
+                # The shard's own cost: the per-shard term of the
+                # critical path a one-worker-per-shard build would pay.
+                profile.shard_seconds.append(time.perf_counter() - shard_started)
+            interior_values = np.concatenate([f.values for f in span_factors])
+            interior_scaled = np.concatenate([f.scaled for f in span_factors])
+            interior_diag = np.concatenate([f.diag for f in span_factors])
             border_values, border_diag, border_perturb = factor_border_rows(
                 w_permuted, pat_indptr, pat_indices, border_start,
                 interior_diag, interior_scaled, floor,
@@ -1265,9 +1161,8 @@ class ShardedMogulIndex:
                 upper=lower.T.tocsr(),
                 diag=diag,
                 pivot_perturbations=border_perturb
-                + sum(r["perturbations"] for r in results),
+                + sum(f.perturbations for f in span_factors),
             )
-            prepacked = [r["blocks"] for r in results]
         stages["factorization"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -2045,9 +1940,7 @@ class ShardedMogulRanker(Ranker):
         fill_level: int = 0,
         use_pruning: bool = True,
         cluster_order: str = "index",
-        jobs: int = 1,
         factor_backend: str = DEFAULT_BACKEND,
-        parallel: str = "auto",
     ):
         super().__init__(graph, alpha)
         index = ShardedMogulIndex.build(
@@ -2058,9 +1951,7 @@ class ShardedMogulRanker(Ranker):
             cluster_labels=cluster_labels,
             clusterer=clusterer,
             fill_level=0 if exact else fill_level,
-            jobs=jobs,
             factor_backend=factor_backend,
-            parallel=parallel,
         )
         self._init_from_index(index, use_pruning, cluster_order)
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.clustering.louvain import louvain
 from repro.core.batch import BatchStats
-from repro.core.index import _run_clusterer
 from repro.core.out_of_sample import build_query_seeds, build_query_seeds_batch
 from repro.core.permutation import ClusterFn
 from repro.core.profile import BuildProfile
@@ -45,7 +44,7 @@ from repro.ranking.base import (
 )
 from repro.ranking.normalize import symmetric_normalize
 from repro.utils.timer import Timer
-from repro.utils.validation import check_alpha, check_jobs, check_positive_int
+from repro.utils.validation import check_alpha, check_positive_int
 
 #: Default retained rank: enough spectrum for recall@10 well above 0.95
 #: on the benchmark graphs while keeping the per-query GEMV tiny.
@@ -116,7 +115,6 @@ class SpectralIndex:
         alpha: float = DEFAULT_ALPHA,
         cluster_labels: np.ndarray | None = None,
         clusterer: ClusterFn = louvain,
-        jobs: int = 1,
     ) -> "SpectralIndex":
         """Decompose the graph and tabulate the out-of-sample routing state.
 
@@ -126,8 +124,7 @@ class SpectralIndex:
         """
         alpha = check_alpha(alpha)
         rank = check_positive_int(rank, "rank")
-        jobs = check_jobs(jobs)
-        profile = BuildProfile(factor_backend="eigsh", jobs=jobs)
+        profile = BuildProfile(factor_backend="eigsh")
         stages = profile.stages
 
         started = time.perf_counter()
@@ -140,7 +137,7 @@ class SpectralIndex:
 
         started = time.perf_counter()
         if cluster_labels is None:
-            cluster_labels = _run_clusterer(clusterer, graph.adjacency, jobs)
+            cluster_labels = clusterer(graph.adjacency)
         cluster_labels = np.asarray(cluster_labels, dtype=np.int64)
         n_clusters = int(cluster_labels.max()) + 1 if cluster_labels.size else 0
         members = tuple(
@@ -214,7 +211,6 @@ class SpectralEngine(Ranker):
         alpha: float = DEFAULT_ALPHA,
         cluster_labels: np.ndarray | None = None,
         clusterer: ClusterFn = louvain,
-        jobs: int = 1,
     ):
         super().__init__(graph, alpha)
         self.index = SpectralIndex.build(
@@ -223,7 +219,6 @@ class SpectralEngine(Ranker):
             alpha=self.alpha,
             cluster_labels=cluster_labels,
             clusterer=clusterer,
-            jobs=jobs,
         )
         self._finish_init()
 

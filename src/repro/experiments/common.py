@@ -45,16 +45,15 @@ class ExperimentConfig:
     emr_anchors:
         EMR anchor count for the headline comparison (paper Fig. 1: 10).
     jobs:
-        Worker threads for the parallel precompute stages (k-NN search,
-        per-cluster factorization); results are identical for any value.
+        Worker threads for the k-NN search of every graph the experiments
+        build; results are identical for any value.
     factor_backend:
         LDL^T implementation for every index the experiments build
         (``"csr"`` or ``"reference"``, see :mod:`repro.linalg.ldl`).
     n_shards:
         Shard count for the Mogul engine the experiment drivers build
         through :func:`build_engine` (1 = the single-index engine;
-        answers are identical for any value, so accuracy experiments
-        may shard freely for build speed).
+        answers are identical for any value).
     """
 
     scale: float = 1.0
@@ -75,7 +74,7 @@ class ExperimentConfig:
 
 def build_kwargs(config: ExperimentConfig) -> dict:
     """Build-time knobs forwarded to every Mogul index construction."""
-    return {"jobs": config.jobs, "factor_backend": config.factor_backend}
+    return {"factor_backend": config.factor_backend}
 
 
 def build_engine(graph: KnnGraph, config: ExperimentConfig, **kwargs):

@@ -11,7 +11,9 @@ positive-definite matrix :math:`W = I - \\alpha C^{-1/2} A C^{-1/2}`:
   MogulE (paper §4.6.1) for exact scores.
 * :mod:`repro.linalg.triangular` — forward/back substitution, including the
   row-restricted variants that Lemmas 4 and 5 justify.
-* :func:`woodbury_solve` — the low-rank update identity EMR and FMR build on.
+
+The EMR and FMR baselines (:mod:`repro.baselines`) carry their own
+Woodbury algebra.
 """
 
 from repro.linalg.elimination_tree import elimination_tree, ereach
@@ -37,7 +39,6 @@ from repro.linalg.triangular import (
     forward_substitute_rows,
     ldl_solve,
 )
-from repro.linalg.woodbury import low_rank_regularized_apply, woodbury_solve
 
 __all__ = [
     "LDLFactors",
@@ -54,12 +55,10 @@ __all__ = [
     "forward_substitute_rows",
     "incomplete_ldl",
     "ldl_solve",
-    "low_rank_regularized_apply",
     "profile",
     "project_seeds",
     "reverse_cuthill_mckee",
     "spectral_decompose",
     "spectral_filter",
     "spectral_scores",
-    "woodbury_solve",
 ]

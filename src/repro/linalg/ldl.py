@@ -17,14 +17,10 @@ Two interchangeable numeric backends implement both variants:
   scatter/gather sweep over a dense scratch row.  Because the permuted
   system matrix is bordered block diagonal (Lemma 3), the interior
   cluster blocks factorize independently: pass ``blocks=`` (the
-  permutation's cluster slices, border last) and ``jobs=`` to spread the
-  interior blocks over a thread pool, the border rows running last.
-  Results are bitwise identical for every ``jobs`` value — each row's
-  arithmetic never depends on how rows are grouped.  (The numeric sweep
-  is pure-Python bytecode and holds the GIL, so ``jobs > 1`` buys
-  wall-clock only on GIL-free Python builds; the block scheduling is
-  the enabler, not the speedup, on standard CPython — there the win is
-  the kernel itself, ~3x over the reference backend.)
+  permutation's cluster slices, border last) and the interior rows run
+  as one range, the border rows last, after a check that no interior
+  row reaches left of its block.  The kernel runs ~3x faster than the
+  reference backend.
 * ``backend="reference"`` — the original dict-of-rows implementation,
   kept verbatim for equivalence testing and as the benchmark baseline.
   The backends produce the same sparsity pattern and the same values up
@@ -44,14 +40,13 @@ guard almost never fires on real inputs.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.linalg.elimination_tree import elimination_tree, ereach
-from repro.utils.validation import check_jobs, check_square
+from repro.utils.validation import check_square
 
 #: Relative pivot floor: pivots below ``PIVOT_FLOOR * max(diag(W))`` are
 #: clamped.  W's diagonal is ~1 for manifold-ranking matrices, so this is
@@ -162,7 +157,6 @@ def incomplete_ldl(
     fill_level: int = 0,
     backend: str = DEFAULT_BACKEND,
     blocks=None,
-    jobs: int = 1,
 ) -> LDLFactors:
     """Incomplete Cholesky :math:`LDL^T` with level-of-fill control.
 
@@ -193,9 +187,6 @@ def incomplete_ldl(
         independently; a matrix that is not bordered block diagonal
         w.r.t. the given blocks raises ``ValueError``.  Ignored by the
         reference backend.
-    jobs:
-        Worker threads for the interior blocks (CSR backend only; needs
-        ``blocks``).  Any value produces bitwise-identical factors.
 
     Returns
     -------
@@ -204,7 +195,6 @@ def incomplete_ldl(
     if fill_level < 0:
         raise ValueError(f"fill_level must be >= 0, got {fill_level}")
     _check_backend(backend)
-    jobs = check_jobs(jobs)
     w = _to_csr(w)
     spans = _check_blocks(blocks, w.shape[0])
     if backend == "reference":
@@ -217,7 +207,7 @@ def incomplete_ldl(
         lower_w.sort_indices()
         pat_indptr = lower_w.indptr.astype(np.int64)
         pat_indices = lower_w.indices.astype(np.int64)
-    return _factor_with_pattern(w, pat_indptr, pat_indices, pivot_floor, spans, jobs)
+    return _factor_with_pattern(w, pat_indptr, pat_indices, pivot_floor, spans)
 
 
 def complete_ldl(
@@ -225,7 +215,6 @@ def complete_ldl(
     pivot_floor: float = PIVOT_FLOOR,
     backend: str = DEFAULT_BACKEND,
     blocks=None,
-    jobs: int = 1,
 ) -> LDLFactors:
     """Modified (complete) Cholesky :math:`LDL^T` with fill-in (§4.6.1).
 
@@ -233,16 +222,15 @@ def complete_ldl(
     §4.8) and the numeric values follow from one sparse triangular solve
     per row.  Because no entry is dropped, :math:`LDL^T = W` exactly (up
     to round-off) and the resulting scores are exact — this is MogulE's
-    engine.  ``backend``/``blocks``/``jobs`` as in :func:`incomplete_ldl`.
+    engine.  ``backend``/``blocks`` as in :func:`incomplete_ldl`.
     """
     _check_backend(backend)
-    jobs = check_jobs(jobs)
     w = _to_csr(w)
     spans = _check_blocks(blocks, w.shape[0])
     if backend == "reference":
         return _complete_reference(w, pivot_floor)
     pat_indptr, pat_indices = _symbolic_complete(w)
-    return _factor_with_pattern(w, pat_indptr, pat_indices, pivot_floor, spans, jobs)
+    return _factor_with_pattern(w, pat_indptr, pat_indices, pivot_floor, spans)
 
 
 # -- CSR backend -----------------------------------------------------------
@@ -380,41 +368,12 @@ def _factor_rows(
     return perturb, out
 
 
-def _row_groups(
-    spans: list[tuple[int, int]], jobs: int, pat_indptr: np.ndarray
-) -> list[tuple[int, int]]:
-    """Partition the interior blocks into ``jobs`` contiguous row ranges.
-
-    Interior blocks are mutually independent, so any contiguous grouping
-    is valid; ranges are balanced by pattern non-zeros (a proxy for
-    numeric work).  The border block is excluded — it must run last.
-    """
-    interior = spans[:-1]
-    if not interior:
-        return []
-    jobs = min(jobs, len(interior))
-    total = int(pat_indptr[interior[-1][1]] - pat_indptr[interior[0][0]])
-    target = max(1, total // jobs)
-    groups: list[tuple[int, int]] = []
-    group_start = interior[0][0]
-    acc = 0
-    for start, stop in interior:
-        acc += int(pat_indptr[stop] - pat_indptr[start])
-        if acc >= target and len(groups) < jobs - 1:
-            groups.append((group_start, stop))
-            group_start = stop
-            acc = 0
-    groups.append((group_start, interior[-1][1]))
-    return groups
-
-
 def _factor_with_pattern(
     w: sp.csr_matrix,
     pat_indptr: np.ndarray,
     pat_indices: np.ndarray,
     pivot_floor: float,
     spans: list[tuple[int, int]] | None,
-    jobs: int,
 ) -> LDLFactors:
     """Numeric phase shared by both variants of the CSR backend."""
     n = w.shape[0]
@@ -425,7 +384,7 @@ def _factor_with_pattern(
 
     if spans is not None:
         # Interior rows must never reach columns left of their block —
-        # the independence the parallel schedule (and Lemma 3) relies on.
+        # the independence Lemma 3 (and the sharded build) relies on.
         for start, stop in spans[:-1]:
             seg = pat_indices[pat_indptr[start] : pat_indptr[stop]]
             if seg.size and int(seg.min()) < start:
@@ -456,19 +415,11 @@ def _factor_with_pattern(
         data[lp[rs] : lp[re]] = values
         return perturb
 
-    perturbations = 0
     if spans is None or len(spans) == 1:
-        perturbations += run_range(0, n)
+        perturbations = run_range(0, n)
     else:
-        groups = _row_groups(spans, jobs, pat_indptr)
-        if jobs > 1 and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-                futures = [pool.submit(run_range, rs, re) for rs, re in groups]
-                perturbations += sum(f.result() for f in futures)
-        else:
-            perturbations += sum(run_range(rs, re) for rs, re in groups)
-        border_start, border_stop = spans[-1]
-        perturbations += run_range(border_start, border_stop)
+        border_start = spans[-1][0]
+        perturbations = run_range(0, border_start) + run_range(border_start, n)
 
     lower = sp.csr_matrix(
         (data, pat_indices.copy(), pat_indptr.copy()), shape=(n, n)
@@ -485,9 +436,9 @@ def _factor_with_pattern(
 #
 # A bordered block-diagonal matrix factors in independent *leading spans*
 # (any contiguous run of interior blocks) followed by the border rows,
-# which consume every span's result.  The sharded index build farms the
-# spans to worker processes; these two functions are the process-safe
-# halves of `_factor_with_pattern`, produced so that the assembled factor
+# which consume every span's result.  The sharded index build factors one
+# span per shard; these two functions are the halves of
+# `_factor_with_pattern`, produced so that the assembled factor
 # is **bitwise identical** to the single-call path: each row's arithmetic
 # depends only on its pattern, W's values, the diagonal of earlier
 # columns and the earlier rows' pre-division column values — none of
@@ -522,8 +473,9 @@ class RowSpanFactor:
 def global_pivot_floor(w: sp.csr_matrix, pivot_floor: float = PIVOT_FLOOR) -> float:
     """The absolute pivot floor `_factor_with_pattern` applies for ``w``.
 
-    Span workers must receive this value from the caller — computing it
-    from a span's local diagonal would change clamping decisions.
+    Span factorizations must receive this value from the caller —
+    computing it from a span's local diagonal would change clamping
+    decisions.
     """
     return pivot_floor * max(float(np.max(np.abs(w.diagonal()))), 1.0)
 
@@ -567,8 +519,6 @@ def factor_row_span(
     span and shifts column indices so the span occupies ``[0, m)``; the
     span must be self-contained (every column inside it), which holds for
     any run of interior blocks of a bordered block-diagonal matrix.
-    Everything here pickles, so the sharded build can run one call per
-    worker process.
     """
     m = int(np.asarray(w_diag).shape[0])
     pat_indices = np.asarray(pat_indices, dtype=np.int64)

@@ -22,7 +22,7 @@ EXPECTED_STAGES = (
 
 @pytest.fixture(scope="module")
 def built(bridged_graph):
-    return MogulIndex.build(bridged_graph, jobs=2)
+    return MogulIndex.build(bridged_graph)
 
 
 class TestBuildRecordsProfile:
@@ -42,7 +42,6 @@ class TestBuildRecordsProfile:
         border = built.permutation.border_slice
         assert profile.border_size == border.stop - border.start
         assert profile.factor_nnz == built.factors.nnz
-        assert profile.jobs == 2
         assert profile.factor_backend == "csr"
         # The paper's ICF keeps exactly W's strict-lower pattern.
         assert profile.fill_ratio == pytest.approx(1.0)
@@ -66,7 +65,6 @@ class TestProfileRoundtrip:
         restored = BuildProfile.from_json(built.profile.to_json())
         assert restored.stages == built.profile.stages
         assert restored.factor_backend == built.profile.factor_backend
-        assert restored.jobs == built.profile.jobs
         assert restored.factor_nnz == built.profile.factor_nnz
 
     def test_to_text_lists_stages(self, built):
@@ -137,19 +135,6 @@ class TestCriticalPath:
         profile = BuildProfile(
             stages={"shared": 1.0, "factorization": 4.0},
             shard_seconds=[1.0, 1.0, 1.0, 1.0],
-        )
-        assert profile.critical_path_seconds == pytest.approx(2.0)
-
-    def test_process_mode_returns_wall_clock(self):
-        from repro.core.profile import BuildProfile
-
-        # A process build already overlapped the shards: its stage total
-        # is the realized wall-clock, and per-worker times (possibly
-        # inflated by core time-sharing) must not be subtracted from it.
-        profile = BuildProfile(
-            stages={"factorization": 2.0},
-            shard_seconds=[1.8, 1.9, 1.8, 1.9],
-            shard_parallel_mode="process",
         )
         assert profile.critical_path_seconds == pytest.approx(2.0)
 

@@ -283,7 +283,7 @@ class TestBuildJobsAndBackend:
         assert code == 0
         for stage in ("graph", "clustering", "factorization", "solver"):
             assert stage in out
-        assert "backend=csr jobs=2" in out
+        assert "backend=csr" in out
 
     def test_backends_build_identical_answers(self, capsys, tmp_path):
         reference = tmp_path / "ref.idx.npz"

@@ -93,12 +93,6 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestRefinedParallel:
-    def test_jobs_identical_labels(self):
-        graph = build_knn_graph(multimode_features(), k=5)
-        sequential = louvain_refined(graph.adjacency, max_cluster_size=40, jobs=1)
-        parallel = louvain_refined(graph.adjacency, max_cluster_size=40, jobs=4)
-        np.testing.assert_array_equal(sequential, parallel)
-
     def test_impl_identical_labels(self):
         graph = build_knn_graph(multimode_features(n_modes=4), k=5)
         fast = louvain_refined(graph.adjacency, max_cluster_size=30)
@@ -106,8 +100,3 @@ class TestRefinedParallel:
             graph.adjacency, max_cluster_size=30, impl="reference"
         )
         np.testing.assert_array_equal(fast, reference)
-
-    def test_bad_jobs_rejected(self):
-        graph = build_knn_graph(multimode_features(n_modes=2, per_mode=12), k=4)
-        with pytest.raises(ValueError, match="jobs"):
-            louvain_refined(graph.adjacency, jobs=0)

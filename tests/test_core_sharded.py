@@ -114,31 +114,6 @@ class TestFactorIdentity:
         assert np.array_equal(factors.diag, reference.diag)
         assert factors.pivot_perturbations == reference.pivot_perturbations
 
-    def test_process_parallel_build_identical(self, graph):
-        serial = ShardedMogulIndex.build(graph, 4, jobs=1, parallel="serial")
-        parallel = ShardedMogulIndex.build(graph, 4, jobs=4)
-        a, b = serial.assemble_factors(), parallel.assemble_factors()
-        assert np.array_equal(a.lower.data, b.lower.data)
-        assert np.array_equal(a.diag, b.diag)
-
-    def test_fork_pool_blocks_answer_like_serial(self, graph):
-        """Packed blocks pickled back from fork workers solve exactly as
-        blocks packed in-process: they carry no stale raw pointers."""
-        serial = ShardedMogulIndex.build(graph, 4, jobs=1, parallel="serial")
-        forked = ShardedMogulIndex.build(graph, 4, jobs=2, parallel="process")
-        assert forked.profile.shard_parallel_mode == "process"
-        serial_ranker = ShardedMogulRanker.from_index(graph, serial)
-        forked_ranker = ShardedMogulRanker.from_index(graph, forked)
-        queries = np.random.default_rng(5).choice(graph.n_nodes, 16, replace=False)
-        for a, b in zip(
-            serial_ranker.top_k_batch(queries, 8), forked_ranker.top_k_batch(queries, 8)
-        ):
-            _assert_results_equal(a, b)
-        for query in queries[:4]:
-            _assert_results_equal(
-                serial_ranker.top_k(int(query), 8), forked_ranker.top_k(int(query), 8)
-            )
-
     def test_reference_backend_matches_unsharded_reference(self, graph):
         base = MogulIndex.build(graph, factor_backend="reference")
         shard = ShardedMogulIndex.build(graph, 2, factor_backend="reference")
@@ -417,10 +392,6 @@ class TestValidation:
         )
         with pytest.raises(ValueError, match="nodes"):
             ShardedMogulRanker.from_index(other, index)
-
-    def test_bad_parallel_mode(self, graph):
-        with pytest.raises(ValueError, match="parallel"):
-            ShardedMogulIndex.build(graph, 2, parallel="threads")
 
     def test_bad_factorization(self, graph):
         with pytest.raises(ValueError, match="factorization"):

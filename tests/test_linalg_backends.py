@@ -1,4 +1,4 @@
-"""Equivalence of the LDL backends and the parallel block schedule.
+"""Equivalence of the LDL backends and the bordered-block schedule.
 
 The contracts under test (see repro.linalg.ldl):
 
@@ -6,11 +6,11 @@ The contracts under test (see repro.linalg.ldl):
   *identical* sparsity pattern and allclose values (they accumulate the
   same sums in different orders) for every variant — incomplete at any
   fill level, and complete;
-* factoring with ``blocks=`` (the bordered-block layout) and any
-  ``jobs`` value is **bitwise identical** to the plain sequential csr
-  run — parallelism is an execution schedule, not an approximation;
+* factoring with ``blocks=`` (the bordered-block layout) is **bitwise
+  identical** to the plain csr run — the block schedule is an execution
+  order, not an approximation;
 * downstream top-k answers agree across backends (indices exactly,
-  scores to float tolerance) and are bitwise identical across ``jobs``.
+  scores to float tolerance).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.clustering.louvain import louvain_reference
-from repro.core.index import MogulIndex, MogulRanker
+from repro.core.index import MogulRanker
 from repro.core.permutation import build_permutation
 from repro.linalg.ldl import complete_ldl, incomplete_ldl
 from repro.ranking.normalize import ranking_matrix
@@ -96,29 +96,23 @@ class TestBlocksAndJobs:
         )
         return w, permutation
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_blocks_and_jobs_bitwise_incomplete(self, permuted, jobs):
+    def test_blocks_bitwise_incomplete(self, permuted):
         w, permutation = permuted
         plain = incomplete_ldl(w)
-        blocked = incomplete_ldl(
-            w, blocks=permutation.cluster_slices, jobs=jobs
-        )
+        blocked = incomplete_ldl(w, blocks=permutation.cluster_slices)
         _assert_bitwise(plain, blocked)
 
-    @pytest.mark.parametrize("jobs", [1, 3])
-    def test_blocks_and_jobs_bitwise_complete(self, permuted, jobs):
+    def test_blocks_bitwise_complete(self, permuted):
         w, permutation = permuted
         plain = complete_ldl(w)
-        blocked = complete_ldl(w, blocks=permutation.cluster_slices, jobs=jobs)
+        blocked = complete_ldl(w, blocks=permutation.cluster_slices)
         _assert_bitwise(plain, blocked)
 
     def test_fill_level_with_blocks_matches_reference(self, permuted):
         w, permutation = permuted
         _assert_equivalent(
             incomplete_ldl(w, fill_level=2, backend="reference"),
-            incomplete_ldl(
-                w, fill_level=2, blocks=permutation.cluster_slices, jobs=2
-            ),
+            incomplete_ldl(w, fill_level=2, blocks=permutation.cluster_slices),
         )
 
     def test_non_bordered_matrix_rejected(self):
@@ -137,16 +131,9 @@ class TestBlocksAndJobs:
         with pytest.raises(ValueError, match="blocks cover"):
             incomplete_ldl(w, blocks=[slice(0, n - 1)])
 
-    def test_bad_jobs_rejected(self, permuted):
-        w, _ = permuted
-        with pytest.raises(ValueError, match="jobs"):
-            incomplete_ldl(w, jobs=0)
-        with pytest.raises(ValueError, match="jobs"):
-            complete_ldl(w, jobs=-2)
-
 
 class TestDownstreamAnswers:
-    """Backend/jobs choices must never change what a query returns."""
+    """Backend choices must never change what a query returns."""
 
     @pytest.fixture(scope="class")
     def rankers(self, bridged_graph):
@@ -155,7 +142,7 @@ class TestDownstreamAnswers:
             factor_backend="reference",
             clusterer=louvain_reference,
         )
-        csr = MogulRanker(bridged_graph, factor_backend="csr", jobs=2)
+        csr = MogulRanker(bridged_graph, factor_backend="csr")
         return reference, csr
 
     def test_top_k_matches_across_backends(self, rankers, bridged_graph):
@@ -172,7 +159,7 @@ class TestDownstreamAnswers:
         reference = MogulRanker(
             bridged_graph, exact=True, factor_backend="reference"
         )
-        csr = MogulRanker(bridged_graph, exact=True, jobs=3)
+        csr = MogulRanker(bridged_graph, exact=True)
         for query in (0, 17, 80):
             expected = reference.top_k(query, 8)
             actual = csr.top_k(query, 8)
@@ -180,14 +167,3 @@ class TestDownstreamAnswers:
             np.testing.assert_allclose(
                 expected.scores, actual.scores, rtol=1e-9
             )
-
-    def test_parallel_build_answers_bitwise(self, bridged_graph):
-        sequential = MogulIndex.build(bridged_graph, jobs=1)
-        parallel = MogulIndex.build(bridged_graph, jobs=4)
-        ranker_seq = MogulRanker.from_index(bridged_graph, sequential)
-        ranker_par = MogulRanker.from_index(bridged_graph, parallel)
-        for query in (0, 21, 42, 84):
-            expected = ranker_seq.top_k(query, 10)
-            actual = ranker_par.top_k(query, 10)
-            assert np.array_equal(expected.indices, actual.indices)
-            assert np.array_equal(expected.scores, actual.scores)

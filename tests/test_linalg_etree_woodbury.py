@@ -1,20 +1,12 @@
-"""Tests for the elimination tree, ereach and the Woodbury helpers."""
+"""Tests for the elimination tree and ereach."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.linalg import (
-    complete_ldl,
-    elimination_tree,
-    ereach,
-    low_rank_regularized_apply,
-    woodbury_solve,
-)
+from repro.linalg import complete_ldl, elimination_tree, ereach
 from repro.ranking.normalize import ranking_matrix
 from tests.conftest import random_symmetric_adjacency
 
@@ -71,58 +63,3 @@ class TestEliminationTree:
         with pytest.raises(ValueError):
             elimination_tree(sp.csr_matrix(np.ones((2, 3))))
 
-
-class TestWoodbury:
-    def test_matches_dense_inverse(self):
-        rng = np.random.default_rng(0)
-        n, r = 12, 3
-        a_diag = rng.random(n) + 1.0
-        u = rng.normal(size=(n, r))
-        c = np.diag(rng.random(r) + 0.5)
-        v = rng.normal(size=(r, n))
-        b = rng.random(n)
-        full = np.diag(a_diag) + u @ c @ v
-        expected = np.linalg.solve(full, b)
-        got = woodbury_solve(lambda x: (x.T / a_diag).T, u, c, v, b)
-        np.testing.assert_allclose(got, expected, atol=1e-9)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            woodbury_solve(
-                lambda x: x,
-                np.ones((4, 2)),
-                np.eye(2),
-                np.ones((3, 4)),
-                np.ones(4),
-            )
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=15),
-        d=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=100),
-        alpha=st.floats(min_value=0.1, max_value=0.95),
-    )
-    def test_low_rank_regularized_apply(self, n, d, seed, alpha):
-        """(I - alpha H^T H)^{-1} q via Woodbury equals the dense solve,
-        whenever the system is well posed (||H||^2 alpha < 1 suffices)."""
-        rng = np.random.default_rng(seed)
-        h = rng.normal(size=(d, n))
-        h /= np.linalg.norm(h, 2) + 1e-9  # spectral norm <= 1
-        q = rng.random(n)
-        dense = np.eye(n) - alpha * h.T @ h
-        expected = np.linalg.solve(dense, q)
-        got = low_rank_regularized_apply(h, q, alpha)
-        np.testing.assert_allclose(got, expected, atol=1e-8)
-
-    def test_low_rank_apply_sparse_h(self):
-        rng = np.random.default_rng(1)
-        h = sp.random(3, 20, density=0.4, random_state=2, format="csr")
-        h = h / (sp.linalg.norm(h) + 1e-9)
-        q = rng.random(20)
-        dense = np.eye(20) - 0.9 * (h.T @ h).toarray()
-        np.testing.assert_allclose(
-            low_rank_regularized_apply(h, q, 0.9),
-            np.linalg.solve(dense, q),
-            atol=1e-8,
-        )

@@ -404,6 +404,78 @@ class TestFdStability:
         loader.close()
 
 
+class TestParseOnceRefaults:
+    """Re-faults map from the member table parsed at load, nothing else.
+
+    The npy header parser (``ast.literal_eval``) failed under concurrent
+    re-faults on CPython 3.11 (``SystemError: AST constructor recursion
+    depth mismatch``); after load no fault may reach it.
+    """
+
+    @staticmethod
+    def _forbid_header_parsing(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shard fault re-parsed an npy header")
+
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", refuse)
+        monkeypatch.setattr(np.lib.format, "read_array_header_2_0", refuse)
+
+    def test_faults_never_parse_headers(
+        self, graph, saved_index, reference, monkeypatch
+    ):
+        index = load_sharded_index(saved_index)
+        mgr = index.configure_memory_budget(0.005)
+        ranker = ShardedMogulRanker.from_index(graph, index)
+        self._forbid_header_parsing(monkeypatch)
+        for query in QUERY_SET * 3:
+            expected, expected_stats = reference[query]
+            result = ranker.top_k(query, TOP_K)
+            assert np.array_equal(result.indices, expected.indices)
+            assert np.array_equal(result.scores, expected.scores)
+            assert ranker.last_stats == expected_stats
+        assert mgr.faults_total > 0
+        assert mgr.evictions_total > 0
+
+    def test_concurrent_refaults(self, graph, saved_index, reference):
+        index = load_sharded_index(saved_index)
+        expected = [source().copy() for source in index._sources]
+        # A budget this small holds no shard: every unpinned shard is
+        # evicted, so each acquire below re-faults from the table.
+        mgr = index.configure_memory_budget(0.005)
+        start = threading.Barrier(8, timeout=60)
+
+        def refault(worker: int) -> None:
+            start.wait()
+            for cycle in range(200):
+                shard = (worker + cycle) % index.n_shards
+                rows = index.acquire_shard(shard).rows
+                try:
+                    want = expected[shard]
+                    assert np.array_equal(rows.indptr, want.indptr)
+                    assert np.array_equal(rows.indices, want.indices)
+                    assert np.array_equal(rows.data, want.data)
+                finally:
+                    # The rows may be memory-mapped: drop them before the
+                    # pin, after which an eviction may unmap them.
+                    rows = None
+                    index.release_shard(shard)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                for future in [pool.submit(refault, w) for w in range(8)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert mgr.faults_total > 0
+        ranker = ShardedMogulRanker.from_index(graph, index)
+        for query in QUERY_SET:
+            result = ranker.top_k(query, TOP_K)
+            assert np.array_equal(result.indices, reference[query][0].indices)
+            assert np.array_equal(result.scores, reference[query][0].scores)
+
+
 class TestColdServerRetryAfter:
     def test_delay_estimate_clamps_on_zero_mean(self):
         from repro.service.admission import AdmissionController
