@@ -576,19 +576,19 @@ def save_sharded_index(index, path: "str | os.PathLike") -> None:
     shard_files: list[str] = []
     shard_nnz: list[int] = []
     for shard_id in range(index.n_shards):
-        state = index.shard_state(shard_id)
-        rows = state.rows.tocsr()
         name = f"shard_{shard_id:04d}.npz"
-        _write_npz_atomic(
-            os.path.join(target, name),
-            dict(
-                data=rows.data,
-                indices=np.asarray(rows.indices, dtype=np.int64),
-                indptr=np.asarray(rows.indptr, dtype=np.int64),
-            ),
-        )
+        with index.pinned_shard(shard_id) as state:
+            rows = state.rows.tocsr()
+            _write_npz_atomic(
+                os.path.join(target, name),
+                dict(
+                    data=rows.data,
+                    indices=np.asarray(rows.indices, dtype=np.int64),
+                    indptr=np.asarray(rows.indptr, dtype=np.int64),
+                ),
+            )
+            shard_nnz.append(int(rows.nnz))
         shard_files.append(name)
-        shard_nnz.append(int(rows.nnz))
     manifest = {
         "format_version": SHARDED_FORMAT_VERSION,
         "kind": SHARDED_KIND,

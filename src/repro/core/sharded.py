@@ -21,21 +21,24 @@ and served:
   the unsharded engine's.
 * **Scatter-gather search** (:func:`scatter_gather_search`): the router
   runs the seed-cluster forward pass and the shared border solves, then
-  hands each shard the border scores plus its current top-k threshold;
-  shards scan their own clusters with bound pruning and return local
-  frontiers; the router merges them (:mod:`repro.core.topk`).  Answers —
-  indices, scores and tie-breaks — equal the unsharded engine's because
-  every candidate's score is computed by the same packed solves and the
-  merge applies the same total order; only the *pruning trajectory*
-  (hence :class:`SearchStats`) may differ, since each shard's threshold
-  evolves locally.
+  one pass visits every shard's clusters in cluster-id order under each
+  query's single running top-k frontier, solving each visited cluster
+  on the shard that owns it.  Shards own contiguous cluster ranges, so
+  this is the unsharded engine's visit order under the unsharded
+  threshold: answers — indices, scores, tie-breaks — *and* the
+  per-query :class:`SearchStats` equal the unsharded engine's.  Each
+  shard's aggregate counters (``last_shard_stats``) are the per-query
+  counters summed over its cluster range.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,12 +108,19 @@ class ShardLayout:
         """Number of shards."""
         return len(self.spans)
 
+    @cached_property
+    def shard_of(self) -> np.ndarray:
+        """Owning shard of every interior cluster id, as a lookup array."""
+        return np.repeat(
+            np.arange(self.n_shards, dtype=np.int64),
+            [hi - lo for lo, hi in self.cluster_ranges],
+        )
+
     def shard_of_cluster(self, cluster_id: int) -> int:
         """Shard owning an interior cluster id."""
-        for shard_id, (lo, hi) in enumerate(self.cluster_ranges):
-            if lo <= cluster_id < hi:
-                return shard_id
-        raise ValueError(f"cluster {cluster_id} is not an interior cluster")
+        if not 0 <= cluster_id < self.shard_of.size:
+            raise ValueError(f"cluster {cluster_id} is not an interior cluster")
+        return int(self.shard_of[cluster_id])
 
     def to_dict(self) -> dict:
         """JSON-ready representation (for the manifest)."""
@@ -721,6 +731,13 @@ class ShardedMogulIndex:
         #: Always-resident pruning surfaces, built at first materialisation.
         self._resident_bounds: list[ShardBounds | None] = [None] * n_shards
         self._bounds_dtype = "float64"
+        #: The float64 resident tables stacked in shard order (lazy).
+        self._stacked_bounds: BoundsTable | None = None
+        #: Node count of every interior cluster, by cluster id.
+        self.cluster_sizes = np.asarray(
+            [sl.stop - sl.start for sl in permutation.cluster_slices[:-1]],
+            dtype=np.int64,
+        )
         #: Residency accounting/eviction; ``None`` until
         #: :meth:`configure_memory_budget` opts in.
         self.residency: ShardResidencyManager | None = None
@@ -756,17 +773,14 @@ class ShardedMogulIndex:
     @property
     def shard_nnz_total(self) -> int:
         """Factor non-zeros across all shard rows (border excluded)."""
-        if self._shard_nnz is not None:
-            return int(sum(self._shard_nnz))
-        return int(
-            sum(self.shard_state(s).nnz for s in range(self.n_shards))
-        )
+        return sum(self.shard_nnz(s) for s in range(self.n_shards))
 
     def shard_nnz(self, shard_id: int) -> int:
         """Factor non-zeros in one shard's rows."""
         if self._shard_nnz is not None:
             return int(self._shard_nnz[shard_id])
-        return self.shard_state(shard_id).nnz
+        with self.pinned_shard(shard_id) as state:
+            return state.nnz
 
     @property
     def shards_loaded(self) -> int:
@@ -780,10 +794,9 @@ class ShardedMogulIndex:
 
         Thread-safe: a per-shard lock makes the lazy carve exactly-once
         even when several concurrent callers (or a query racing
-        eviction) hit a cold shard together.  The lock-free fast path
-        returns a local reference, so a concurrent eviction can never
-        hand the caller a torn state — the arrays it holds stay valid,
-        the index merely forgets them.
+        eviction) hit a cold shard together.  The state is *not*
+        pinned: an eviction may unmap its memory-mapped ``rows`` at any
+        time, so readers of ``rows`` use :meth:`pinned_shard` instead.
         """
         state = self._states[shard_id]
         if state is not None:
@@ -813,11 +826,29 @@ class ShardedMogulIndex:
         self._maybe_evict()
         return state
 
+    @contextmanager
+    def pinned_shard(self, shard_id: int) -> Iterator[ShardState]:
+        """:meth:`acquire_shard` and :meth:`release_shard` as a ``with`` block.
+
+        Readers of a shard's ``rows`` hold it: a loaded shard's rows are
+        memory-mapped, and an eviction unmaps them.
+        """
+        state = self.acquire_shard(shard_id)
+        try:
+            yield state
+        finally:
+            self.release_shard(shard_id)
+
     def release_shard(self, shard_id: int) -> None:
-        """Drop the pin taken by :meth:`acquire_shard`."""
+        """Drop the pin taken by :meth:`acquire_shard`.
+
+        The budget is enforced again once the pin is gone, so it holds
+        between scans, not only when the next scan acquires a shard.
+        """
         mgr = self.residency
         if mgr is not None:
             mgr.unpin(shard_id)
+            self._maybe_evict()
 
     def shard_bounds(self, shard_id: int) -> ShardBounds:
         """The shard's always-resident pruning surface.
@@ -835,6 +866,24 @@ class ShardedMogulIndex:
             view = self._resident_bounds[shard_id]
         self._maybe_evict()
         return view
+
+    def bounds_table(self) -> BoundsTable:
+        """Every interior cluster's exact bounds as one table.
+
+        The shards' resident float64 tables stacked in shard order.
+        Shards own contiguous cluster ranges, so row ``i`` is cluster
+        ``i``, and one SpMV evaluates every bound of a search pass,
+        bitwise equal to the per-shard rows.
+        """
+        table = self._stacked_bounds
+        if table is None:
+            tables = [self.shard_bounds(s).table for s in range(self.n_shards)]
+            table = BoundsTable(
+                matrix=sp.vstack([t.matrix for t in tables], format="csr"),
+                growth=np.concatenate([t.growth for t in tables]),
+            )
+            self._stacked_bounds = table
+        return table
 
     def _materialize_locked(self, shard_id: int) -> ShardState:
         """Load + carve a shard under its state lock; register residency."""
@@ -941,6 +990,7 @@ class ShardedMogulIndex:
         if bounds_dtype != self._bounds_dtype:
             self._bounds_dtype = bounds_dtype
             self._resident_bounds = [None] * self.n_shards
+            self._stacked_bounds = None
         self.residency = ShardResidencyManager(budget_bytes, self.n_shards)
         for shard_id, state in enumerate(self._states):
             if state is not None:
@@ -990,7 +1040,10 @@ class ShardedMogulIndex:
         same backend.  Cached; loaded indexes pay one concatenation.
         """
         if self._factors is None:
-            parts = [self.shard_state(s).rows for s in range(self.n_shards)]
+            parts = []
+            for shard_id in range(self.n_shards):
+                with self.pinned_shard(shard_id) as state:
+                    parts.append(state.rows.copy())
             parts.append(self.border_rows)
             n = self.n_nodes
             indptr = np.zeros(n + 1, dtype=np.int64)
@@ -1314,6 +1367,56 @@ class ShardedMogulIndex:
 # -- scatter-gather search -------------------------------------------------
 
 
+def _solve_router(index: ShardedMogulIndex, queries, shard_state):
+    """Stages 1-2 of a sharded batch: the seed and shared border solves.
+
+    Each seeded cluster is forward-substituted on its owning shard (the
+    state ``shard_state(shard_id)`` returns) for the columns seeded
+    there; the shared border block is solved once for every column, with
+    one coupling SpMM over all interior columns; then each seeded
+    cluster is back-substituted on its shard.  Returns ``(seed cluster
+    sets, y, x)``, where ``x`` holds every border and seed-cluster score.
+    """
+    perm = index.permutation
+    n = perm.n_nodes
+    n_queries = len(queries)
+    border_start = perm.border_slice.start
+    shard_of = index.layout.shard_of
+    q_mat = np.zeros((n, n_queries), dtype=np.float64)
+    seed_cluster_sets: list[set[int]] = []
+    seeded_columns: dict[int, list[int]] = {}
+    for j, query in enumerate(queries):
+        positions = np.asarray(query.seed_positions, dtype=np.int64)
+        q_mat[positions, j] = np.asarray(query.seed_weights, dtype=np.float64)
+        seeds = {int(perm.cluster_of_position[int(p)]) for p in positions}
+        seed_cluster_sets.append(seeds)
+        for cid in seeds - {perm.border_cluster}:
+            seeded_columns.setdefault(cid, []).append(j)
+    seeded = [
+        (cid, np.asarray(seeded_columns[cid], dtype=np.int64))
+        for cid in sorted(seeded_columns)
+    ]
+    z_mat = np.zeros((n, n_queries), dtype=np.float64)
+    y_mat = np.zeros((n, n_queries), dtype=np.float64)
+    for cid, cols in seeded:
+        shard = shard_state(int(shard_of[cid]))
+        shard.forward_seed_block(
+            cid - shard.first_cluster, q_mat, z_mat, y_mat, cols=cols
+        )
+    rhs = q_mat[border_start:] - _spmm(index.border_left, z_mat[:border_start])
+    z_border = index.border_block.solve_lower(rhs)
+    y_mat[border_start:] = z_border / index.diag[border_start:][:, None]
+
+    x_mat = np.zeros((n, n_queries), dtype=np.float64)
+    x_mat[border_start:] = index.border_block.solve_upper(y_mat[border_start:])
+    for cid, cols in seeded:
+        shard = shard_state(int(shard_of[cid]))
+        shard.back_cluster(
+            cid - shard.first_cluster, y_mat, x_mat, border_start, cols=cols
+        )
+    return seed_cluster_sets, y_mat, x_mat
+
+
 def scatter_gather_search(
     index: ShardedMogulIndex,
     queries,
@@ -1321,19 +1424,22 @@ def scatter_gather_search(
     use_pruning: bool = True,
     cluster_order: str = "index",
 ) -> tuple[list[list[tuple[int, float]]], BatchStats, list[SearchStats]]:
-    """Answer a batch of queries across the shards, merging local top-k.
+    """Answer a batch of queries in one pass over every shard's clusters.
 
-    The router performs the seed-cluster forward substitutions (each on
-    its owning shard's packed blocks), the shared border solves and the
-    seed/border frontier; every shard then scans its own clusters with
-    bound pruning against the router's threshold and returns a local
-    frontier; the merge takes the global top-k under the canonical
-    (score desc, position asc) order.  Answers are identical to the
-    unsharded engine's — scores come from the same factor via the same
-    packed solves, pruning is conservative under any threshold schedule,
-    and the merge order matches the heap's.
+    The algorithm of :func:`repro.core.batch.top_k_batch_search`, with
+    each solve run on the shard that owns the rows: the router performs
+    the seed-cluster forward substitutions, the shared border solves and
+    the seed/border frontier; then one pass visits the interior clusters
+    in id order — shards own contiguous cluster ranges, so this is the
+    unsharded visit order — under each query's single running frontier.
+    Every score comes from the same packed solves and every prune
+    decision compares the same bound with the same threshold, so the
+    answers *and* the per-query :class:`SearchStats` equal the unsharded
+    engine's.
 
-    Returns ``(answers, per-query stats, per-shard aggregate stats)``.
+    Returns ``(answers, per-query stats, per-shard aggregate stats)``; a
+    shard's aggregate is the per-query counters summed over its cluster
+    range.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -1348,262 +1454,173 @@ def scatter_gather_search(
     border = perm.border_slice
     border_start = border.start
     border_id = perm.border_cluster
-    diag = index.diag
     layout = index.layout
+    shard_of = layout.shard_of
+    sizes = index.cluster_sizes
+    n_interior = sizes.size
 
-    q_mat = np.zeros((n, n_queries), dtype=np.float64)
-    seed_cluster_sets: list[set[int]] = []
-    for j, query in enumerate(queries):
-        positions = np.asarray(query.seed_positions, dtype=np.int64)
-        q_mat[positions, j] = np.asarray(query.seed_weights, dtype=np.float64)
-        seed_cluster_sets.append(
-            {int(perm.cluster_of_position[int(p)]) for p in positions}
-        )
-
+    accs = [TopKAccumulator(k, n, query.exclude_positions) for query in queries]
     stats = [
         SearchStats(clusters_total=perm.n_clusters) for _ in range(n_queries)
     ]
+    # The (cluster, query) pairs the pass decides, and those it scored.
+    eligible = np.ones((n_interior, n_queries), dtype=bool)
+    scored = np.zeros((n_interior, n_queries), dtype=bool)
 
-    # Stage 1 — forward substitution: each seeded cluster on its owning
-    # shard (for the columns seeded there), then the shared border with
-    # one coupling SpMM over every interior column.
-    seeded_columns: dict[int, list[int]] = {}
-    for j, seeds in enumerate(seed_cluster_sets):
-        for cid in seeds:
-            if cid != border_id:
-                seeded_columns.setdefault(cid, []).append(j)
-    z_mat = np.zeros((n, n_queries), dtype=np.float64)
-    y_mat = np.zeros((n, n_queries), dtype=np.float64)
-    for cid in sorted(seeded_columns):
-        shard = index.shard_state(layout.shard_of_cluster(cid))
-        cols = np.asarray(seeded_columns[cid], dtype=np.int64)
-        shard.forward_seed_block(
-            cid - shard.first_cluster, q_mat, z_mat, y_mat, cols=cols
-        )
-    rhs = q_mat[border_start:] - _spmm(index.border_left, z_mat[:border_start])
-    z_border = index.border_block.solve_lower(rhs)
-    y_mat[border_start:] = z_border / diag[border_start:][:, None]
+    # A shard is pinned the first time the pass solves in it or resolves
+    # its exact bounds, and released once the pass has left its cluster
+    # range, or at the end of the pass.
+    pinned: dict[int, ShardState] = {}
 
-    # Stage 2 — border scores for every query (shared block), then each
-    # seeded cluster's scores on its shard; build the router frontiers.
-    x_mat = np.zeros((n, n_queries), dtype=np.float64)
-    x_mat[border_start:] = index.border_block.solve_upper(y_mat[border_start:])
-    for cid in sorted(seeded_columns):
-        shard = index.shard_state(layout.shard_of_cluster(cid))
-        cols = np.asarray(seeded_columns[cid], dtype=np.int64)
-        shard.back_cluster(
-            cid - shard.first_cluster, y_mat, x_mat, border_start, cols=cols
-        )
-    router_accs = [
-        TopKAccumulator(k, n, query.exclude_positions) for query in queries
-    ]
-    scored_sets: list[set[int]] = []
-    for j, seeds in enumerate(seed_cluster_sets):
-        scored = seeds | {border_id}
-        scored_sets.append(scored)
-        column = x_mat[:, j]
-        for cid in sorted(scored):
-            if cid == border_id:
-                continue  # the border frontier is built batch-wide below
-            sl = perm.cluster_slices[cid]
-            stats[j].nodes_scored += sl.stop - sl.start
-            router_accs[j].offer_block(column, sl.start, sl.stop)
-        stats[j].nodes_scored += border.stop - border.start
-        stats[j].clusters_scored = len(scored)
-    _offer_border_batch(x_mat, border, router_accs, queries, k)
-    initial_thresholds = np.asarray(
-        [acc.threshold for acc in router_accs], dtype=np.float64
-    )
+    def pin(shard_id: int) -> ShardState:
+        if shard_id not in pinned:
+            pinned[shard_id] = index.acquire_shard(shard_id)
+        return pinned[shard_id]
 
-    # Stage 3 — scatter: every shard scans its clusters against its own
-    # frontier, seeded at the router threshold (a valid lower bound on
-    # the global k-th best, so shard-local pruning stays exact).  The
-    # shard body is pure with respect to shared state: it reads the
-    # frozen border scores/thresholds, writes x_mat only inside its own
-    # shard's disjoint row span, keeps its accumulators local, and
-    # returns its per-query counter deltas instead of mutating ``stats``.
-    x_border_abs = np.abs(x_mat[border_start:, :])
+    def release_below(shard_id: int) -> None:
+        for held in [s for s in pinned if s < shard_id]:
+            del pinned[held]
+            index.release_shard(held)
 
-    def scan_shard(shard_id: int):
-        # The scan prunes against the always-resident bounds view and
-        # pins the heavy shard state lazily — only once a cluster must
-        # actually be visited, or a compact-bound decision is ambiguous
-        # and needs the exact float64 table.  A fully-pruned shard costs
-        # no materialisation at all under a memory budget.
-        bounds = index.shard_bounds(shard_id)
-        n_local = bounds.n_clusters
-        first = bounds.first_cluster
-        accs = [
-            TopKAccumulator(
-                k,
-                n,
-                query.exclude_positions,
-                initial_threshold=initial_thresholds[j],
-            )
-            for j, query in enumerate(queries)
-        ]
-        shard_stats = SearchStats(clusters_total=n_local * n_queries)
-        eligible = np.ones((n_local, n_queries), dtype=bool)
-        for j, scored in enumerate(scored_sets):
-            for cid in scored:
-                if cid != border_id and first <= cid < first + n_local:
-                    eligible[cid - first, j] = False
-        bound_evals = eligible.sum(axis=0).astype(np.int64)
-        shard_stats.bound_evaluations = int(bound_evals.sum())
+    try:
+        # Stages 1-2 — seed and border solves, then the frontiers.
+        seed_cluster_sets, y_mat, x_mat = _solve_router(index, queries, pin)
+        for j, seeds in enumerate(seed_cluster_sets):
+            column = x_mat[:, j]
+            for cid in sorted(seeds - {border_id}):
+                eligible[cid, j] = False
+                sl = perm.cluster_slices[cid]
+                stats[j].nodes_scored += sl.stop - sl.start
+                accs[j].offer_block(column, sl.start, sl.stop)
+            stats[j].nodes_scored += border.stop - border.start
+            stats[j].clusters_scored = len(seeds | {border_id})
+        _offer_border_batch(x_mat, border, accs, queries, k)
 
-        pruned_clusters = np.zeros(n_queries, dtype=np.int64)
-        pruned_nodes = np.zeros(n_queries, dtype=np.int64)
-        scored_clusters = np.zeros(n_queries, dtype=np.int64)
-        scored_nodes = np.zeros(n_queries, dtype=np.int64)
-        sizes = bounds.sizes
-
-        shard: ShardState | None = None
-        exact_est: np.ndarray | None = None
-
-        def heavy() -> ShardState:
-            nonlocal shard
-            if shard is None:
-                shard = index.acquire_shard(shard_id)
-            return shard
-
-        def exact_estimates() -> np.ndarray:
-            # The exact table: resident directly (float64 mode) or
-            # faulted back via the heavy state (compact fallback path —
-            # counted, and bitwise identical to the unbudgeted table).
-            nonlocal exact_est
-            if exact_est is None:
-                if bounds.table is not None:
-                    exact_est = bounds.table.estimate_all(x_border_abs)
-                else:
-                    exact_est = heavy().bounds_table.estimate_all(
-                        x_border_abs
-                    )
-                    mgr = index.residency
-                    if mgr is not None:
-                        mgr.note_bound_fallback()
-            return exact_est
-
-        try:
-            lo = hi = None
-            if not use_pruning:
-                scan = list(range(n_local))
-                estimates = None
+        # Stage 3 — one pass over the interior clusters.  ``lo``/``hi``
+        # bracket each bound: equal (one SpMV over the stacked exact
+        # table) with float64 bounds, the concatenated certified bands of
+        # the shards' compact tables otherwise.  A compact decision the
+        # band cannot certify resolves the owning shard's exact table,
+        # after which its rows read exactly (``lo == hi``).
+        thresholds = None
+        exact: np.ndarray | None = None
+        in_order = True
+        if not use_pruning:
+            scan = np.flatnonzero(eligible.any(axis=1))
+        else:
+            x_border_abs = np.abs(x_mat[border_start:, :])
+            compact = [index.shard_bounds(s).compact for s in range(n_shards)]
+            if compact[0] is None:
+                lo = hi = index.bounds_table().estimate_all(x_border_abs)
             else:
-                if bounds.compact is None:
-                    estimates = exact_estimates()
-                else:
-                    lo, hi = bounds.compact.estimate_bands(x_border_abs)
-                    estimates = None
-                thresholds = np.asarray([acc.threshold for acc in accs])
-                if estimates is None:
-                    # Three-way compact decision: certified below /
-                    # certified at-least / ambiguous -> exact fallback.
-                    at_least = lo >= thresholds
-                    ambiguous = eligible & ~at_least & ~(hi < thresholds)
-                    if np.any(ambiguous):
-                        estimates = exact_estimates()
-                        may_need = eligible & (estimates >= thresholds)
-                    else:
-                        may_need = eligible & at_least
-                else:
-                    may_need = eligible & (estimates >= thresholds)
-                visit_mask = may_need.any(axis=1)
-                skipped = ~visit_mask
-                if np.any(skipped):
-                    pruned_clusters += eligible[skipped].sum(axis=0)
-                    pruned_nodes += sizes[skipped] @ eligible[skipped]
-                scan = [lc for lc in range(n_local) if visit_mask[lc]]
-                if cluster_order == "bound_desc":
-                    # The visit order shapes the threshold trajectory,
-                    # so it must sort by the *exact* estimates.
-                    estimates = exact_estimates()
-                    scan.sort(key=lambda lc: -float(estimates[lc].max()))
+                bands = [table.estimate_bands(x_border_abs) for table in compact]
+                lo = np.concatenate([band[0] for band in bands])
+                hi = np.concatenate([band[1] for band in bands])
+                exact = np.zeros(n_shards, dtype=bool)
 
-            for lc in scan:
-                row_eligible = eligible[lc]
-                sl = bounds.cluster_slices[lc]
-                size = sl.stop - sl.start
-                if use_pruning:
-                    if estimates is None:
-                        below = hi[lc] < thresholds
-                        unsure = (
-                            row_eligible
-                            & ~below
-                            & ~(lo[lc] >= thresholds)
-                        )
-                        if np.any(unsure):
-                            estimates = exact_estimates()
-                    if estimates is not None:
-                        below = estimates[lc] < thresholds
-                    pruned = row_eligible & below
-                    pruned_count = int(np.count_nonzero(pruned))
-                    if pruned_count:
-                        pruned_clusters[pruned] += 1
-                        pruned_nodes[pruned] += size
-                    if pruned_count == int(np.count_nonzero(row_eligible)):
-                        continue
-                    active = np.flatnonzero(row_eligible & ~pruned)
-                else:
-                    active = np.flatnonzero(row_eligible)
-                    if active.size == 0:
-                        continue
-                cols = None if active.size == n_queries else active
-                heavy().back_cluster(lc, y_mat, x_mat, border_start, cols=cols)
-                block_maxima = (
-                    x_mat[sl.start : sl.stop, active].max(axis=0)
-                    if size
-                    else np.zeros(active.size)
+            def resolve(shard_id: int) -> None:
+                c_lo, c_hi = layout.cluster_ranges[shard_id]
+                lo[c_lo:c_hi] = hi[c_lo:c_hi] = (
+                    pin(shard_id).bounds_table.estimate_all(x_border_abs)
                 )
-                for idx, j in enumerate(active):
-                    scored_clusters[j] += 1
-                    scored_nodes[j] += size
-                    acc = accs[j]
-                    if block_maxima[idx] >= acc.threshold:
-                        acc.offer_block(x_mat[:, j], sl.start, sl.stop)
-                        if use_pruning:
-                            thresholds[j] = acc.threshold
-        finally:
-            if shard is not None:
-                index.release_shard(shard_id)
+                exact[shard_id] = True
+                index.residency.note_bound_fallback()
 
-        shard_stats.clusters_pruned = int(pruned_clusters.sum())
-        shard_stats.pruned_nodes = int(pruned_nodes.sum())
-        shard_stats.clusters_scored = int(scored_clusters.sum())
-        shard_stats.nodes_scored = int(scored_nodes.sum())
-        deltas = (
-            bound_evals,
-            pruned_clusters,
-            pruned_nodes,
-            scored_clusters,
-            scored_nodes,
+            thresholds = np.asarray([acc.threshold for acc in accs])
+            if exact is not None:
+                ambiguous = eligible & ~(lo >= thresholds) & ~(hi < thresholds)
+                for shard_id in np.unique(shard_of[ambiguous.any(axis=1)]):
+                    resolve(int(shard_id))
+            # Thresholds only rise, so a cluster below every eligible
+            # query's starting threshold stays pruned whenever it would
+            # be visited: prune those in one vectorised pass and loop
+            # over the rest only.
+            scan = np.flatnonzero((eligible & (lo >= thresholds)).any(axis=1))
+            if cluster_order == "bound_desc":
+                # The visit order shapes the threshold trajectory, so it
+                # sorts by exact bounds, by the batch maximum.
+                if exact is not None:
+                    for shard_id in np.unique(shard_of[scan]):
+                        if not exact[shard_id]:
+                            resolve(int(shard_id))
+                scan = sorted(scan, key=lambda cid: -float(lo[cid].max()))
+                in_order = False
+
+        for cid in scan:
+            shard_id = int(shard_of[cid])
+            if in_order:
+                release_below(shard_id)
+            row = eligible[cid]
+            if thresholds is not None:
+                if exact is not None and not exact[shard_id]:
+                    unsure = row & ~(lo[cid] >= thresholds) & ~(hi[cid] < thresholds)
+                    if np.any(unsure):
+                        resolve(shard_id)
+                row = row & ~(hi[cid] < thresholds)
+            active = np.flatnonzero(row)
+            if active.size == 0:
+                continue
+            shard = pin(shard_id)
+            shard.back_cluster(
+                cid - shard.first_cluster,
+                y_mat,
+                x_mat,
+                border_start,
+                cols=None if active.size == n_queries else active,
+            )
+            scored[cid, active] = True
+            sl = perm.cluster_slices[cid]
+            # Columns whose best score cannot enter their frontier skip
+            # the (no-op) offer.
+            block_maxima = (
+                x_mat[sl.start : sl.stop, active].max(axis=0)
+                if sl.stop > sl.start
+                else np.zeros(active.size)
+            )
+            for idx, j in enumerate(active):
+                acc = accs[j]
+                if block_maxima[idx] >= acc.threshold:
+                    acc.offer_block(x_mat[:, j], sl.start, sl.stop)
+                    if thresholds is not None:
+                        thresholds[j] = acc.threshold
+    finally:
+        release_below(n_shards)
+
+    # Every eligible (cluster, query) pair was either scored or pruned.
+    # Summed over clusters that gives each query's counters, and over
+    # queries and a shard's cluster range that shard's aggregate.
+    weights = np.stack([np.ones_like(sizes), sizes])
+    query_eligible = (weights @ eligible).T.tolist()
+    query_scored = (weights @ scored).T.tolist()
+    for stat, (clusters, nodes), (done, done_nodes) in zip(
+        stats, query_eligible, query_scored
+    ):
+        stat.clusters_scored += done
+        stat.nodes_scored += done_nodes
+        stat.clusters_pruned = clusters - done
+        stat.pruned_nodes = nodes - done_nodes
+        stat.bound_evaluations = clusters if use_pruning else 0
+        stat.extra["n_shards"] = n_shards
+    per_cluster = np.stack([eligible.sum(axis=1), scored.sum(axis=1)])
+    per_shard = np.add.reduceat(
+        np.concatenate([per_cluster, per_cluster * sizes]),
+        [c_lo for c_lo, _ in layout.cluster_ranges],
+        axis=1,
+    ).T.tolist()
+    shard_totals = [
+        SearchStats(
+            clusters_total=(c_hi - c_lo) * n_queries,
+            clusters_pruned=clusters - done,
+            clusters_scored=done,
+            nodes_scored=done_nodes,
+            bound_evaluations=clusters if use_pruning else 0,
+            pruned_nodes=nodes - done_nodes,
         )
-        return shard_stats, [acc.collect() for acc in accs], deltas
-
-    shard_answer_lists: list[list[list[tuple[int, float]]]] = []
-    shard_totals: list[SearchStats] = []
-    for shard_id in range(n_shards):
-        shard_stats, answer_list, deltas = scan_shard(shard_id)
-        shard_totals.append(shard_stats)
-        shard_answer_lists.append(answer_list)
-        bound_evals, pruned_c, pruned_n, scored_c, scored_n = deltas
-        for j in range(n_queries):
-            stats[j].bound_evaluations += int(bound_evals[j])
-            stats[j].clusters_pruned += int(pruned_c[j])
-            stats[j].pruned_nodes += int(pruned_n[j])
-            stats[j].clusters_scored += int(scored_c[j])
-            stats[j].nodes_scored += int(scored_n[j])
-
-    # Gather — merge the disjoint frontiers under the canonical order.
-    answers = [
-        merge_answer_pairs(
-            [router_accs[j].collect()]
-            + [shard_answer_lists[s][j] for s in range(n_shards)],
-            k,
+        for (c_lo, c_hi), (clusters, done, nodes, done_nodes) in zip(
+            layout.cluster_ranges, per_shard
         )
-        for j in range(n_queries)
     ]
-    for j in range(n_queries):
-        stats[j].extra["n_shards"] = n_shards
+    answers = [acc.collect() for acc in accs]
     return answers, BatchStats(per_query=tuple(stats)), shard_totals
 
 
@@ -1650,17 +1667,6 @@ def scatter_gather_rerank(
     border = perm.border_slice
     border_start = border.start
     border_id = perm.border_cluster
-    diag = index.diag
-    layout = index.layout
-
-    q_mat = np.zeros((n, n_queries), dtype=np.float64)
-    seed_cluster_sets: list[set[int]] = []
-    for j, query in enumerate(queries):
-        positions = np.asarray(query.seed_positions, dtype=np.int64)
-        q_mat[positions, j] = np.asarray(query.seed_weights, dtype=np.float64)
-        seed_cluster_sets.append(
-            {int(perm.cluster_of_position[int(p)]) for p in positions}
-        )
 
     stats = [
         SearchStats(clusters_total=perm.n_clusters) for _ in range(n_queries)
@@ -1675,33 +1681,10 @@ def scatter_gather_rerank(
         candidate_arrays.append(positions)
         stats[j].extra["candidates"] = int(positions.size)
 
-    # Stages 1-2 exactly as in scatter_gather_search: seed-cluster forward
-    # on the owning shards, shared border solves, seeded back-substitution.
-    seeded_columns: dict[int, list[int]] = {}
-    for j, seeds in enumerate(seed_cluster_sets):
-        for cid in seeds:
-            if cid != border_id:
-                seeded_columns.setdefault(cid, []).append(j)
-    z_mat = np.zeros((n, n_queries), dtype=np.float64)
-    y_mat = np.zeros((n, n_queries), dtype=np.float64)
-    for cid in sorted(seeded_columns):
-        shard = index.shard_state(layout.shard_of_cluster(cid))
-        cols = np.asarray(seeded_columns[cid], dtype=np.int64)
-        shard.forward_seed_block(
-            cid - shard.first_cluster, q_mat, z_mat, y_mat, cols=cols
-        )
-    rhs = q_mat[border_start:] - _spmm(index.border_left, z_mat[:border_start])
-    z_border = index.border_block.solve_lower(rhs)
-    y_mat[border_start:] = z_border / diag[border_start:][:, None]
-
-    x_mat = np.zeros((n, n_queries), dtype=np.float64)
-    x_mat[border_start:] = index.border_block.solve_upper(y_mat[border_start:])
-    for cid in sorted(seeded_columns):
-        shard = index.shard_state(layout.shard_of_cluster(cid))
-        cols = np.asarray(seeded_columns[cid], dtype=np.int64)
-        shard.back_cluster(
-            cid - shard.first_cluster, y_mat, x_mat, border_start, cols=cols
-        )
+    # Stages 1-2 as in scatter_gather_search (unpinned here).
+    seed_cluster_sets, y_mat, x_mat = _solve_router(
+        index, queries, index.shard_state
+    )
 
     # Router frontier: only the candidates landing in the scored region.
     router_accs = [
@@ -1910,16 +1893,18 @@ class ShardedMogulRanker(Ranker):
 
     Implements the same :class:`repro.core.engine.Engine` surface as
     :class:`repro.core.MogulRanker` — single, multi-seed, batched and
-    out-of-sample queries — routing each through the scatter-gather
-    engine.  Answers are identical to the unsharded engine for every
-    entry point; ``last_shard_stats`` additionally exposes the per-shard
-    aggregate pruning counters of the most recent call (per-thread, like
-    every ambient stats attribute).
+    out-of-sample queries — routing each through
+    :func:`scatter_gather_search`.  A query is one pass over the
+    clusters of every shard under one frontier, so its answer and its
+    ``last_stats`` / ``last_batch_stats`` counters equal the unsharded
+    engine's on every entry point; ``last_shard_stats`` splits the most
+    recent call's counters by shard (per-thread, like every ambient
+    stats attribute).
 
-    A query scans its shards in a plain loop on the calling thread.
-    Entry points are reentrant, so concurrent callers share one engine
-    safely; a second thread per query measured slower, not faster (see
-    the README's "Query-time concurrency" note).
+    The pass runs on the calling thread.  Entry points are reentrant,
+    so concurrent callers share one engine safely; a second thread per
+    query measured slower, not faster (see the README's "Query-time
+    concurrency" note).
     """
 
     #: Per-shard aggregate stats of this thread's most recent engine call.

@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.core.bounds as bounds_module
+import repro.core.sharded as sharded_module
+from repro.core.bounds import BoundsTable
 from repro.core.engine import Engine, engine_from_index
 from repro.core.index import MogulIndex, MogulRanker
 from repro.core.search import TopKAccumulator
@@ -28,6 +31,7 @@ from repro.core.sharded import (
     ShardedMogulRanker,
     plan_shards,
 )
+from repro.datasets.registry import load_dataset
 from repro.graph.build import build_knn_graph
 from tests.conftest import graph_from_adjacency, three_cluster_features
 
@@ -261,6 +265,33 @@ class TestStats:
             s.clusters_scored for s in shard_stats
         )
         assert shard_total + seed_and_border == sharded.index.n_clusters
+        # Each shard's counters are the query's counters restricted to
+        # the shard's cluster range: the shards partition everything the
+        # router did not score itself (the seed cluster and the border).
+        index = sharded.index
+        perm = index.permutation
+        seed = int(perm.cluster_of_position[perm.inverse[4]])
+        border = perm.border_slice
+        router_nodes = border.stop - border.start
+        if seed != perm.border_cluster:
+            router_nodes += index.cluster_sizes[seed]
+        for shard, (lo, hi) in zip(shard_stats, index.layout.cluster_ranges):
+            owned = [cid for cid in range(lo, hi) if cid != seed]
+            assert shard.clusters_total == hi - lo
+            assert shard.clusters_pruned + shard.clusters_scored == len(owned)
+            assert shard.bound_evaluations == len(owned)
+            assert shard.pruned_nodes + shard.nodes_scored == int(
+                index.cluster_sizes[owned].sum()
+            )
+        for name in ("clusters_pruned", "pruned_nodes", "bound_evaluations"):
+            assert sum(getattr(s, name) for s in shard_stats) == getattr(
+                stats, name
+            )
+        assert seed_and_border == len({seed, perm.border_cluster})
+        assert (
+            sum(s.nodes_scored for s in shard_stats) + router_nodes
+            == stats.nodes_scored
+        )
 
     def test_batch_stats_shape(self, graph, sharded):
         results = sharded.top_k_batch([0, 33, 66], 5)
@@ -279,6 +310,157 @@ class TestStats:
             assert -1 <= shard < index.n_shards
             seen.add(shard)
         assert len(seen) >= index.n_shards  # every shard owns some node
+
+
+COUNTERS = (
+    "clusters_total",
+    "clusters_pruned",
+    "clusters_scored",
+    "nodes_scored",
+    "bound_evaluations",
+    "pruned_nodes",
+)
+
+
+def _counters(stats):
+    return tuple(getattr(stats, name) for name in COUNTERS)
+
+
+@pytest.fixture(scope="module")
+def coil_graph():
+    """432 nodes in 13 clusters: several clusters per shard, so the
+    threshold a shard's scan starts from shapes its pruning."""
+    return build_knn_graph(load_dataset("coil", scale=0.3).features, k=5)
+
+
+@pytest.fixture(scope="module")
+def flat_index(coil_graph):
+    return MogulIndex.build(coil_graph)
+
+
+@pytest.fixture(scope="module")
+def sharded_indexes(coil_graph):
+    return {s: ShardedMogulIndex.build(coil_graph, s) for s in (1, 2, 3, 4)}
+
+
+def _past_the_cliff(index):
+    """Twice the largest seed cluster plus border: where pruning stops."""
+    perm = index.permutation
+    border = perm.border_slice
+    largest = max(sl.stop - sl.start for sl in perm.cluster_slices[:-1])
+    return 2 * (largest + border.stop - border.start)
+
+
+def _assert_same_as_flat(graph, flat, sharded):
+    """Answers bitwise and every query's six counters equal the flat engine's."""
+    # Spread over the clusters, and mostly queries whose counters depend
+    # on one frontier carrying its threshold from shard to shard.
+    queries = [5, 88, 139, 170, 212, 236, 266, 285, 346, 356, 401]
+    features = graph.features[queries[:3]] + 0.01
+    for k in (1, 10, _past_the_cliff(flat.index)):
+        for query in queries:
+            _assert_results_equal(flat.top_k(query, k), sharded.top_k(query, k))
+            assert _counters(sharded.last_stats) == _counters(flat.last_stats)
+        seeds = np.asarray(queries[:3])
+        _assert_results_equal(
+            flat.top_k_multi(seeds, k), sharded.top_k_multi(seeds, k)
+        )
+        assert _counters(sharded.last_stats) == _counters(flat.last_stats)
+        for feature in features:
+            _assert_results_equal(
+                flat.top_k_out_of_sample(feature, k),
+                sharded.top_k_out_of_sample(feature, k),
+            )
+            assert _counters(sharded.last_stats) == _counters(flat.last_stats)
+        for run in (
+            lambda engine: engine.top_k_batch(queries, k),
+            lambda engine: engine.top_k_out_of_sample_batch(features, k),
+        ):
+            for a, b in zip(run(flat), run(sharded), strict=True):
+                _assert_results_equal(a, b)
+            assert [_counters(s) for s in sharded.last_batch_stats.per_query] == [
+                _counters(s) for s in flat.last_batch_stats.per_query
+            ]
+
+
+class TestFlatStatsIdentity:
+    """One pass under one frontier: sharded stats *are* the flat stats."""
+
+    @pytest.mark.parametrize("cluster_order", ("index", "bound_desc"))
+    @pytest.mark.parametrize("use_pruning", (True, False))
+    @pytest.mark.parametrize("n_shards", (1, 2, 3, 4))
+    def test_stats_equal_flat(
+        self, coil_graph, flat_index, sharded_indexes, n_shards, use_pruning,
+        cluster_order,
+    ):
+        options = dict(use_pruning=use_pruning, cluster_order=cluster_order)
+        _assert_same_as_flat(
+            coil_graph,
+            MogulRanker.from_index(coil_graph, flat_index, **options),
+            ShardedMogulRanker.from_index(
+                coil_graph, sharded_indexes[n_shards], **options
+            ),
+        )
+
+    @pytest.mark.parametrize("cluster_order", ("index", "bound_desc"))
+    @pytest.mark.parametrize("n_shards", (1, 2, 3, 4))
+    def test_stats_equal_flat_budgeted_int8_fallback(
+        self, coil_graph, flat_index, sharded_indexes, n_shards, cluster_order,
+        tmp_path, monkeypatch,
+    ):
+        # A band this wide certifies nothing: every decision with a
+        # nonzero bound goes through the exact fallback, under a budget
+        # that holds no shard.
+        monkeypatch.setattr(bounds_module, "COMPACT_RELATIVE_SLACK", 1e30)
+        save_sharded_index(sharded_indexes[n_shards], tmp_path / "idx")
+        index = load_sharded_index(tmp_path / "idx")
+        mgr = index.configure_memory_budget(0.005, bounds_dtype="int8")
+        _assert_same_as_flat(
+            coil_graph,
+            MogulRanker.from_index(
+                coil_graph, flat_index, cluster_order=cluster_order
+            ),
+            ShardedMogulRanker.from_index(
+                coil_graph, index, cluster_order=cluster_order
+            ),
+        )
+        assert mgr.bound_fallbacks_total > 0
+        assert mgr.evictions_total > 0
+
+
+class TestOnePassWork:
+    """The work of a pass, counted rather than timed."""
+
+    @pytest.mark.parametrize("n_shards", (1, 2, 3, 4))
+    def test_one_frontier_per_query_and_one_bound_spmv_per_pass(
+        self, coil_graph, sharded_indexes, n_shards, monkeypatch
+    ):
+        built = []
+        spmvs = []
+
+        class CountingAccumulator(sharded_module.TopKAccumulator):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        exact_estimate = BoundsTable.estimate_all
+
+        def counting_estimate(table, x_border_abs):
+            spmvs.append(1)
+            return exact_estimate(table, x_border_abs)
+
+        monkeypatch.setattr(sharded_module, "TopKAccumulator", CountingAccumulator)
+        monkeypatch.setattr(BoundsTable, "estimate_all", counting_estimate)
+        ranker = ShardedMogulRanker.from_index(coil_graph, sharded_indexes[n_shards])
+        for query in (0, 65, 150):
+            built.clear()
+            spmvs.clear()
+            ranker.top_k(query, 10)
+            assert (len(built), len(spmvs)) == (1, 1)
+        built.clear()
+        spmvs.clear()
+        ranker.top_k_batch([0, 33, 66, 99, 132], 10)
+        assert (len(built), len(spmvs)) == (5, 1)
 
 
 class TestAccumulatorThreshold:

@@ -404,6 +404,81 @@ class TestFdStability:
         loader.close()
 
 
+class _PoisonOnClose:
+    """A shard source that serves in-memory rows and poisons them on close.
+
+    The index closes a source when it evicts the shard, which unmaps
+    memory-mapped rows.  Here the close overwrites the rows instead, so
+    a reader still holding them reads NaN values (deterministically)
+    rather than unmapped memory.
+    """
+
+    def __init__(self, source, shard_id, index, closes):
+        self._source = source
+        self._shard_id = shard_id
+        self._index = index
+        self._closes = closes
+        self._rows = None
+
+    def __call__(self):
+        rows = self._source().copy()
+        self._source.close()
+        self._rows = rows
+        return rows
+
+    def close(self):
+        if self._rows is None:
+            return
+        pins = self._index.residency.snapshot()["shards"][self._shard_id]["pins"]
+        self._closes.append((self._shard_id, pins))
+        self._rows.data[:] = np.nan
+        self._rows = None
+
+
+class TestPinnedRowReaders:
+    """Whole-index readers of shard rows hold a pin while they read."""
+
+    def test_assemble_and_resave_under_eviction(
+        self, graph, saved_index, tmp_path
+    ):
+        plain = load_sharded_index(saved_index)
+        expected = plain.assemble_factors()
+        save_sharded_index(plain, tmp_path / "plain")
+
+        index = load_sharded_index(saved_index)
+        # A budget this small holds no shard: every acquire evicts the
+        # other resident shards, and every release evicts the last one.
+        index.configure_memory_budget(0.005)
+        closes: list[tuple[int, int]] = []
+        index._sources = [
+            _PoisonOnClose(source, shard_id, index, closes)
+            for shard_id, source in enumerate(index._sources)
+        ]
+        factors = index.assemble_factors()
+        save_sharded_index(index, tmp_path / "budgeted")
+        index._shard_nnz = None  # the fallback counts every shard's rows
+        assert index.shard_nnz_total == plain.shard_nnz_total
+
+        assert closes, "the budget never evicted a shard"
+        assert all(pins == 0 for _, pins in closes), closes
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(factors.lower, name), getattr(expected.lower, name)
+            )
+        assert np.array_equal(factors.diag, expected.diag)
+        for shard_id in range(index.n_shards):
+            name = f"shard_{shard_id:04d}.npz"
+            with np.load(tmp_path / "plain" / name) as want, np.load(
+                tmp_path / "budgeted" / name
+            ) as got:
+                assert sorted(want.files) == sorted(got.files)
+                for member in want.files:
+                    assert np.array_equal(want[member], got[member]), (
+                        name,
+                        member,
+                    )
+
+
 class TestParseOnceRefaults:
     """Re-faults map from the member table parsed at load, nothing else.
 
