@@ -47,7 +47,6 @@ from repro.core.index import MogulIndex
 from repro.core.serialize import graph_from_index, load_any_index
 from repro.core.sharded import ShardedMogulIndex
 from repro.datasets.registry import DATASET_NAMES, load_dataset
-from repro.linalg.ldl import BACKENDS, DEFAULT_BACKEND
 
 
 def _nonnegative_float(text: str) -> float:
@@ -148,13 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker threads for the k-NN search; the index build runs in "
         "one thread, and any value builds an identical index (default 1)",
-    )
-    build.add_argument(
-        "--factor-backend",
-        choices=BACKENDS,
-        default=DEFAULT_BACKEND,
-        help="LDL^T implementation: 'csr' (fast, default) or 'reference' "
-        "(the original dict-of-rows kernel, kept for equivalence runs)",
     )
     build.add_argument(
         "--shards",
@@ -458,7 +450,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         factorization="complete" if args.exact else "incomplete",
         fill_level=0 if args.exact else args.fill_level,
-        factor_backend=args.factor_backend,
     )
     if args.shards is not None:
         index = ShardedMogulIndex.build(graph, args.shards, **build_kwargs)

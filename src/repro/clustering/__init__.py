@@ -14,7 +14,7 @@
 """
 
 from repro.clustering.kmeans import KMeansResult, kmeans
-from repro.clustering.louvain import louvain, louvain_reference, louvain_refined
+from repro.clustering.louvain import louvain, louvain_refined
 from repro.clustering.modularity import modularity
 from repro.clustering.spectral import spectral_clustering
 
@@ -22,7 +22,6 @@ __all__ = [
     "KMeansResult",
     "kmeans",
     "louvain",
-    "louvain_reference",
     "louvain_refined",
     "modularity",
     "spectral_clustering",

@@ -13,13 +13,11 @@ pass count is small in practice, matching the cost model Lemma 2 assumes.
 Determinism: with the default ``shuffle=False`` nodes are visited in index
 order and the result is a pure function of the graph.
 
-Two implementations of the local-moving sweep share that contract:
-``impl="fast"`` (default) runs the greedy loop over plain Python lists —
-the same arithmetic in the same order, minus the per-element numpy
-scalar overhead that dominates at k-NN-graph sparsity — and
-``impl="reference"`` keeps the original array-based loop.  Both produce
-bitwise-identical labels; the reference tier exists for equivalence
-tests and as the precompute benchmark baseline.
+The local-moving sweep runs over plain Python lists: the original
+array-based loop's arithmetic in the same order, minus the per-element
+numpy scalar overhead that dominates at k-NN-graph sparsity.  That
+original loop is the test suite's oracle (``tests/oracles.py``), and the
+two produce bitwise-identical labels.
 """
 
 from __future__ import annotations
@@ -32,9 +30,6 @@ import scipy.sparse as sp
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_symmetric
 
-#: Local-move implementations accepted by :func:`louvain`.
-IMPLS = ("fast", "reference")
-
 
 def louvain(
     adjacency: sp.spmatrix,
@@ -43,7 +38,6 @@ def louvain(
     max_levels: int = 32,
     shuffle: bool = False,
     seed: SeedLike = None,
-    impl: str = "fast",
 ) -> np.ndarray:
     """Cluster a weighted undirected graph by greedy modularity optimisation.
 
@@ -51,7 +45,8 @@ def louvain(
     ----------
     adjacency:
         Symmetric non-negative weight matrix; self loops are ignored on
-        input (k-NN graphs have none).
+        input (k-NN graphs have none), and a negative weight raises
+        ``ValueError``.
     resolution:
         Resolution parameter gamma; 1.0 recovers plain modularity.  Values
         above 1 give more, smaller clusters.
@@ -63,17 +58,12 @@ def louvain(
         Visit nodes in random order during local moving (uses ``seed``).
     seed:
         RNG seed for ``shuffle``.
-    impl:
-        ``"fast"`` (default) or ``"reference"`` — bitwise-identical
-        results, see the module docstring.
 
     Returns
     -------
     numpy.ndarray
         Community label per node, contiguous ids ``0..N-1``.
     """
-    if impl not in IMPLS:
-        raise ValueError(f"impl must be one of {IMPLS}, got {impl!r}")
     adjacency = check_symmetric(adjacency.tocsr(), "adjacency", tol=1e-8)
     n = adjacency.shape[0]
     if n == 0:
@@ -81,15 +71,15 @@ def louvain(
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     rng = as_rng(seed)
-    local_move = _local_move_fast if impl == "fast" else _local_move
 
     current = adjacency.copy().astype(np.float64)
     current.setdiag(0.0)
     current.eliminate_zeros()
+    _check_nonnegative(current)
     labels = np.arange(n, dtype=np.int64)  # original node -> community
 
     for _ in range(max_levels):
-        comm, improved = local_move(current, resolution, tol, shuffle, rng)
+        comm, improved = _local_move_fast(current, resolution, tol, shuffle, rng)
         comm = _relabel(comm)
         labels = comm[labels]
         if not improved or comm.max() == current.shape[0] - 1:
@@ -99,14 +89,23 @@ def louvain(
     return _relabel(labels)
 
 
-def louvain_reference(adjacency: sp.spmatrix, **kwargs) -> np.ndarray:
-    """:func:`louvain` pinned to the reference local-move implementation.
+def _check_nonnegative(adjacency: sp.csr_matrix) -> None:
+    """Reject a negative edge weight, naming the first one found.
 
-    A named clusterer so reference-pipeline configurations (equivalence
-    tests, the precompute benchmark baseline) can be passed around as a
-    plain ``ClusterFn``.
+    The local move's accumulator treats a zero sum as "community not yet
+    touched", which only positive weights keep sound.  Explicit zeros are
+    dropped before the first level and aggregated weights are sums of
+    input weights, so this one check covers every level.
     """
-    return louvain(adjacency, impl="reference", **kwargs)
+    negative = np.flatnonzero(adjacency.data < 0.0)
+    if negative.size:
+        pos = int(negative[0])
+        row = int(np.searchsorted(adjacency.indptr, pos, side="right")) - 1
+        col = int(adjacency.indices[pos])
+        raise ValueError(
+            f"adjacency has a negative weight {float(adjacency.data[pos])!r} at "
+            f"({row}, {col}); modularity clustering needs non-negative weights"
+        )
 
 
 def louvain_refined(
@@ -115,7 +114,6 @@ def louvain_refined(
     max_cluster_size: int | None = None,
     max_attempts: int = 3,
     tol: float = 1e-9,
-    impl: str = "fast",
 ) -> np.ndarray:
     """Louvain with recursive splitting of oversized communities.
 
@@ -142,7 +140,7 @@ def louvain_refined(
         max_cluster_size = max(64, int(math.ceil(4.0 * math.sqrt(n))))
     elif max_cluster_size < 1:
         raise ValueError(f"max_cluster_size must be >= 1, got {max_cluster_size}")
-    labels = louvain(adjacency, resolution=resolution, tol=tol, impl=impl)
+    labels = louvain(adjacency, resolution=resolution, tol=tol)
     if n == 0:
         return labels
 
@@ -151,9 +149,7 @@ def louvain_refined(
         sub_resolution = resolution
         for _ in range(max_attempts):
             sub_resolution *= 2.0
-            candidate = louvain(
-                subgraph, resolution=sub_resolution, tol=tol, impl=impl
-            )
+            candidate = louvain(subgraph, resolution=sub_resolution, tol=tol)
             if candidate.max() > 0:
                 return candidate
         return None  # no substructure found; keep the community whole
@@ -180,67 +176,6 @@ def louvain_refined(
     return _relabel(labels)
 
 
-def _local_move(
-    graph: sp.csr_matrix,
-    resolution: float,
-    tol: float,
-    shuffle: bool,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """One level of greedy node moving.  Returns (labels, any_improvement)."""
-    n = graph.shape[0]
-    indptr, indices, data = graph.indptr, graph.indices, graph.data
-    loops = graph.diagonal()
-    degrees = np.asarray(graph.sum(axis=1)).ravel()
-    two_m = float(degrees.sum())
-    if two_m == 0.0:
-        return np.arange(n, dtype=np.int64), False
-
-    comm = np.arange(n, dtype=np.int64)
-    comm_tot = degrees.copy()  # total degree per community
-    order = np.arange(n)
-    if shuffle:
-        rng.shuffle(order)
-
-    improved_any = False
-    for _ in range(n):  # pass limit; each pass is O(edges)
-        moved = 0
-        for i in order:
-            ci = comm[i]
-            ki = degrees[i]
-            # Edge weight from i to each neighbouring community.
-            weights: dict[int, float] = {}
-            for p in range(indptr[i], indptr[i + 1]):
-                j = indices[p]
-                if j == i:
-                    continue
-                cj = comm[j]
-                weights[cj] = weights.get(cj, 0.0) + data[p]
-            comm_tot[ci] -= ki
-            # Gain of joining community c (up to constants shared by all c):
-            #   w(i->c) - gamma * k_i * tot_c / 2m
-            best_c = ci
-            best_gain = weights.get(ci, 0.0) - resolution * ki * comm_tot[ci] / two_m
-            for c, w in weights.items():
-                if c == ci:
-                    continue
-                gain = w - resolution * ki * comm_tot[c] / two_m
-                if gain > best_gain + tol:
-                    best_gain = gain
-                    best_c = c
-            comm_tot[best_c] += ki
-            if best_c != ci:
-                comm[i] = best_c
-                moved += 1
-        if moved == 0:
-            break
-        improved_any = True
-    # `loops` intentionally unused for moving (self loops do not change
-    # relative gains) but kept for clarity of the degree convention.
-    del loops
-    return comm, improved_any
-
-
 def _local_move_fast(
     graph: sp.csr_matrix,
     resolution: float,
@@ -248,21 +183,17 @@ def _local_move_fast(
     shuffle: bool,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, bool]:
-    """The reference sweep restated on plain Python lists.
+    """One level of greedy node moving.  Returns (labels, any_improvement).
 
-    Same visit order, same expressions evaluated in the same order —
-    Python floats and numpy float64 scalars share IEEE-754 semantics, so
-    the labels come out bitwise identical — but the per-node inner loops
-    run on list indexing and native floats, which is several times
-    faster than numpy scalar access at k-NN-graph degree.
+    The original array-based sweep (``tests/oracles.py``) restated on
+    plain Python lists.  Same visit order, same expressions evaluated in
+    the same order — Python floats and numpy float64 scalars share
+    IEEE-754 semantics, so the labels come out bitwise identical — but
+    the per-node inner loops run on list indexing and native floats,
+    which is several times faster than numpy scalar access at k-NN-graph
+    degree.
     """
     n = graph.shape[0]
-    if graph.nnz and bool((graph.data <= 0.0).any()):
-        # The dense-scratch accumulator below uses "acc[c] == 0.0" as its
-        # membership test, which only a strictly positive weight sum
-        # keeps sound.  Graphs in this library always are (heat-kernel /
-        # binary weights); anything else takes the reference sweep.
-        return _local_move(graph, resolution, tol, shuffle, rng)
     indptr = graph.indptr.tolist()
     indices = graph.indices.tolist()
     data = graph.data.tolist()
@@ -282,8 +213,10 @@ def _local_move_fast(
     # Neighbour-community weights accumulate into a dense scratch instead
     # of a per-node dict; ``touched`` replays the communities in
     # first-touch order — the same order dict insertion would give, so
-    # gains are compared in the reference implementation's exact
-    # sequence — and resets the scratch afterwards.
+    # gains are compared in the oracle's exact sequence — and resets the
+    # scratch afterwards.  "acc[c] == 0.0" is a sound membership test
+    # because every weight here is strictly positive (see
+    # :func:`_check_nonnegative`).
     acc = [0.0] * n
     touched: list[int] = []
 

@@ -37,13 +37,7 @@ from repro.core.solver import ClusterSolver
 from repro.core.topk import sorted_result
 from repro.clustering.louvain import louvain
 from repro.graph.adjacency import KnnGraph
-from repro.linalg.ldl import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    LDLFactors,
-    complete_ldl,
-    incomplete_ldl,
-)
+from repro.linalg.ldl import LDLFactors, complete_ldl, incomplete_ldl
 from repro.ranking.base import (
     DEFAULT_ALPHA,
     Ranker,
@@ -114,7 +108,6 @@ class MogulIndex:
         cluster_labels: np.ndarray | None = None,
         clusterer: ClusterFn = louvain,
         fill_level: int = 0,
-        factor_backend: str = DEFAULT_BACKEND,
     ) -> "MogulIndex":
         """Precompute the full index for a graph.
 
@@ -128,12 +121,11 @@ class MogulIndex:
 
         The build is one sequential pipeline, like the paper's: its
         clustering and factorization stages are pure-Python loops that
-        hold the GIL, so worker threads measured no faster.
-        ``factor_backend`` picks the LDL implementation —
-        ``"csr"`` (default) or the original ``"reference"`` kept for
-        equivalence testing and benchmarking (see
-        :mod:`repro.linalg.ldl`).  A :class:`BuildProfile` with
-        per-stage wall times lands on the returned index.
+        hold the GIL, so worker threads measured no faster.  It has one
+        clustering local move and one factorization kernel (see
+        :mod:`repro.clustering.louvain` and :mod:`repro.linalg.ldl`).
+        A :class:`BuildProfile` with per-stage wall times lands on the
+        returned index.
         """
         alpha = check_alpha(alpha)
         if factorization not in ("incomplete", "complete"):
@@ -142,11 +134,7 @@ class MogulIndex:
             )
         if fill_level and factorization == "complete":
             raise ValueError("fill_level only applies to the incomplete factorization")
-        if factor_backend not in BACKENDS:
-            raise ValueError(
-                f"factor_backend must be one of {BACKENDS}, got {factor_backend!r}"
-            )
-        profile = BuildProfile(factor_backend=factor_backend)
+        profile = BuildProfile()
         stages = profile.stages
 
         started = time.perf_counter()
@@ -170,15 +158,10 @@ class MogulIndex:
             factors = incomplete_ldl(
                 w_permuted,
                 fill_level=fill_level,
-                backend=factor_backend,
                 blocks=permutation.cluster_slices,
             )
         else:
-            factors = complete_ldl(
-                w_permuted,
-                backend=factor_backend,
-                blocks=permutation.cluster_slices,
-            )
+            factors = complete_ldl(w_permuted, blocks=permutation.cluster_slices)
         stages["factorization"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -282,9 +265,6 @@ class MogulRanker(Ranker):
         Search-time switches forwarded to
         :func:`repro.core.top_k_search`; defaults are the full Mogul
         algorithm.
-    factor_backend:
-        LDL backend forwarded to :meth:`MogulIndex.build`; it does not
-        affect answers.
     """
 
     def __init__(
@@ -298,7 +278,6 @@ class MogulRanker(Ranker):
         use_pruning: bool = True,
         use_sparsity: bool = True,
         cluster_order: str = "index",
-        factor_backend: str = DEFAULT_BACKEND,
     ):
         super().__init__(graph, alpha)
         self.exact = exact
@@ -313,7 +292,6 @@ class MogulRanker(Ranker):
             cluster_labels=cluster_labels,
             clusterer=clusterer,
             fill_level=0 if exact else fill_level,
-            factor_backend=factor_backend,
         )
         # Ambient stats (thread-local descriptors via Ranker): each
         # thread reads back only its own most recent call's stats —

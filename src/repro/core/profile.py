@@ -29,7 +29,10 @@ class BuildProfile:
         bounds, solver packing, cluster means — plus ``graph`` when the
         caller times graph construction into the same profile).
     factor_backend:
-        ``"csr"`` or ``"reference"`` — which LDL backend ran.
+        A recorded label, not an option: ``"csr"`` for every Mogul
+        build (the one LDL kernel), ``"eigsh"`` for the spectral tier.
+        Artifacts, ``/stats`` and ``repro build``'s ``backend=`` line
+        record it.
     n_nodes, n_clusters, border_size:
         Shape of the built index.
     w_nnz:

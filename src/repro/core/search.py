@@ -97,9 +97,10 @@ class TopKAccumulator:
     asc" answer order).
 
     ``initial_threshold`` seeds the dummies at a known lower bound on the
-    final k-th best score instead of 0 — the sharded scatter-gather
-    search hands each shard the router's post-seed/border threshold, so
-    shard-local scans prune against it from the first cluster.  Raising
+    final k-th best score instead of 0 — the sharded re-rank
+    (``scatter_gather_rerank``) hands each shard the router's
+    post-seed/border threshold, so shard-local scans prune against it
+    from the first cluster.  Raising
     the dummy floor is exact: any candidate scoring below a valid lower
     bound on the global k-th best score provably cannot be an answer.
     """

@@ -60,14 +60,10 @@ from repro.obs.trace import span as obs_span
 from repro.core.topk import merge_answer_pairs, sorted_result
 from repro.graph.adjacency import KnnGraph
 from repro.linalg.ldl import (
-    BACKENDS,
-    DEFAULT_BACKEND,
     LDLFactors,
-    complete_ldl,
     factor_border_rows,
     factor_row_span,
     global_pivot_floor,
-    incomplete_ldl,
     symbolic_pattern,
 )
 from repro.linalg.packed import PackedUnitLower
@@ -655,13 +651,13 @@ class ShardedMogulIndex:
     """A Mogul index partitioned into shards under a shared border block.
 
     The factorization is the *same* global :math:`LDL^T` the unsharded
-    :class:`repro.core.MogulIndex` would build (bitwise, for a given
-    backend) — sharding partitions its rows and the derived query-time
-    state, it never changes the math.  Construction paths:
+    :class:`repro.core.MogulIndex` would build (bitwise) — sharding
+    partitions its rows and the derived query-time state, it never
+    changes the math.  Construction paths:
 
     * :meth:`build` — from a graph, factoring one row span per shard.
     * :meth:`from_factors` — carve shards out of an existing
-      factorization (equivalence tests, reference backend).
+      factorization (the build's last step, and equivalence tests).
     * :meth:`load` / :func:`repro.core.serialize.load_sharded_index` —
       from the directory layout, with lazy per-shard materialisation.
 
@@ -1094,7 +1090,6 @@ class ShardedMogulIndex:
         cluster_labels: np.ndarray | None = None,
         clusterer: ClusterFn = louvain,
         fill_level: int = 0,
-        factor_backend: str = DEFAULT_BACKEND,
     ) -> "ShardedMogulIndex":
         """Precompute the sharded index for a graph.
 
@@ -1103,11 +1098,7 @@ class ShardedMogulIndex:
         factorization then runs as one independent span per shard
         (:func:`repro.linalg.ldl.factor_row_span`), followed by the
         shared border rows.  Every shard count produces a
-        bitwise-identical factorization.
-
-        ``factor_backend="reference"`` keeps the original global
-        dict-of-rows factorization and carves the shard states from its
-        result.
+        bitwise-identical factorization, equal to the unsharded one.
         """
         alpha = check_alpha(alpha)
         if factorization not in ("incomplete", "complete"):
@@ -1116,11 +1107,7 @@ class ShardedMogulIndex:
             )
         if fill_level and factorization == "complete":
             raise ValueError("fill_level only applies to the incomplete factorization")
-        if factor_backend not in BACKENDS:
-            raise ValueError(
-                f"factor_backend must be one of {BACKENDS}, got {factor_backend!r}"
-            )
-        profile = BuildProfile(factor_backend=factor_backend, n_shards=n_shards)
+        profile = BuildProfile(n_shards=n_shards)
         stages = profile.stages
 
         started = time.perf_counter()
@@ -1144,78 +1131,69 @@ class ShardedMogulIndex:
         border_start = permutation.border_slice.start
         n = permutation.n_nodes
         started = time.perf_counter()
-        prepacked: list[list[PackedUnitLower]] | None = None
-        if factor_backend == "reference":
-            if factorization == "incomplete":
-                factors = incomplete_ldl(
-                    w_permuted, fill_level=fill_level, backend="reference"
-                )
-            else:
-                factors = complete_ldl(w_permuted, backend="reference")
-        else:
-            pat_indptr, pat_indices = symbolic_pattern(
-                w_permuted, factorization, fill_level
+        pat_indptr, pat_indices = symbolic_pattern(
+            w_permuted, factorization, fill_level
+        )
+        floor = global_pivot_floor(w_permuted)
+        lower_w = sp.tril(w_permuted, k=-1, format="csr")
+        lower_w.sort_indices()
+        diag_w = w_permuted.diagonal()
+        span_factors = []
+        prepacked = []
+        for shard_id, (rs, re) in enumerate(layout.spans):
+            # One shard's span in local coordinates ``[0, re - rs)``.
+            shard_started = time.perf_counter()
+            a, b = int(pat_indptr[rs]), int(pat_indptr[re])
+            wl_a, wl_b = int(lower_w.indptr[rs]), int(lower_w.indptr[re])
+            local_indptr = pat_indptr[rs : re + 1] - a
+            local_indices = pat_indices[a:b] - rs
+            span = factor_row_span(
+                local_indptr,
+                local_indices,
+                lower_w.indptr[rs : re + 1] - wl_a,
+                lower_w.indices[wl_a:wl_b] - rs,
+                lower_w.data[wl_a:wl_b],
+                diag_w[rs:re],
+                floor,
             )
-            floor = global_pivot_floor(w_permuted)
-            lower_w = sp.tril(w_permuted, k=-1, format="csr")
-            lower_w.sort_indices()
-            diag_w = w_permuted.diagonal()
-            span_factors = []
-            prepacked = []
-            for shard_id, (rs, re) in enumerate(layout.spans):
-                # One shard's span in local coordinates ``[0, re - rs)``.
-                shard_started = time.perf_counter()
-                a, b = int(pat_indptr[rs]), int(pat_indptr[re])
-                wl_a, wl_b = int(lower_w.indptr[rs]), int(lower_w.indptr[re])
-                local_indptr = pat_indptr[rs : re + 1] - a
-                local_indices = pat_indices[a:b] - rs
-                span = factor_row_span(
-                    local_indptr,
-                    local_indices,
-                    lower_w.indptr[rs : re + 1] - wl_a,
-                    lower_w.indices[wl_a:wl_b] - rs,
-                    lower_w.data[wl_a:wl_b],
-                    diag_w[rs:re],
-                    floor,
-                )
-                local = sp.csr_matrix(
-                    (span.values, local_indices, local_indptr),
-                    shape=(re - rs, re - rs),
-                )
-                c_lo, c_hi = layout.cluster_ranges[shard_id]
-                prepacked.append(
-                    _pack_cluster_blocks(
-                        local,
-                        0,
-                        tuple(
-                            slice(sl.start - rs, sl.stop - rs)
-                            for sl in permutation.cluster_slices[c_lo:c_hi]
-                        ),
-                    )
-                )
-                span_factors.append(span)
-                # The shard's own cost: the per-shard term of the
-                # critical path a one-worker-per-shard build would pay.
-                profile.shard_seconds.append(time.perf_counter() - shard_started)
-            interior_values = np.concatenate([f.values for f in span_factors])
-            interior_scaled = np.concatenate([f.scaled for f in span_factors])
-            interior_diag = np.concatenate([f.diag for f in span_factors])
-            border_values, border_diag, border_perturb = factor_border_rows(
-                w_permuted, pat_indptr, pat_indices, border_start,
-                interior_diag, interior_scaled, floor,
+            local = sp.csr_matrix(
+                (span.values, local_indices, local_indptr),
+                shape=(re - rs, re - rs),
             )
-            data = np.concatenate([interior_values, border_values])
-            diag = np.concatenate([interior_diag, border_diag])
-            lower = sp.csr_matrix(
-                (data, pat_indices.copy(), pat_indptr.copy()), shape=(n, n)
+            c_lo, c_hi = layout.cluster_ranges[shard_id]
+            prepacked.append(
+                _pack_cluster_blocks(
+                    local,
+                    0,
+                    tuple(
+                        slice(sl.start - rs, sl.stop - rs)
+                        for sl in permutation.cluster_slices[c_lo:c_hi]
+                    ),
+                )
             )
-            factors = LDLFactors(
-                lower=lower,
-                upper=lower.T.tocsr(),
-                diag=diag,
-                pivot_perturbations=border_perturb
-                + sum(f.perturbations for f in span_factors),
-            )
+            span_factors.append(span)
+            # The shard's own cost: the per-shard term of the
+            # critical path a one-worker-per-shard build would pay.
+            profile.shard_seconds.append(time.perf_counter() - shard_started)
+        interior_values = np.concatenate([f.values for f in span_factors])
+        interior_scaled = np.concatenate([f.scaled for f in span_factors])
+        interior_diag = np.concatenate([f.diag for f in span_factors])
+        border_values, border_diag, border_perturb = factor_border_rows(
+            w_permuted, pat_indptr, pat_indices, border_start,
+            interior_diag, interior_scaled, floor,
+        )
+        data = np.concatenate([interior_values, border_values])
+        diag = np.concatenate([interior_diag, border_diag])
+        lower = sp.csr_matrix(
+            (data, pat_indices.copy(), pat_indptr.copy()), shape=(n, n)
+        )
+        factors = LDLFactors(
+            lower=lower,
+            upper=lower.T.tocsr(),
+            diag=diag,
+            pivot_perturbations=border_perturb
+            + sum(f.perturbations for f in span_factors),
+        )
         stages["factorization"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -1925,7 +1903,6 @@ class ShardedMogulRanker(Ranker):
         fill_level: int = 0,
         use_pruning: bool = True,
         cluster_order: str = "index",
-        factor_backend: str = DEFAULT_BACKEND,
     ):
         super().__init__(graph, alpha)
         index = ShardedMogulIndex.build(
@@ -1936,7 +1913,6 @@ class ShardedMogulRanker(Ranker):
             cluster_labels=cluster_labels,
             clusterer=clusterer,
             fill_level=0 if exact else fill_level,
-            factor_backend=factor_backend,
         )
         self._init_from_index(index, use_pruning, cluster_order)
 

@@ -22,7 +22,7 @@ from repro.core.index import MogulRanker
 from repro.core.permutation import WITHIN_ORDERS, build_permutation
 from repro.eval.harness import ExperimentTable, sample_queries, time_queries
 from repro.eval.metrics import p_at_k
-from repro.experiments.common import ExperimentConfig, build_kwargs, get_dataset, get_graph
+from repro.experiments.common import ExperimentConfig, get_dataset, get_graph
 from repro.linalg.ldl import incomplete_ldl
 from repro.linalg.triangular import ldl_solve
 from repro.ranking.base import rank_scores
@@ -113,9 +113,7 @@ def fill_level_sweep(config: ExperimentConfig) -> ExperimentTable:
         return round(float(np.mean(hits)), 4)
 
     for level in (0, 1, 2, 4):
-        ranker = MogulRanker(
-            graph, alpha=config.alpha, fill_level=level, **build_kwargs(config)
-        )
+        ranker = MogulRanker(graph, alpha=config.alpha, fill_level=level)
         elapsed = time_queries(lambda q: ranker.top_k(int(q), config.k), queries)
         table.add_row(
             f"fill_level={level}",
@@ -123,9 +121,7 @@ def fill_level_sweep(config: ExperimentConfig) -> ExperimentTable:
             accuracy(ranker),
             elapsed,
         )
-    mogul_e = MogulRanker(
-        graph, alpha=config.alpha, exact=True, **build_kwargs(config)
-    )
+    mogul_e = MogulRanker(graph, alpha=config.alpha, exact=True)
     elapsed = time_queries(lambda q: mogul_e.top_k(int(q), config.k), queries)
     table.add_row(
         "MogulE (complete)", mogul_e.index.factors.nnz, accuracy(mogul_e), elapsed
@@ -146,7 +142,7 @@ def alpha_sweep(config: ExperimentConfig) -> ExperimentTable:
     graph = get_graph(SWEEP_DATASET, config)
     queries = sample_queries(graph.n_nodes, config.n_queries, seed=config.seed)
     for alpha in ALPHAS:
-        ranker = MogulRanker(graph, alpha=alpha, **build_kwargs(config))
+        ranker = MogulRanker(graph, alpha=alpha)
         elapsed = time_queries(lambda q: ranker.top_k(int(q), config.k), queries)
         stats = ranker.last_stats
         table.add_row(
@@ -173,7 +169,7 @@ def graph_k_sweep(config: ExperimentConfig) -> ExperimentTable:
     for graph_k in GRAPH_KS:
         graph = dataset.build_graph(k=graph_k, jobs=config.jobs)
         queries = sample_queries(graph.n_nodes, config.n_queries, seed=config.seed)
-        ranker = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
+        ranker = MogulRanker(graph, alpha=config.alpha)
         elapsed = time_queries(lambda q: ranker.top_k(int(q), config.k), queries)
         border = ranker.index.permutation.border_slice
         table.add_row(
@@ -197,7 +193,7 @@ def multi_seed_sweep(config: ExperimentConfig) -> ExperimentTable:
         columns=["seeds", "time [s]", "clusters scored"],
     )
     graph = get_graph(SWEEP_DATASET, config)
-    ranker = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
+    ranker = MogulRanker(graph, alpha=config.alpha)
     rng = np.random.default_rng(config.seed)
     for n_seeds in SEED_COUNTS:
         seed_sets = [

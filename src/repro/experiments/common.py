@@ -47,9 +47,6 @@ class ExperimentConfig:
     jobs:
         Worker threads for the k-NN search of every graph the experiments
         build; results are identical for any value.
-    factor_backend:
-        LDL^T implementation for every index the experiments build
-        (``"csr"`` or ``"reference"``, see :mod:`repro.linalg.ldl`).
     n_shards:
         Shard count for the Mogul engine the experiment drivers build
         through :func:`build_engine` (1 = the single-index engine;
@@ -67,14 +64,8 @@ class ExperimentConfig:
     emr_anchors: int = 10
     mogul_k_values: tuple[int, ...] = (5, 10, 15, 20)
     jobs: int = 1
-    factor_backend: str = "csr"
     n_shards: int = 1
     extra: dict = field(default_factory=dict)
-
-
-def build_kwargs(config: ExperimentConfig) -> dict:
-    """Build-time knobs forwarded to every Mogul index construction."""
-    return {"factor_backend": config.factor_backend}
 
 
 def build_engine(graph: KnnGraph, config: ExperimentConfig, **kwargs):
@@ -87,7 +78,6 @@ def build_engine(graph: KnnGraph, config: ExperimentConfig, **kwargs):
     constructor.
     """
     kwargs.setdefault("alpha", config.alpha)
-    kwargs.update(build_kwargs(config))
     if config.n_shards > 1:
         from repro.core.sharded import ShardedMogulRanker
 

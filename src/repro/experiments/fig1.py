@@ -17,7 +17,7 @@ from repro.baselines.emr import EMRRanker
 from repro.baselines.fmr import FMRRanker
 from repro.core.index import MogulRanker
 from repro.eval.harness import ExperimentTable, sample_queries, time_queries
-from repro.experiments.common import ExperimentConfig, build_kwargs, get_graph
+from repro.experiments.common import ExperimentConfig, get_graph
 from repro.ranking.exact import ExactRanker
 from repro.ranking.iterative import IterativeRanker
 
@@ -40,7 +40,7 @@ def run(config: ExperimentConfig | None = None) -> list[ExperimentTable]:
         queries = sample_queries(graph.n_nodes, config.n_queries, seed=config.seed)
         row: list[object] = [name, graph.n_nodes]
 
-        mogul = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
+        mogul = MogulRanker(graph, alpha=config.alpha)
         for k in config.mogul_k_values:
             row.append(time_queries(lambda q, k=k: mogul.top_k(int(q), k), queries))
 

@@ -21,7 +21,7 @@ from repro.baselines.emr import EMRRanker
 from repro.core.index import MogulRanker
 from repro.eval.harness import ExperimentTable, sample_queries, time_queries
 from repro.eval.metrics import p_at_k, retrieval_precision
-from repro.experiments.common import ExperimentConfig, build_kwargs, get_dataset, get_graph
+from repro.experiments.common import ExperimentConfig, get_dataset, get_graph
 from repro.ranking.exact import ExactRanker
 
 #: Paper sweep: 10 .. 1000 anchors, log-spaced.
@@ -54,10 +54,8 @@ def run(config: ExperimentConfig | None = None) -> list[ExperimentTable]:
             )
         return float(np.mean(p_vals)), float(np.mean(r_vals))
 
-    mogul = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
-    mogul_e = MogulRanker(
-        graph, alpha=config.alpha, exact=True, **build_kwargs(config)
-    )
+    mogul = MogulRanker(graph, alpha=config.alpha)
+    mogul_e = MogulRanker(graph, alpha=config.alpha, exact=True)
     mogul_acc = accuracy(mogul)
     mogul_e_acc = accuracy(mogul_e)
     mogul_time = time_queries(lambda q: mogul.top_k(int(q), k), queries)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.index import MogulRanker
 from repro.eval.harness import ExperimentTable, sample_queries, time_queries
-from repro.experiments.common import ExperimentConfig, build_kwargs, get_graph
+from repro.experiments.common import ExperimentConfig, get_graph
 
 
 def run(config: ExperimentConfig | None = None) -> list[ExperimentTable]:
@@ -34,13 +34,9 @@ def run(config: ExperimentConfig | None = None) -> list[ExperimentTable]:
         graph = get_graph(name, config)
         queries = sample_queries(graph.n_nodes, config.n_queries, seed=config.seed)
 
-        full = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
-        no_est = MogulRanker(
-            graph, alpha=config.alpha, use_pruning=False, **build_kwargs(config)
-        )
-        plain = MogulRanker(
-            graph, alpha=config.alpha, use_sparsity=False, **build_kwargs(config)
-        )
+        full = MogulRanker(graph, alpha=config.alpha)
+        no_est = MogulRanker(graph, alpha=config.alpha, use_pruning=False)
+        plain = MogulRanker(graph, alpha=config.alpha, use_sparsity=False)
 
         t_full = time_queries(lambda q: full.top_k(int(q), config.k), queries)
         t_no_est = time_queries(lambda q: no_est.top_k(int(q), config.k), queries)

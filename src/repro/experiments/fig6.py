@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.index import MogulIndex
-from repro.core.permutation import Permutation, build_permutation
+from repro.core.permutation import Permutation
 from repro.eval.harness import ExperimentTable
 from repro.eval.sparsity import block_structure_stats, sparsity_raster
-from repro.experiments.common import ExperimentConfig, build_kwargs, get_graph
+from repro.experiments.common import ExperimentConfig, get_graph
 from repro.linalg.ldl import incomplete_ldl
 from repro.linalg.ordering import reverse_cuthill_mckee
 from repro.ranking.normalize import ranking_matrix
@@ -73,9 +73,7 @@ def run(config: ExperimentConfig | None = None) -> list[ExperimentTable]:
     rasters: list[str] = []
     for name in config.datasets:
         graph = get_graph(name, config)
-        index = MogulIndex.build(
-            graph, alpha=config.alpha, **build_kwargs(config)
-        )
+        index = MogulIndex.build(graph, alpha=config.alpha)
         stats = block_structure_stats(index.factors.lower, index.permutation)
         table.add_row(
             name,

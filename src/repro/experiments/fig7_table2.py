@@ -18,7 +18,7 @@ import numpy as np
 from repro.baselines.emr import EMRRanker
 from repro.core.index import MogulRanker
 from repro.eval.harness import ExperimentTable
-from repro.experiments.common import ExperimentConfig, build_kwargs, get_dataset
+from repro.experiments.common import ExperimentConfig, get_dataset
 from repro.utils.timer import Timer
 
 
@@ -41,7 +41,7 @@ def run(config: ExperimentConfig | None = None) -> list[ExperimentTable]:
         )
         graph = reduced.build_graph(k=config.knn_k, jobs=config.jobs)
 
-        mogul = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
+        mogul = MogulRanker(graph, alpha=config.alpha)
         emr = EMRRanker(graph, alpha=config.alpha, n_anchors=config.emr_anchors)
 
         mogul_timer = Timer()

@@ -19,7 +19,7 @@ from repro.baselines.emr import EMRRanker
 from repro.core.index import MogulRanker
 from repro.eval.harness import ExperimentTable, sample_queries
 from repro.eval.metrics import retrieval_precision
-from repro.experiments.common import ExperimentConfig, build_kwargs, get_dataset, get_graph
+from repro.experiments.common import ExperimentConfig, get_dataset, get_graph
 
 #: EMR anchor count used in the paper's case studies (§5.3).
 CASE_STUDY_ANCHORS = 100
@@ -32,7 +32,7 @@ def run(config: ExperimentConfig | None = None) -> list[ExperimentTable]:
     graph = get_graph("coil", config)
     labels = dataset.labels
 
-    mogul = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
+    mogul = MogulRanker(graph, alpha=config.alpha)
     emr = EMRRanker(
         graph,
         alpha=config.alpha,

@@ -7,26 +7,20 @@ O(n) non-zeros on a k-NN graph.  MogulE (§4.6.1) instead uses **Modified
 Cholesky** — the same recurrence *without* the pattern restriction — which is
 an exact factorization with fill-in.
 
-Two interchangeable numeric backends implement both variants:
-
-* ``backend="csr"`` (default) — an up-looking factorization working on
-  preallocated CSR arrays: a symbolic phase emits the factor's
-  ``indptr``/``indices`` up front (W's own strict lower triangle for the
-  incomplete variant, :func:`repro.linalg.elimination_tree` reachability
-  for the complete one), and a numeric phase fills ``data`` with a
-  scatter/gather sweep over a dense scratch row.  Because the permuted
-  system matrix is bordered block diagonal (Lemma 3), the interior
-  cluster blocks factorize independently: pass ``blocks=`` (the
-  permutation's cluster slices, border last) and the interior rows run
-  as one range, the border rows last, after a check that no interior
-  row reaches left of its block.  The kernel runs ~3x faster than the
-  reference backend.
-* ``backend="reference"`` — the original dict-of-rows implementation,
-  kept verbatim for equivalence testing and as the benchmark baseline.
-  The backends produce the same sparsity pattern and the same values up
-  to floating-point summation order (the reference accumulates sparse
-  dot products in size-dependent dict order, the CSR backend in
-  ascending column order).
+Both variants run one up-looking kernel on preallocated CSR arrays: a
+symbolic phase emits the factor's ``indptr``/``indices`` up front (W's
+own strict lower triangle for the incomplete variant, the ILU(p) closure
+for ``fill_level > 0``, :func:`repro.linalg.elimination_tree`
+reachability for the complete one), and a numeric phase fills ``data``
+with a scatter/gather sweep over a dense scratch row.  Because the
+permuted system matrix is bordered block diagonal (Lemma 3), the
+interior cluster blocks factorize independently: pass ``blocks=`` (the
+permutation's cluster slices, border last) and the interior rows run as
+one range, the border rows last, after a check that no interior row
+reaches left of its block.  The original dict-of-rows kernels survive
+only as the test suite's oracles (``tests/oracles.py``); this kernel
+matches their pattern exactly and their values up to floating-point
+summation order.
 
 W is symmetric positive definite (its eigenvalues lie in ``[1-alpha,
 1+alpha]``), so the complete factorization cannot break down.  The
@@ -45,19 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.linalg.elimination_tree import elimination_tree, ereach
 from repro.utils.validation import check_square
 
 #: Relative pivot floor: pivots below ``PIVOT_FLOOR * max(diag(W))`` are
 #: clamped.  W's diagonal is ~1 for manifold-ranking matrices, so this is
 #: effectively an absolute floor of 1e-12.
 PIVOT_FLOOR = 1e-12
-
-#: Numeric backends accepted by :func:`incomplete_ldl` / :func:`complete_ldl`.
-BACKENDS = ("csr", "reference")
-
-#: Backend used when callers do not choose one.
-DEFAULT_BACKEND = "csr"
 
 
 @dataclass(frozen=True)
@@ -115,12 +102,6 @@ def _to_csr(w) -> sp.csr_matrix:
     return w
 
 
-def _check_backend(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
-
-
 def _check_blocks(blocks, n: int) -> list[tuple[int, int]] | None:
     """Validate the bordered-block layout: contiguous slices covering [0, n).
 
@@ -155,7 +136,6 @@ def incomplete_ldl(
     w,
     pivot_floor: float = PIVOT_FLOOR,
     fill_level: int = 0,
-    backend: str = DEFAULT_BACKEND,
     blocks=None,
 ) -> LDLFactors:
     """Incomplete Cholesky :math:`LDL^T` with level-of-fill control.
@@ -177,16 +157,11 @@ def incomplete_ldl(
         Fill can only appear where an elimination path exists, so the
         bordered block-diagonal structure of Lemma 3 is preserved at
         every level.
-    backend:
-        ``"csr"`` (default) or ``"reference"`` — see the module
-        docstring.  Both produce the same pattern; values agree to
-        floating-point summation order.
     blocks:
         Optional bordered-block layout (``Permutation.cluster_slices``,
-        border last).  The CSR backend factorizes the interior blocks
-        independently; a matrix that is not bordered block diagonal
-        w.r.t. the given blocks raises ``ValueError``.  Ignored by the
-        reference backend.
+        border last).  The interior blocks factorize independently; a
+        matrix that is not bordered block diagonal w.r.t. the given
+        blocks raises ``ValueError``.
 
     Returns
     -------
@@ -194,11 +169,8 @@ def incomplete_ldl(
     """
     if fill_level < 0:
         raise ValueError(f"fill_level must be >= 0, got {fill_level}")
-    _check_backend(backend)
     w = _to_csr(w)
     spans = _check_blocks(blocks, w.shape[0])
-    if backend == "reference":
-        return _incomplete_reference(w, pivot_floor, fill_level)
     if fill_level > 0:
         pattern_rows = _symbolic_fill_pattern(w, fill_level)
         pat_indptr, pat_indices = _pattern_rows_to_csr(pattern_rows)
@@ -213,7 +185,6 @@ def incomplete_ldl(
 def complete_ldl(
     w,
     pivot_floor: float = PIVOT_FLOOR,
-    backend: str = DEFAULT_BACKEND,
     blocks=None,
 ) -> LDLFactors:
     """Modified (complete) Cholesky :math:`LDL^T` with fill-in (§4.6.1).
@@ -222,18 +193,15 @@ def complete_ldl(
     §4.8) and the numeric values follow from one sparse triangular solve
     per row.  Because no entry is dropped, :math:`LDL^T = W` exactly (up
     to round-off) and the resulting scores are exact — this is MogulE's
-    engine.  ``backend``/``blocks`` as in :func:`incomplete_ldl`.
+    engine.  ``blocks`` as in :func:`incomplete_ldl`.
     """
-    _check_backend(backend)
     w = _to_csr(w)
     spans = _check_blocks(blocks, w.shape[0])
-    if backend == "reference":
-        return _complete_reference(w, pivot_floor)
     pat_indptr, pat_indices = _symbolic_complete(w)
     return _factor_with_pattern(w, pat_indptr, pat_indices, pivot_floor, spans)
 
 
-# -- CSR backend -----------------------------------------------------------
+# -- symbolic phase ----------------------------------------------------------
 
 
 def _pattern_rows_to_csr(
@@ -248,6 +216,59 @@ def _pattern_rows_to_csr(
     for i, row in enumerate(pattern_rows):
         indices[indptr[i] : indptr[i + 1]] = row
     return indptr, indices
+
+
+def _symbolic_fill_pattern(w: sp.csr_matrix, level: int) -> list[list[int]]:
+    """ILU(p)-style symbolic factorization for the symmetric lower triangle.
+
+    Returns, per row ``i``, the ascending strict-lower column pattern the
+    numeric phase may fill.  Entry levels follow the standard rule:
+    original entries are level 0; eliminating pivot ``k`` creates (i, j)
+    with level ``lev(i,k) + lev(j,k) + 1``; only entries with level <=
+    ``level`` are kept.  ``col_entries[k]`` accumulates the completed rows'
+    entries in column ``k`` so row ``i`` can look up every ``L_jk`` with
+    ``j < i`` in one pass (the symmetric analogue of consuming U's rows in
+    IKJ ILU).
+    """
+    n = w.shape[0]
+    indptr, indices = w.indptr, w.indices
+    col_entries: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    pattern_rows: list[list[int]] = []
+    for i in range(n):
+        levels: dict[int, int] = {
+            int(indices[p]): 0
+            for p in range(indptr[i], indptr[i + 1])
+            if indices[p] < i
+        }
+        # Process pivots in ascending order; new fill always lands at
+        # columns j > k, so one sorted sweep with insertions suffices.
+        heap = list(levels)
+        heapq.heapify(heap)
+        seen: set[int] = set()
+        while heap:
+            k = heapq.heappop(heap)
+            if k in seen:
+                continue
+            seen.add(k)
+            lev_ik = levels[k]
+            if lev_ik >= level:
+                continue  # any fill through k would exceed the budget
+            for j, lev_jk in col_entries[k]:
+                if j <= k or j >= i:
+                    continue
+                candidate = lev_ik + lev_jk + 1
+                if candidate > level:
+                    continue
+                previous = levels.get(j)
+                if previous is None or candidate < previous:
+                    levels[j] = candidate
+                    if j not in seen:
+                        heapq.heappush(heap, j)
+        columns = sorted(levels)
+        pattern_rows.append(columns)
+        for j in columns:
+            col_entries[j].append((i, levels[j]))
+    return pattern_rows
 
 
 def _symbolic_complete(w: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +396,7 @@ def _factor_with_pattern(
     pivot_floor: float,
     spans: list[tuple[int, int]] | None,
 ) -> LDLFactors:
-    """Numeric phase shared by both variants of the CSR backend."""
+    """Numeric phase shared by both variants."""
     n = w.shape[0]
     lower_w = sp.tril(w, k=-1, format="csr")
     lower_w.sort_indices()
@@ -485,7 +506,7 @@ def symbolic_pattern(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The factor's strict-lower CSR pattern for either variant.
 
-    Exactly the pattern the CSR backend preallocates: W's own strict
+    Exactly the pattern :func:`incomplete_ldl` / :func:`complete_ldl` preallocate: W's own strict
     lower triangle for the paper's ICF, the ILU(p) closure for
     ``fill_level > 0``, the elimination-tree closure for
     ``factorization="complete"``.
@@ -642,223 +663,3 @@ def factor_border_rows(
         np.asarray(d[border_start:], dtype=np.float64),
         perturb,
     )
-
-
-# -- reference backend (the original dict-of-rows implementation) ----------
-
-
-def _incomplete_reference(
-    w: sp.csr_matrix, pivot_floor: float, fill_level: int
-) -> LDLFactors:
-    """Row-by-row recurrence with sparse dot products (paper Eq. 6-7)."""
-    n = w.shape[0]
-    indptr, indices, data = w.indptr, w.indices, w.data
-
-    diag_w = w.diagonal()
-    floor = pivot_floor * max(float(np.max(np.abs(diag_w))), 1.0)
-
-    if fill_level > 0:
-        pattern_rows = _symbolic_fill_pattern(w, fill_level)
-    else:
-        pattern_rows = None
-
-    d = np.zeros(n, dtype=np.float64)
-    # Row-wise storage of the strict lower triangle of L while factoring:
-    # dicts give O(1) membership for the sparse dot products below.
-    row_maps: list[dict[int, float]] = [dict() for _ in range(n)]
-    perturbations = 0
-
-    for i in range(n):
-        row_i = row_maps[i]
-        start, stop = indptr[i], indptr[i + 1]
-        if pattern_rows is None:
-            # Pattern of row i, ascending, restricted to the strict lower.
-            columns = [int(indices[p]) for p in range(start, stop) if indices[p] < i]
-            values = {
-                int(indices[p]): data[p]
-                for p in range(start, stop)
-                if indices[p] < i
-            }
-        else:
-            columns = pattern_rows[i]
-            w_row = {
-                int(indices[p]): data[p]
-                for p in range(start, stop)
-                if indices[p] < i
-            }
-            values = {j: w_row.get(j, 0.0) for j in columns}
-        for j in columns:
-            row_j = row_maps[j]
-            # s = W_ij - sum_{k<j} L_ik L_jk D_kk  over the shared pattern.
-            s = values[j]
-            if row_i and row_j:
-                if len(row_i) <= len(row_j):
-                    small, big = row_i, row_j
-                else:
-                    small, big = row_j, row_i
-                for k, v_small in small.items():
-                    v_big = big.get(k)
-                    if v_big is not None:
-                        s -= v_small * v_big * d[k]
-            row_i[j] = s / d[j]
-        # D_ii = W_ii - sum_{k<i} L_ik^2 D_kk
-        pivot = diag_w[i]
-        for k, v in row_i.items():
-            pivot -= v * v * d[k]
-        if pivot < floor:
-            pivot = floor
-            perturbations += 1
-        d[i] = pivot
-
-    lower = _rows_to_csr(row_maps, n)
-    return LDLFactors(
-        lower=lower,
-        upper=lower.T.tocsr(),
-        diag=d,
-        pivot_perturbations=perturbations,
-    )
-
-
-def _symbolic_fill_pattern(w: sp.csr_matrix, level: int) -> list[list[int]]:
-    """ILU(p)-style symbolic factorization for the symmetric lower triangle.
-
-    Returns, per row ``i``, the ascending strict-lower column pattern the
-    numeric phase may fill.  Entry levels follow the standard rule:
-    original entries are level 0; eliminating pivot ``k`` creates (i, j)
-    with level ``lev(i,k) + lev(j,k) + 1``; only entries with level <=
-    ``level`` are kept.  ``col_entries[k]`` accumulates the completed rows'
-    entries in column ``k`` so row ``i`` can look up every ``L_jk`` with
-    ``j < i`` in one pass (the symmetric analogue of consuming U's rows in
-    IKJ ILU).
-    """
-    n = w.shape[0]
-    indptr, indices = w.indptr, w.indices
-    col_entries: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    pattern_rows: list[list[int]] = []
-    for i in range(n):
-        levels: dict[int, int] = {
-            int(indices[p]): 0
-            for p in range(indptr[i], indptr[i + 1])
-            if indices[p] < i
-        }
-        # Process pivots in ascending order; new fill always lands at
-        # columns j > k, so one sorted sweep with insertions suffices.
-        heap = list(levels)
-        heapq.heapify(heap)
-        seen: set[int] = set()
-        while heap:
-            k = heapq.heappop(heap)
-            if k in seen:
-                continue
-            seen.add(k)
-            lev_ik = levels[k]
-            if lev_ik >= level:
-                continue  # any fill through k would exceed the budget
-            for j, lev_jk in col_entries[k]:
-                if j <= k or j >= i:
-                    continue
-                candidate = lev_ik + lev_jk + 1
-                if candidate > level:
-                    continue
-                previous = levels.get(j)
-                if previous is None or candidate < previous:
-                    levels[j] = candidate
-                    if j not in seen:
-                        heapq.heappush(heap, j)
-        columns = sorted(levels)
-        pattern_rows.append(columns)
-        for j in columns:
-            col_entries[j].append((i, levels[j]))
-    return pattern_rows
-
-
-def _complete_reference(w: sp.csr_matrix, pivot_floor: float) -> LDLFactors:
-    """Up-looking Modified Cholesky driven by :func:`ereach` (Davis §4.8)."""
-    n = w.shape[0]
-    indptr, indices, data = w.indptr, w.indices, w.data
-
-    diag_w = w.diagonal()
-    floor = pivot_floor * max(float(np.max(np.abs(diag_w))), 1.0)
-
-    parent = elimination_tree(w)
-    marks = np.full(n, -1, dtype=np.int64)
-    y = np.zeros(n, dtype=np.float64)
-    d = np.zeros(n, dtype=np.float64)
-    # L stored by columns while factoring; column j gains one entry per
-    # later row k with L_kj != 0, appended in ascending row order.
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    col_vals: list[list[float]] = [[] for _ in range(n)]
-    perturbations = 0
-
-    for k in range(n):
-        pattern = ereach(w, k, parent, marks)
-        # Scatter row k of W (strictly-lower part) into the dense scratch.
-        for p in range(indptr[k], indptr[k + 1]):
-            j = indices[p]
-            if j < k:
-                y[j] = data[p]
-        pivot = diag_w[k]
-        for j in pattern:  # ascending == topological (parent[j] > j)
-            yj = y[j]
-            y[j] = 0.0
-            # Propagate to later columns: y_r -= L_rj * y_j for r in col j.
-            rows_j = col_rows[j]
-            vals_j = col_vals[j]
-            for idx in range(len(rows_j)):
-                y[rows_j[idx]] -= vals_j[idx] * yj
-            l_kj = yj / d[j]
-            pivot -= l_kj * yj
-            col_rows[j].append(k)
-            col_vals[j].append(l_kj)
-        if pivot < floor:
-            pivot = floor
-            perturbations += 1
-        d[k] = pivot
-
-    upper = _cols_to_csr_upper(col_rows, col_vals, n)
-    return LDLFactors(
-        lower=upper.T.tocsr(),
-        upper=upper,
-        diag=d,
-        pivot_perturbations=perturbations,
-    )
-
-
-def _rows_to_csr(row_maps: list[dict[int, float]], n: int) -> sp.csr_matrix:
-    """Assemble per-row dicts (strict lower triangle) into a CSR matrix."""
-    nnz = sum(len(r) for r in row_maps)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    col_idx = np.empty(nnz, dtype=np.int64)
-    values = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for i, row in enumerate(row_maps):
-        for j in sorted(row):
-            col_idx[pos] = j
-            values[pos] = row[j]
-            pos += 1
-        indptr[i + 1] = pos
-    return sp.csr_matrix((values, col_idx, indptr), shape=(n, n))
-
-
-def _cols_to_csr_upper(
-    col_rows: list[list[int]], col_vals: list[list[float]], n: int
-) -> sp.csr_matrix:
-    """Assemble column-wise L entries into the strict upper triangle of L^T.
-
-    Column ``j`` of ``L`` (entries ``L_kj``, ``k > j``) is exactly row ``j``
-    of ``U = L^T``, and the rows were appended in ascending order, so the
-    CSR arrays can be emitted directly without sorting.
-    """
-    nnz = sum(len(r) for r in col_rows)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    col_idx = np.empty(nnz, dtype=np.int64)
-    values = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for j in range(n):
-        rows_j = col_rows[j]
-        count = len(rows_j)
-        col_idx[pos : pos + count] = rows_j
-        values[pos : pos + count] = col_vals[j]
-        pos += count
-        indptr[j + 1] = pos
-    return sp.csr_matrix((values, col_idx, indptr), shape=(n, n))

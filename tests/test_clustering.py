@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from repro.clustering import (
     kmeans,
     louvain,
-    louvain_reference,
     modularity,
     spectral_clustering,
 )
+from tests import oracles
 from tests.conftest import random_symmetric_adjacency, three_cluster_features
 
 
@@ -225,38 +225,37 @@ class TestSpectral:
 
 
 class TestLouvainImplementations:
-    """The fast and reference local-move sweeps are the same algorithm."""
+    """The list-based local move and its array-based oracle agree bitwise."""
 
     @pytest.mark.parametrize("n,seed", [(30, 0), (80, 1), (150, 2)])
     def test_labels_bitwise_identical(self, n, seed):
         adj = random_symmetric_adjacency(n, seed=seed)
-        fast = louvain(adj, impl="fast")
-        reference = louvain(adj, impl="reference")
-        np.testing.assert_array_equal(fast, reference)
+        np.testing.assert_array_equal(louvain(adj), oracles.louvain(adj))
 
     def test_identical_on_knn_graph(self, clustered_graph):
         fast = louvain(clustered_graph.adjacency)
-        reference = louvain_reference(clustered_graph.adjacency)
+        reference = oracles.louvain(clustered_graph.adjacency)
         np.testing.assert_array_equal(fast, reference)
 
     def test_shuffled_order_identical(self):
         adj = random_symmetric_adjacency(60, seed=3)
-        fast = louvain(adj, shuffle=True, seed=42, impl="fast")
-        reference = louvain(adj, shuffle=True, seed=42, impl="reference")
+        fast = louvain(adj, shuffle=True, seed=42)
+        reference = oracles.louvain(adj, shuffle=True, seed=42)
         np.testing.assert_array_equal(fast, reference)
 
-    def test_unknown_impl_rejected(self):
-        adj = random_symmetric_adjacency(10, seed=0)
-        with pytest.raises(ValueError, match="impl"):
-            louvain(adj, impl="gpu")
-
     def test_nonpositive_weights_fall_back(self):
-        # Explicit zero-weight edge: the scatter accumulator would be
-        # unsound, so the fast path must route through the reference
-        # sweep — and still agree with it.
-        adj = random_symmetric_adjacency(40, seed=4).tolil()
-        adj[0, 1] = adj[1, 0] = 0.0
-        adj = adj.tocsr()
-        np.testing.assert_array_equal(
-            louvain(adj, impl="fast"), louvain(adj, impl="reference")
-        )
+        # An explicit zero-weight edge is dropped before the local move
+        # (its accumulator needs strictly positive weights); the labels
+        # still match the oracle, which never relied on that.
+        adj = random_symmetric_adjacency(40, seed=4)
+        for i, j in ((0, 1), (1, 0)):
+            row = slice(adj.indptr[i], adj.indptr[i + 1])
+            adj.data[row][adj.indices[row] == j] = 0.0
+        assert np.count_nonzero(adj.data == 0.0) == 2
+        np.testing.assert_array_equal(louvain(adj), oracles.louvain(adj))
+
+    def test_negative_weight_rejected(self):
+        adj = random_symmetric_adjacency(20, seed=5).tolil()
+        adj[2, 7] = adj[7, 2] = -0.5
+        with pytest.raises(ValueError, match=r"negative weight -0\.5 at \(2, 7\)"):
+            louvain(adj.tocsr())

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from repro.clustering.louvain import louvain, louvain_refined
 from repro.graph.build import build_knn_graph
+from tests import oracles
 
 
 def multimode_features(n_modes=8, per_mode=40, dim=12, seed=0):
@@ -92,11 +93,10 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(set(mapping.values())) == len(mapping)
 
 
-class TestRefinedParallel:
+class TestRefinedOracle:
     def test_impl_identical_labels(self):
         graph = build_knn_graph(multimode_features(n_modes=4), k=5)
         fast = louvain_refined(graph.adjacency, max_cluster_size=30)
-        reference = louvain_refined(
-            graph.adjacency, max_cluster_size=30, impl="reference"
-        )
+        with oracles.reference_kernels():
+            reference = louvain_refined(graph.adjacency, max_cluster_size=30)
         np.testing.assert_array_equal(fast, reference)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.eval.harness import ExperimentTable
 from repro.experiments import ExperimentConfig, clear_caches
 from repro.experiments import ablations, fig1, fig2_3_4, fig5, fig6, fig7_table2, fig8, fig9, scaling
 from repro.experiments.__main__ import EXHIBITS, build_parser, main
@@ -50,14 +49,14 @@ class TestFig1:
         1.00."""
         from repro.core.index import MogulRanker
         from repro.eval.harness import sample_queries
-        from repro.experiments.common import build_kwargs, get_graph
+        from repro.experiments.common import get_graph
 
         config = tiny_config
         k_low, k_high = min(config.mogul_k_values), max(config.mogul_k_values)
         for name in config.datasets:
             graph = get_graph(name, config)
             queries = sample_queries(graph.n_nodes, config.n_queries, seed=config.seed)
-            mogul = MogulRanker(graph, alpha=config.alpha, **build_kwargs(config))
+            mogul = MogulRanker(graph, alpha=config.alpha)
             scored = {}
             for k in (k_low, k_high):
                 scored[k] = sum(

@@ -1,16 +1,17 @@
-"""Equivalence of the LDL backends and the bordered-block schedule.
+"""The LDL kernel against its oracle, and the bordered-block schedule.
 
-The contracts under test (see repro.linalg.ldl):
+The contracts under test (see repro.linalg.ldl and tests/oracles.py):
 
-* ``backend="csr"`` and ``backend="reference"`` produce factors with the
-  *identical* sparsity pattern and allclose values (they accumulate the
-  same sums in different orders) for every variant — incomplete at any
-  fill level, and complete;
+* the production kernel and the dict-of-rows oracle produce factors with
+  the *identical* sparsity pattern and allclose values (they accumulate
+  the same sums in different orders) for every variant — incomplete at
+  any fill level, and complete;
 * factoring with ``blocks=`` (the bordered-block layout) is **bitwise
-  identical** to the plain csr run — the block schedule is an execution
+  identical** to the plain run — the block schedule is an execution
   order, not an approximation;
-* downstream top-k answers agree across backends (indices exactly,
-  scores to float tolerance).
+* downstream top-k answers agree between an index built on the oracles
+  and one built on the production kernels (indices exactly, scores to
+  float tolerance).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.clustering.louvain import louvain_reference
 from repro.core.index import MogulRanker
 from repro.core.permutation import build_permutation
 from repro.linalg.ldl import complete_ldl, incomplete_ldl
 from repro.ranking.normalize import ranking_matrix
+from tests import oracles
 from tests.conftest import random_symmetric_adjacency
 
 
@@ -53,41 +54,30 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("n,seed", [(12, 0), (40, 1), (90, 2), (150, 3)])
     def test_incomplete_matches_reference(self, n, seed):
         w = _ranking_w(n, seed)
-        _assert_equivalent(
-            incomplete_ldl(w, backend="reference"), incomplete_ldl(w, backend="csr")
-        )
+        _assert_equivalent(oracles.incomplete_ldl(w), incomplete_ldl(w))
 
     @pytest.mark.parametrize("fill_level", [1, 2, 4])
     def test_fill_levels_match_reference(self, fill_level):
         w = _ranking_w(60, 5)
         _assert_equivalent(
-            incomplete_ldl(w, fill_level=fill_level, backend="reference"),
-            incomplete_ldl(w, fill_level=fill_level, backend="csr"),
+            oracles.incomplete_ldl(w, fill_level=fill_level),
+            incomplete_ldl(w, fill_level=fill_level),
         )
 
     @pytest.mark.parametrize("n,seed", [(12, 0), (40, 1), (90, 2)])
     def test_complete_matches_reference(self, n, seed):
         w = _ranking_w(n, seed)
-        _assert_equivalent(
-            complete_ldl(w, backend="reference"), complete_ldl(w, backend="csr")
-        )
+        _assert_equivalent(oracles.complete_ldl(w), complete_ldl(w))
 
     def test_complete_still_reconstructs(self):
         w = _ranking_w(50, 7)
-        factors = complete_ldl(w, backend="csr")
+        factors = complete_ldl(w)
         np.testing.assert_allclose(
             factors.reconstruct().toarray(), w.toarray(), atol=1e-10
         )
 
-    def test_unknown_backend_rejected(self):
-        w = _ranking_w(10, 0)
-        with pytest.raises(ValueError, match="backend"):
-            incomplete_ldl(w, backend="fortran")
-        with pytest.raises(ValueError, match="backend"):
-            complete_ldl(w, backend="fortran")
 
-
-class TestBlocksAndJobs:
+class TestBorderedBlocks:
     @pytest.fixture(scope="class")
     def permuted(self, bridged_graph):
         permutation = build_permutation(bridged_graph.adjacency)
@@ -111,7 +101,7 @@ class TestBlocksAndJobs:
     def test_fill_level_with_blocks_matches_reference(self, permuted):
         w, permutation = permuted
         _assert_equivalent(
-            incomplete_ldl(w, fill_level=2, backend="reference"),
+            oracles.incomplete_ldl(w, fill_level=2),
             incomplete_ldl(w, fill_level=2, blocks=permutation.cluster_slices),
         )
 
@@ -133,16 +123,13 @@ class TestBlocksAndJobs:
 
 
 class TestDownstreamAnswers:
-    """Backend choices must never change what a query returns."""
+    """The oracles and the production kernels answer every query alike."""
 
     @pytest.fixture(scope="class")
     def rankers(self, bridged_graph):
-        reference = MogulRanker(
-            bridged_graph,
-            factor_backend="reference",
-            clusterer=louvain_reference,
-        )
-        csr = MogulRanker(bridged_graph, factor_backend="csr")
+        with oracles.reference_kernels():
+            reference = MogulRanker(bridged_graph)
+        csr = MogulRanker(bridged_graph)
         return reference, csr
 
     def test_top_k_matches_across_backends(self, rankers, bridged_graph):
@@ -156,9 +143,8 @@ class TestDownstreamAnswers:
             )
 
     def test_exact_ranker_matches_across_backends(self, bridged_graph):
-        reference = MogulRanker(
-            bridged_graph, exact=True, factor_backend="reference"
-        )
+        with oracles.reference_kernels():
+            reference = MogulRanker(bridged_graph, exact=True)
         csr = MogulRanker(bridged_graph, exact=True)
         for query in (0, 17, 80):
             expected = reference.top_k(query, 8)
