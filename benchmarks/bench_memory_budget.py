@@ -42,7 +42,6 @@ Two entry points:
 from __future__ import annotations
 
 import json
-import os
 import resource
 import sys
 import tempfile

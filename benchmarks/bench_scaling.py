@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.index import MogulRanker

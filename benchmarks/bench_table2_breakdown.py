@@ -8,7 +8,6 @@ table reproduces Table 2's rows directly.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.bench_fig7_out_of_sample import oos_setup

@@ -13,22 +13,52 @@ pass count is small in practice, matching the cost model Lemma 2 assumes.
 Determinism: with the default ``shuffle=False`` nodes are visited in index
 order and the result is a pure function of the graph.
 
-The local-moving sweep runs over plain Python lists: the original
-array-based loop's arithmetic in the same order, minus the per-element
-numpy scalar overhead that dominates at k-NN-graph sparsity.  That
-original loop is the test suite's oracle (``tests/oracles.py``), and the
-two produce bitwise-identical labels.
+**Kernel.**  The local-moving sweep is ``local_move`` in
+``_local_move.c`` beside this module, called through :mod:`ctypes` (which
+releases the GIL).  On first import :func:`repro.utils.cbuild.load_kernel`
+compiles it without floating-point contraction into the ``__pycache__``
+beside it, keyed by a hash of the source and the command, or loads the
+library cached there.  Degrees, ``2m`` and the shuffled visit order stay
+in numpy, shared by both kernels.
+
+**Fallback.**  Without a working compiler the sweep runs in Python over
+plain lists: the same visit order and the same expressions in the same
+order, so the labels are bitwise identical.  The original array-based
+loop is the test suite's oracle (``tests/oracles.py``) for both.
+:data:`KERNEL` names the sweep in use, ``"compiled"`` or ``"python"``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.cbuild import load_kernel
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.validation import check_symmetric
+
+_SOURCE = Path(__file__).with_name("_local_move.c")
+# n, indptr, indices, data, degrees, two_m, resolution, tol, order, comm,
+# comm_tot, acc, touched
+_ARGTYPES = (
+    (ctypes.c_int64,)
+    + (ctypes.c_void_p,) * 4
+    + (ctypes.c_double,) * 3
+    + (ctypes.c_void_p,) * 5
+)
+
+
+def _select_kernel(cache_dir: Path | None = None):
+    """``(compiled kernel or None, KERNEL name)``."""
+    kernel = load_kernel(_SOURCE, "local_move", _ARGTYPES, ctypes.c_int, cache_dir)
+    return kernel, "python" if kernel is None else "compiled"
+
+
+_kernel, KERNEL = _select_kernel()
 
 
 def louvain(
@@ -185,29 +215,73 @@ def _local_move_fast(
 ) -> tuple[np.ndarray, bool]:
     """One level of greedy node moving.  Returns (labels, any_improvement).
 
-    The original array-based sweep (``tests/oracles.py``) restated on
-    plain Python lists.  Same visit order, same expressions evaluated in
-    the same order — Python floats and numpy float64 scalars share
-    IEEE-754 semantics, so the labels come out bitwise identical — but
-    the per-node inner loops run on list indexing and native floats,
-    which is several times faster than numpy scalar access at k-NN-graph
-    degree.
+    Computes the degrees, ``2m`` and the visit order, then runs the sweep
+    on the compiled kernel, or on :func:`_local_move_python` without one.
+    """
+    n = graph.shape[0]
+    degrees = np.asarray(graph.sum(axis=1)).ravel()
+    two_m = float(degrees.sum())
+    if two_m == 0.0:
+        return np.arange(n, dtype=np.int64), False
+    order = np.arange(n)
+    if shuffle:
+        rng.shuffle(order)
+    if _kernel is None:
+        return _local_move_python(graph, degrees, two_m, order, resolution, tol)
+
+    # The kernel reads raw pointers: pin every dtype and layout here.
+    indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(graph.indices, dtype=np.int64)
+    data = np.ascontiguousarray(graph.data, dtype=np.float64)
+    degrees = np.ascontiguousarray(degrees, dtype=np.float64)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    comm = np.arange(n, dtype=np.int64)
+    comm_tot = degrees.copy()  # total degree per community
+    acc = np.zeros(n, dtype=np.float64)
+    # A row touches at most one community per stored entry.
+    touched = np.empty(max(1, int(np.diff(indptr).max())), dtype=np.int64)
+    improved = _kernel(
+        n,
+        indptr.ctypes.data,
+        indices.ctypes.data,
+        data.ctypes.data,
+        degrees.ctypes.data,
+        two_m,
+        float(resolution),
+        float(tol),
+        order.ctypes.data,
+        comm.ctypes.data,
+        comm_tot.ctypes.data,
+        acc.ctypes.data,
+        touched.ctypes.data,
+    )
+    return comm, bool(improved)
+
+
+def _local_move_python(
+    graph: sp.csr_matrix,
+    degrees_arr: np.ndarray,
+    two_m: float,
+    order_arr: np.ndarray,
+    resolution: float,
+    tol: float,
+) -> tuple[np.ndarray, bool]:
+    """The sweep without a compiler, restated on plain Python lists.
+
+    The oracle's array-based sweep (``tests/oracles.py``) with the same
+    visit order and the same expressions evaluated in the same order —
+    Python floats and numpy float64 scalars share IEEE-754 semantics, so
+    the labels come out bitwise identical — but the per-node inner loops
+    run on list indexing and native floats, which is several times faster
+    than numpy scalar access at k-NN-graph degree.
     """
     n = graph.shape[0]
     indptr = graph.indptr.tolist()
     indices = graph.indices.tolist()
     data = graph.data.tolist()
-    degrees_arr = np.asarray(graph.sum(axis=1)).ravel()
-    two_m = float(degrees_arr.sum())
-    if two_m == 0.0:
-        return np.arange(n, dtype=np.int64), False
     degrees = degrees_arr.tolist()
-
     comm = list(range(n))
     comm_tot = degrees_arr.copy().tolist()  # total degree per community
-    order_arr = np.arange(n)
-    if shuffle:
-        rng.shuffle(order_arr)
     order = order_arr.tolist()
 
     # Neighbour-community weights accumulate into a dense scratch instead

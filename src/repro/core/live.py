@@ -724,7 +724,9 @@ class LiveEngine(AmbientStatsMixin):
             ticket.build_seconds = time.perf_counter() - started
             self._install_epoch(epoch, snapshot_ids, ticket)
             if _malloc_trim is not None:
-                # The build's k-NN panels (~90 MiB at n = 5000) are free
+                # The build's k-NN transients (a traced peak of ~43 MiB at
+                # n = 5000, m = 128: the float32 panel, one 128-row
+                # candidate partition and the re-rank gather) are free
                 # now, but glibc keeps their pages mapped between objects
                 # allocated meanwhile, so every rebuild would raise the
                 # floor under the next one's peak.  Hand them back (~1 ms).

@@ -42,6 +42,12 @@ _CHUNK = 512
 #: the same footprint as a brute-force panel).
 _BLAS_CHUNK = 1024
 
+#: Rows per candidate ``argpartition`` inside a ``"blas"`` panel.  Its
+#: int64 index output is as wide as the panel; sub-blocking keeps that
+#: transient at ``_BLAS_PARTITION_ROWS * n * 8`` bytes, and only the
+#: ``k + pad`` kept columns are stored.
+_BLAS_PARTITION_ROWS = 128
+
 #: Extra float32 candidates kept beyond ``k`` before the exact float64
 #: re-ranking.  The pad absorbs float32 misordering near the k-th
 #: neighbour; rows where it provably might not suffice (see the
@@ -251,7 +257,12 @@ def _blas_prefilter(
         if exclude_self:
             rows = np.arange(stop - start)
             r32[rows, np.arange(start, stop)] = np.inf
-        part = np.argpartition(r32, cand_count - 1, axis=1)[:, :cand_count]
+        part = np.empty((stop - start, cand_count), dtype=np.int64)
+        for lo in range(0, stop - start, _BLAS_PARTITION_ROWS):
+            hi = min(lo + _BLAS_PARTITION_ROWS, stop - start)
+            part[lo:hi] = np.argpartition(r32[lo:hi], cand_count - 1, axis=1)[
+                :, :cand_count
+            ]
         block = queries[start:stop]
         sq_block = np.einsum("ij,ij->i", block, block)
         # The exact re-rank gathers candidate points densely; sub-block
@@ -259,8 +270,8 @@ def _blas_prefilter(
         # thousand-dimensional features (results are row-wise, so the
         # sub-blocking cannot change them).
         d2 = np.empty((stop - start, cand_count), dtype=np.float64)
-        # ~64 MB of gathered float64 candidates per sub-block.
-        sub = max(1, 8_000_000 // (cand_count * m))
+        # ~8 MB of gathered float64 candidates per sub-block.
+        sub = max(1, 1_000_000 // (cand_count * m))
         for lo in range(0, stop - start, sub):
             hi = min(lo + sub, stop - start)
             gathered = points[part[lo:hi]]

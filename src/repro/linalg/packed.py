@@ -27,12 +27,9 @@ allocation per call, so a server's RSS grew with the queries it answered.
 It keeps ``gstrs``'s operation order and is built without floating-point
 contraction, so the two agree bitwise.
 
-**Build cache.**  On first import the source is compiled with
-``sysconfig``'s ``CC`` and ``-O2 -ffp-contract=off`` into the
-``__pycache__`` beside it, named by a hash of the source and the command,
-via a temporary file and :func:`os.replace`.  If that directory is not
-writable the build goes to a fresh private temporary directory: a library
-found in a shared directory is never loaded.
+**Build cache.**  On first import :func:`repro.utils.cbuild.load_kernel`
+compiles the source into the ``__pycache__`` beside it, keyed by a hash
+of the source and the command, or loads the library cached there.
 
 **Fallback.**  Without a working compiler the solves call ``gstrs`` — the
 same answers, with the leak.  :data:`KERNEL` names the kernel in use
@@ -43,17 +40,12 @@ same answers, with the leak.  :data:`KERNEL` names the kernel in use
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shlex
-import shutil
-import subprocess
-import sysconfig
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from repro.utils.cbuild import load_kernel
 
 try:  # pragma: no cover - depends on the scipy build
     from scipy.sparse.linalg._dsolve._superlu import gstrs as _gstrs
@@ -61,55 +53,13 @@ except ImportError:  # pragma: no cover
     _gstrs = None
 
 _SOURCE = Path(__file__).with_name("_unit_trsv.c")
-#: No -ffast-math or -march: a fused multiply-add changes the rounding,
-#: and the compiled and gstrs kernels must agree bitwise.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-def _build(command: list[str], target: Path) -> None:
-    """Compile into a temporary file beside ``target``, then rename it."""
-    fd, partial = tempfile.mkstemp(suffix=".tmp", dir=target.parent)
-    os.close(fd)
-    try:
-        build = [*command, "-o", partial, str(_SOURCE)]
-        subprocess.run(build, check=True, capture_output=True)
-        os.replace(partial, target)
-    finally:
-        Path(partial).unlink(missing_ok=True)
-
-
-def _compile_kernel(cache_dir: Path | None = None):
-    """Build (or reuse) the compiled kernel; ``None`` if that fails."""
-    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS]
-    digest = hashlib.sha256(_SOURCE.read_bytes() + "\0".join(command).encode())
-    cache_dir = cache_dir or _SOURCE.parent / "__pycache__"
-    private = None
-    try:
-        cache_dir.mkdir(exist_ok=True)
-        writable = os.access(cache_dir, os.W_OK)
-    except OSError:
-        writable = False
-    if not writable:
-        cache_dir = private = Path(tempfile.mkdtemp(prefix="repro-trsv-"))
-    target = cache_dir / f"_unit_trsv.{digest.hexdigest()[:16]}.so"
-    try:
-        if not target.exists():
-            _build(command, target)
-        kernel = ctypes.CDLL(str(target)).unit_lower_solve
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    finally:
-        if private is not None:  # the loaded mapping outlives the file
-            shutil.rmtree(private, ignore_errors=True)
-    # n, nrhs, data, indices, indptr, x, trans
-    kernel.argtypes = (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 4 + (ctypes.c_int,)
-    kernel.restype = None
-    return kernel
+# n, nrhs, data, indices, indptr, x, trans
+_ARGTYPES = (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 4 + (ctypes.c_int,)
 
 
 def _select_kernel(cache_dir: Path | None = None):
     """``(compiled kernel or None, KERNEL name)``."""
-    kernel = _compile_kernel(cache_dir)
+    kernel = load_kernel(_SOURCE, "unit_lower_solve", _ARGTYPES, None, cache_dir)
     if kernel is not None:
         return kernel, "compiled"
     if _gstrs is None:  # pragma: no cover - no compiler and an unusual scipy

@@ -225,7 +225,7 @@ class TestSpectral:
 
 
 class TestLouvainImplementations:
-    """The list-based local move and its array-based oracle agree bitwise."""
+    """The production local move and its array-based oracle agree bitwise."""
 
     @pytest.mark.parametrize("n,seed", [(30, 0), (80, 1), (150, 2)])
     def test_labels_bitwise_identical(self, n, seed):

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import node_estimate, precompute_cluster_bounds
-from repro.core.index import MogulIndex
 from repro.core.permutation import build_permutation
 from repro.linalg import complete_ldl, incomplete_ldl
 from repro.linalg.triangular import (
@@ -24,7 +23,7 @@ from repro.linalg.triangular import (
     forward_substitute_rows,
 )
 from repro.ranking.normalize import ranking_matrix
-from tests.conftest import graph_from_adjacency, random_symmetric_adjacency
+from tests.conftest import random_symmetric_adjacency
 from tests.test_core_permutation import random_labels
 
 

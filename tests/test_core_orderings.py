@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.index import MogulRanker
 from repro.core.permutation import WITHIN_ORDERS, build_permutation
 from repro.ranking.base import rank_scores
 

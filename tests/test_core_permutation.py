@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.permutation import Permutation, build_permutation
+from repro.core.permutation import build_permutation
 from repro.ranking.normalize import ranking_matrix
 from tests.conftest import random_symmetric_adjacency
 

@@ -22,6 +22,7 @@ from repro.linalg.triangular import (
     ldl_solve,
 )
 from repro.ranking.normalize import ranking_matrix
+from repro.utils import cbuild
 
 
 def build_parts(graph, alpha=0.95, factorize=incomplete_ldl):
@@ -178,7 +179,7 @@ class TestValidation:
         permutation, factors = build_parts(bridged_graph)
         compiled = _solver_answers(ClusterSolver(factors, permutation), permutation)
         monkeypatch.setattr(
-            packed.sysconfig, "get_config_var", lambda name: "/nonexistent/cc"
+            cbuild.sysconfig, "get_config_var", lambda name: "/nonexistent/cc"
         )
         kernel, name = packed._select_kernel(tmp_path)
         monkeypatch.setattr(packed, "_kernel", kernel)

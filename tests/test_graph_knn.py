@@ -117,6 +117,43 @@ class TestKnnSearch:
             np.testing.assert_array_equal(base_idx, idx)
             np.testing.assert_array_equal(base_dist, dist)
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_blas_partition_sub_blocks_bitwise(self, monkeypatch, rows):
+        """The candidate argpartition's sub-block size is an execution
+        detail: indices and distances stay byte for byte the same."""
+        import repro.graph.knn as knn_mod
+
+        rng = np.random.default_rng(14)
+        points = rng.normal(size=(300, 24))
+        queries = rng.normal(size=(45, 24))
+        base = [knn_search(points, 5, method="blas")]
+        base.append(knn_search(points, 5, queries=queries, method="blas"))
+        monkeypatch.setattr(knn_mod, "_BLAS_PARTITION_ROWS", rows)
+        got = [knn_search(points, 5, method="blas")]
+        got.append(knn_search(points, 5, queries=queries, method="blas"))
+        for (base_idx, base_dist), (idx, dist) in zip(base, got):
+            assert idx.tobytes() == base_idx.tobytes()
+            assert dist.tobytes() == base_dist.tobytes()
+
+    def test_blas_build_transients_bounded(self):
+        """Peak traced allocation of a blas self-query at n = 5000.
+
+        The float32 panel is 1024 x 5000 x 4 B = 20 MB; one 128-row
+        candidate partition adds 5 MB and the capped re-rank gather at
+        most 8 MB.  A full-width (1024, n) int64 partition (41 MB more)
+        breaks the bound.
+        """
+        import tracemalloc
+
+        points = np.random.default_rng(15).normal(size=(5000, 32))
+        tracemalloc.start()
+        try:
+            knn_search(points, 5, method="blas")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_blas_duplicate_points(self):
         rng = np.random.default_rng(8)
         base = rng.normal(size=(40, 17))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.linalg import packed
 from repro.linalg.packed import PackedUnitLower
+from repro.utils import cbuild
 
 needs_both_kernels = pytest.mark.skipif(
     packed.KERNEL != "compiled" or packed._gstrs is None,
@@ -281,13 +282,13 @@ class TestKernelBuild:
 
     @pytest.mark.skipif(packed.KERNEL != "compiled", reason="no C compiler")
     def test_unwritable_cache_builds_privately(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(packed.os, "access", lambda *args: False)
+        monkeypatch.setattr(cbuild.os, "access", lambda *args: False)
         assert packed._select_kernel(tmp_path)[1] == "compiled"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(packed._gstrs is None, reason="needs scipy's gstrs")
     def test_missing_compiler_selects_gstrs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            packed.sysconfig, "get_config_var", lambda name: "/nonexistent/cc"
+            cbuild.sysconfig, "get_config_var", lambda name: "/nonexistent/cc"
         )
         assert packed._select_kernel(tmp_path) == (None, "gstrs")

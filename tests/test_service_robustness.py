@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 
 import pytest
 
