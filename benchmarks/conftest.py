@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pytest
 
 from repro.baselines.emr import EMRRanker
 from repro.baselines.fmr import FMRRanker
@@ -73,12 +72,3 @@ def get_ranker(name: str, method: str, **kwargs):
 def bench_queries(name: str, count: int = 5) -> np.ndarray:
     return sample_queries(get_graph(name).n_nodes, count, seed=BENCH_SEED)
 
-
-@pytest.fixture(scope="session")
-def coil_dataset() -> Dataset:
-    return get_dataset("coil")
-
-
-@pytest.fixture(scope="session")
-def coil_graph() -> KnnGraph:
-    return get_graph("coil")

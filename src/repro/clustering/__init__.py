@@ -1,27 +1,26 @@
 """Clustering substrates required by the paper's pipeline.
 
-* :func:`louvain` — modularity-based graph clustering.  Algorithm 1 of the
-  paper delegates to Shiokawa et al. [17] (incremental-aggregation
-  modularity clustering); we reimplement that family as Louvain-style local
-  moving + aggregation, which optimises the same objective with the same
-  linear-time behaviour on k-NN graphs and likewise determines the number
-  of clusters automatically.
-* :func:`kmeans` — Lloyd's algorithm with k-means++ seeding; selects EMR's
-  anchor points [21] and the embedding step of spectral clustering.
+* :mod:`~repro.clustering.louvain` — modularity-based graph clustering.
+  Algorithm 1 of the paper delegates to Shiokawa et al. [17]
+  (incremental-aggregation modularity clustering); we reimplement that
+  family as Louvain-style local moving + aggregation, which optimises the
+  same objective with the same linear-time behaviour on k-NN graphs and
+  likewise determines the number of clusters automatically.
+* :mod:`~repro.clustering.kmeans` — Lloyd's algorithm with k-means++
+  seeding; selects EMR's anchor points [21] and the embedding step of
+  spectral clustering.
 * :func:`spectral_clustering` — normalised-cut spectral clustering, the
   partitioner FMR [8] relies on.
 * :func:`modularity` — the objective, exposed for tests and diagnostics.
 """
 
-from repro.clustering.kmeans import KMeansResult, kmeans
-from repro.clustering.louvain import louvain, louvain_refined
+from repro.clustering.kmeans import KMeansResult
+from repro.clustering.louvain import louvain_refined
 from repro.clustering.modularity import modularity
 from repro.clustering.spectral import spectral_clustering
 
 __all__ = [
     "KMeansResult",
-    "kmeans",
-    "louvain",
     "louvain_refined",
     "modularity",
     "spectral_clustering",

@@ -335,14 +335,9 @@ def _local_move_python(
 
 def _relabel(labels: np.ndarray) -> np.ndarray:
     """Map labels to contiguous ids preserving first-appearance order."""
-    _, inverse = np.unique(labels, return_inverse=True)
-    first_pos: dict[int, int] = {}
-    for pos, lab in enumerate(inverse.tolist()):
-        if lab not in first_pos:
-            first_pos[lab] = len(first_pos)
-    mapping = np.empty(len(first_pos), dtype=np.int64)
-    for lab, new in first_pos.items():
-        mapping[lab] = new
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    mapping = np.empty(first.size, dtype=np.int64)
+    mapping[np.argsort(first, kind="stable")] = np.arange(first.size)
     return mapping[inverse]
 
 

@@ -53,8 +53,10 @@ The engine exposes critical-path instrumentation
 (:attr:`snapshot_stall_seconds`, :attr:`last_swap_seconds`) because on a
 single-CPU host a background rebuild *time-shares* with queries: the
 honest measure of "queries never block on a rebuild" is the lock-wait on
-the query path, not wall-clock overlap (see
-``benchmarks/bench_live_mutation.py``).
+the query path, not wall-clock overlap.  The benchmark suite records
+the rebuild as ``core.live.rebuild_s``, and its ``http_mutable_mix``
+workload the worst query stall under mixed reads and writes
+(``core.live.max_snapshot_stall_ms``).
 
 What a read costs
 -----------------

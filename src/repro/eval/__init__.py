@@ -9,13 +9,7 @@
   by every ``repro.experiments`` module and benchmark.
 """
 
-from repro.eval.harness import (
-    ExperimentTable,
-    iter_batches,
-    sample_queries,
-    time_queries,
-    time_query_batches,
-)
+from repro.eval.harness import ExperimentTable, sample_queries, time_queries
 from repro.eval.metrics import (
     average_precision_at_k,
     ndcg_at_k,
@@ -30,7 +24,6 @@ __all__ = [
     "ExperimentTable",
     "average_precision_at_k",
     "block_structure_stats",
-    "iter_batches",
     "ndcg_at_k",
     "p_at_k",
     "rank_correlation",
@@ -39,5 +32,4 @@ __all__ = [
     "sample_queries",
     "sparsity_raster",
     "time_queries",
-    "time_query_batches",
 ]

@@ -47,71 +47,6 @@ def time_queries(
     return timer.mean
 
 
-def iter_batches(queries: Sequence[int], batch_size: int):
-    """Yield ``queries`` as consecutive lists of at most ``batch_size``."""
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    queries = list(queries)
-    for start in range(0, len(queries), batch_size):
-        yield queries[start : start + batch_size]
-
-
-def time_engine_queries(
-    engine,
-    queries: Sequence[int],
-    k: int,
-    batch_size: int = 1,
-    warmup: int = 1,
-) -> float:
-    """Mean seconds/query for any :class:`repro.core.engine.Engine`.
-
-    The engine-level convenience over :func:`time_queries` /
-    :func:`time_query_batches`: ``batch_size == 1`` times sequential
-    ``top_k`` calls, larger values time ``top_k_batch`` slices — the two
-    regimes every engine (single-index or sharded) must serve with
-    identical answers, measured the same way so QPS numbers stay
-    comparable across engines and batch sizes.
-    """
-    if batch_size <= 1:
-        return time_queries(
-            lambda query: engine.top_k(int(query), k), queries, warmup=warmup
-        )
-    return time_query_batches(
-        lambda batch: engine.top_k_batch(batch, k),
-        queries,
-        batch_size,
-        warmup=warmup,
-    )
-
-
-def time_query_batches(
-    run_batch: Callable[[list[int]], object],
-    queries: Sequence[int],
-    batch_size: int,
-    warmup: int = 1,
-) -> float:
-    """Mean wall-clock seconds *per query* when answering in batches.
-
-    The batched counterpart of :func:`time_queries`: ``run_batch``
-    receives consecutive query slices of at most ``batch_size`` and the
-    measured region covers every batch call; the mean divides by the
-    query count so numbers stay comparable across batch sizes
-    (``1 / result`` is the queries-per-second throughput).  ``warmup``
-    initial *batches* are executed but not timed.
-    """
-    queries = list(queries)
-    if not queries:
-        raise ValueError("queries must be non-empty")
-    batches = list(iter_batches(queries, batch_size))
-    for batch in batches[: max(0, warmup)]:
-        run_batch(batch)
-    timer = Timer()
-    for batch in batches:
-        with timer:
-            run_batch(batch)
-    return timer.elapsed / len(queries)
-
-
 @dataclass
 class ExperimentTable:
     """A printable experiment result table.

@@ -15,9 +15,9 @@ Design constraints, in order:
   :func:`span` / :func:`add_span` unconditionally; when no trace is
   active on the calling thread they return a cached no-op singleton —
   one ``threading.local`` attribute read, no allocation.  The
-  benchmarked guarantee (``BENCH_obs.json``) is that a server with
-  tracing disabled is indistinguishable from one that never imported
-  this module.
+  guarantee is that a server with tracing disabled is
+  indistinguishable from one that never imported this module; the
+  benchmark suite records the traced cost as ``obs.trace.overhead_share``.
 * **Monotonic clocks.**  All span timestamps are ``time.perf_counter``
   values; wall-clock time appears only once, on the trace itself, for
   display.

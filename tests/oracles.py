@@ -23,13 +23,13 @@ production kernels against the algorithm as first written:
 
 from __future__ import annotations
 
-import importlib
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
 
+import repro.clustering.louvain as louvain_module
 import repro.core.index as index_module
 from repro.linalg.elimination_tree import elimination_tree, ereach
 from repro.linalg.ldl import (
@@ -38,10 +38,6 @@ from repro.linalg.ldl import (
     _symbolic_fill_pattern,
     _to_csr,
 )
-
-# ``repro.clustering`` re-exports the function ``louvain``, which shadows
-# the submodule of the same name under attribute access.
-louvain_module = importlib.import_module("repro.clustering.louvain")
 
 
 def incomplete_ldl(

@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines import EMRRanker, FMRRanker
 from repro.baselines.emr import epanechnikov, _anchor_weights
-from repro.clustering import kmeans
+from repro.clustering.kmeans import kmeans
 from repro.eval.metrics import p_at_k, rank_correlation
 from repro.ranking import ExactRanker
 from tests.conftest import graph_from_adjacency, random_symmetric_adjacency

@@ -138,6 +138,14 @@ class TestCriticalPath:
         )
         assert profile.critical_path_seconds == pytest.approx(2.0)
 
+    def test_sharded_build_times_each_shard(self, bridged_graph):
+        from repro.core.sharded import ShardedMogulIndex
+
+        index = ShardedMogulIndex.build(bridged_graph, 2)
+        profile = index.profile
+        assert len(profile.shard_seconds) == index.n_shards
+        assert 0 < profile.critical_path_seconds <= profile.total_seconds
+
     def test_unsharded_equals_total(self):
         from repro.core.profile import BuildProfile
 

@@ -8,12 +8,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import (
-    kmeans,
-    louvain,
-    modularity,
-    spectral_clustering,
-)
+from repro.clustering import modularity, spectral_clustering
+from repro.clustering.kmeans import kmeans
+from repro.clustering.louvain import louvain
 from tests import oracles
 from tests.conftest import random_symmetric_adjacency, three_cluster_features
 
@@ -120,6 +117,32 @@ class TestLouvain:
         for community in np.unique(labels):
             members = clustered_labels[labels == community]
             assert len(np.unique(members)) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=50), max_size=80),
+    )
+    def test_relabel_is_first_appearance_order(self, raw):
+        from repro.clustering.louvain import _relabel
+
+        labels = np.asarray(raw, dtype=np.int64)
+        relabelled = _relabel(labels)
+        assert relabelled.dtype == np.int64
+        assert relabelled.shape == labels.shape
+        # The same partition, renamed to contiguous ids in the order each
+        # label first appears.
+        first_seen = list(dict.fromkeys(raw))
+        assert relabelled.tolist() == [first_seen.index(label) for label in raw]
+
+
+class TestPackageLayout:
+    def test_louvain_submodule_is_not_shadowed(self):
+        import types
+
+        import repro.clustering.louvain as louvain_module
+
+        assert isinstance(louvain_module, types.ModuleType)
+        assert louvain_module.KERNEL in ("compiled", "python")
 
 
 class TestKMeans:

@@ -10,7 +10,6 @@ tolerance and a shuffled visit order.
 
 from __future__ import annotations
 
-import importlib
 import re
 
 import numpy as np
@@ -19,14 +18,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.clustering.louvain as louvain_module
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.graph.build import build_knn_graph
 from repro.utils import cbuild
 from tests import oracles
-
-# ``repro.clustering`` re-exports the function ``louvain``, which shadows
-# the submodule of the same name under attribute access.
-louvain_module = importlib.import_module("repro.clustering.louvain")
 
 needs_compiled = pytest.mark.skipif(
     louvain_module.KERNEL != "compiled", reason="no C compiler"

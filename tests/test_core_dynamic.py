@@ -71,6 +71,16 @@ class TestInsertion:
         answer_labels = labels[result.indices[result.indices < len(labels)]]
         assert np.mean(answer_labels == 2) >= 0.75
 
+    def test_top_k_returns_k_whatever_the_buffer(self, db):
+        dynamic, features, _ = db
+        rng = np.random.default_rng(3)
+        for pending in (0, 10, 100):
+            while dynamic.n_pending < pending:
+                base = features[int(rng.integers(features.shape[0]))]
+                dynamic.add(base + rng.normal(scale=0.02, size=base.shape))
+            for query in (0, 61, 119):
+                assert dynamic.top_k(query, 10).indices.shape[0] == 10
+
     def test_estimate_approaches_rebuilt_score(self, db):
         dynamic, features, labels = db
         anchor = int(np.flatnonzero(labels == 0)[5])

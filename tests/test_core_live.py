@@ -90,6 +90,48 @@ class TestBackgroundEqualsBlocking:
             live.top_k_out_of_sample(probe, 7),
         )
 
+    def test_build_holding_the_lock_matches_background_under_load(self):
+        """A stop-the-world build, on the caller's thread with the mutation
+        lock held throughout, equals a background rebuild taken while a
+        query thread keeps reading."""
+        features = two_cluster_features(9)
+        blocking = LiveEngine(features, auto_rebuild_fraction=None)
+        live = LiveEngine(features, auto_rebuild_fraction=None)
+        apply_mutations(blocking, 9)
+        added = apply_mutations(live, 9)
+
+        with blocking._lock:
+            ids = blocking._live_ids()
+            epoch = blocking._build_epoch(ids, number=-1)
+            blocking._install_epoch(epoch, ids, live_module.RebuildTicket())
+
+        stop = threading.Event()
+        reads = []
+
+        def read_until_stopped():
+            while not stop.is_set():
+                reads.append(live.top_k(0, 5))
+
+        reader = threading.Thread(target=read_until_stopped)
+        reader.start()
+        try:
+            assert live.rebuild_async().result(60) == 1
+        finally:
+            stop.set()
+            reader.join(60)
+        assert reads
+
+        for engine in (blocking, live):
+            assert engine.epoch == 1
+            assert engine.n_pending == 0
+        for query in (0, 17, 55, added[0], added[-1]):
+            assert_bitwise_equal(blocking.top_k(query, 10), live.top_k(query, 10))
+        probe = features.mean(axis=0)
+        assert_bitwise_equal(
+            blocking.top_k_out_of_sample(probe, 7),
+            live.top_k_out_of_sample(probe, 7),
+        )
+
     def test_factors_bitwise_identical_flat(self):
         features = two_cluster_features(7)
         blocking = LiveEngine(features, auto_rebuild_fraction=None)

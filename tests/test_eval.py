@@ -182,35 +182,3 @@ class TestHarness:
         assert ExperimentTable._format_cell(0.0) == "0"
         assert ExperimentTable._format_cell(12) == "12"
         assert ExperimentTable._format_cell("s") == "s"
-
-
-class TestBatchHarness:
-    def test_iter_batches_chunks(self):
-        from repro.eval import iter_batches
-
-        chunks = list(iter_batches(list(range(10)), 4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert [c[0] for c in chunks] == [0, 4, 8]
-
-    def test_iter_batches_rejects_bad_size(self):
-        from repro.eval import iter_batches
-
-        with pytest.raises(ValueError, match="batch_size"):
-            list(iter_batches([1, 2], 0))
-
-    def test_time_query_batches_counts_calls(self):
-        from repro.eval import time_query_batches
-
-        calls = []
-        per_query = time_query_batches(
-            lambda chunk: calls.append(list(chunk)), [1, 2, 3, 4, 5], 2, warmup=1
-        )
-        # warmup batch + three timed batches of sizes 2, 2, 1
-        assert calls == [[1, 2], [1, 2], [3, 4], [5]]
-        assert per_query >= 0.0
-
-    def test_time_query_batches_empty(self):
-        from repro.eval import time_query_batches
-
-        with pytest.raises(ValueError, match="non-empty"):
-            time_query_batches(lambda chunk: None, [], 4)

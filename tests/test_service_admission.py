@@ -234,6 +234,7 @@ class TestSchedulerOverload:
         sheds = [o for o in outcomes if isinstance(o, ShedLoadError)]
         served = [o for o in outcomes if not isinstance(o, Exception)]
         assert sheds and served
+        assert len(sheds) + len(served) == len(outcomes)  # nothing errors
         assert all(shed.retry_after_seconds >= 1.0 for shed in sheds)
         assert metrics.snapshot()["admission"]["sheds_total"] == len(sheds)
         assert admission.snapshot()["shed_total"] == len(sheds)
