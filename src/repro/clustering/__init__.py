@@ -11,17 +11,17 @@
   spectral clustering.
 * :func:`spectral_clustering` — normalised-cut spectral clustering, the
   partitioner FMR [8] relies on.
-* :func:`modularity` — the objective, exposed for tests and diagnostics.
+* :mod:`~repro.clustering.modularity` — the objective, for tests and
+  diagnostics (import :func:`repro.clustering.modularity.modularity`; the
+  package does not re-export it, so the submodule is never shadowed).
 """
 
 from repro.clustering.kmeans import KMeansResult
 from repro.clustering.louvain import louvain_refined
-from repro.clustering.modularity import modularity
 from repro.clustering.spectral import spectral_clustering
 
 __all__ = [
     "KMeansResult",
     "louvain_refined",
-    "modularity",
     "spectral_clustering",
 ]

@@ -75,6 +75,19 @@ can still return — **the deletes since the last rebuild**, not every
 delete ever made (a rebuild drops tombstoned nodes from the graph, so
 older deletes cannot come back from it).
 
+What a rebuild costs
+--------------------
+An epoch whose graph the blas engine built keeps that pass's exact k-NN
+state (:class:`repro.graph.knn.KnnState`), and the next rebuild derives
+its neighbour lists from it (:func:`repro.graph.knn.knn_update`): the
+inserts are nominated against every old row in one float32 panel and
+only the new rows, plus any row whose list no longer certifies, search
+all points.  Every row is certified, and any that fails sends the
+rebuild through the full search, so the graph is bitwise
+``build_knn_graph`` on the same ids either way.  A base without state —
+loaded, restored, or brute-built — also rebuilds in full;
+``mutation_counts`` counts the two paths.
+
 Epoch-versioned state
 ---------------------
 All base-index state lives in one immutable :class:`EngineEpoch` value
@@ -113,10 +126,10 @@ import numpy as np
 from repro.core.batch import BatchStats
 from repro.core.index import MogulRanker
 from repro.core.search import SearchStats
-from repro.core.topk import dedupe_ranked, truncate_result
+from repro.core.topk import dedupe_ranked
 from repro.graph.adjacency import KnnGraph
-from repro.graph.build import build_knn_graph
-from repro.graph.knn import knn_search
+from repro.graph.build import graph_from_neighbours
+from repro.graph.knn import KnnState, knn_search, knn_search_with_state, knn_update
 from repro.obs.trace import add_span as obs_add_span
 from repro.ranking.base import DEFAULT_ALPHA, AmbientStatsMixin, TopKResult
 from repro.utils.validation import check_alpha, check_positive_int
@@ -148,6 +161,11 @@ class EngineEpoch:
     indexed_ids: np.ndarray
     #: Inverse of ``indexed_ids``: global id -> index-local row.
     local_by_global: dict
+    #: The exact k-NN lists the next rebuild derives its own from (``None``
+    #: when the graph was not built by the blas engine, e.g. loaded).
+    knn_state: KnnState | None = None
+    #: True when :func:`repro.graph.knn.knn_update` built this graph.
+    knn_incremental: bool = False
 
     @property
     def index(self):
@@ -401,6 +419,10 @@ class LiveEngine(AmbientStatsMixin):
         self.inserts = 0
         self.deletes = 0
         self.failed_rebuilds = 0
+        #: Rebuilds (this process) whose k-NN came from the previous
+        #: epoch's lists, and those that ran the full search.
+        self.knn_incremental_rebuilds = 0
+        self.knn_full_rebuilds = 0
         #: Message of the most recent failed background rebuild (surfaced
         #: via :meth:`mutation_counts` -> ``/stats``); ``None`` after a
         #: success.  Auto-triggered rebuilds have no caller holding the
@@ -692,9 +714,11 @@ class LiveEngine(AmbientStatsMixin):
                 )
             ticket = RebuildTicket()
             self._rebuild_ticket = ticket
+            # The epoch the snapshot is taken against: its k-NN lists
+            # are what the new ones are derived from.
             thread = threading.Thread(
                 target=self._run_rebuild,
-                args=(ticket, snapshot_ids),
+                args=(ticket, snapshot_ids, self._epoch),
                 name="live-rebuild",
                 daemon=True,
             )
@@ -715,23 +739,24 @@ class LiveEngine(AmbientStatsMixin):
         self.rebuild_async().result()
 
     def _run_rebuild(
-        self, ticket: RebuildTicket, snapshot_ids: np.ndarray
+        self, ticket: RebuildTicket, snapshot_ids: np.ndarray, base: EngineEpoch
     ) -> None:
         try:
             started = time.perf_counter()
             # Heavy: graph + factorization, entirely off the lock.  The
             # epoch number is provisional; the real one is stamped at
             # swap time under the lock.
-            epoch = self._build_epoch(snapshot_ids, number=-1)
+            epoch = self._build_epoch(snapshot_ids, number=-1, base=base)
             ticket.build_seconds = time.perf_counter() - started
             self._install_epoch(epoch, snapshot_ids, ticket)
             if _malloc_trim is not None:
-                # The build's k-NN transients (a traced peak of ~43 MiB at
-                # n = 5000, m = 128: the float32 panel, one 128-row
-                # candidate partition and the re-rank gather) are free
-                # now, but glibc keeps their pages mapped between objects
-                # allocated meanwhile, so every rebuild would raise the
-                # floor under the next one's peak.  Hand them back (~1 ms).
+                # A full k-NN search's transients (a traced peak of ~43
+                # MiB at n = 5000, m = 128: the float32 panel, one 128-row
+                # candidate partition and the re-rank gather; incremental
+                # rebuilds allocate a few MiB) are free now, but glibc
+                # keeps their pages mapped between objects allocated
+                # meanwhile, so every full rebuild would raise the floor
+                # under the next one's peak.  Hand them back (~1 ms).
                 _malloc_trim(0)
             self.last_rebuild_error = None
             # Listeners (cache invalidation) fire before the ticket
@@ -765,6 +790,10 @@ class LiveEngine(AmbientStatsMixin):
                 if gid not in snapshot_set and gid not in self._tombstones
             )
             self._rebuilds += 1
+            if epoch.knn_incremental:
+                self.knn_incremental_rebuilds += 1
+            else:
+                self.knn_full_rebuilds += 1
         swap = time.perf_counter() - started
         ticket.swap_seconds = swap
         ticket.epoch = epoch.number
@@ -932,14 +961,31 @@ class LiveEngine(AmbientStatsMixin):
         if query in snap.tombstones:
             raise ValueError(f"query {query} was removed")
 
-    def _build_epoch(self, indexed_ids: np.ndarray, number: int) -> EngineEpoch:
+    def _build_epoch(
+        self,
+        indexed_ids: np.ndarray,
+        number: int,
+        base: EngineEpoch | None = None,
+    ) -> EngineEpoch:
         """Build a fresh base index over ``indexed_ids`` (pure function).
 
         Every rebuild, blocking or background, calls exactly this on its
-        id snapshot — which is what makes them bitwise identical.
+        id snapshot and the epoch it was taken against — which is what
+        makes them bitwise identical.  The k-NN lists are derived from
+        ``base``'s when :func:`repro.graph.knn.knn_update` certifies every
+        row, and searched in full otherwise; the graph is bitwise
+        ``build_knn_graph(features, k)`` either way.
         """
         features = np.asarray([self._features[g] for g in indexed_ids])
-        graph = build_knn_graph(features, k=self.k)
+        lists = None
+        if base is not None and base.knn_state is not None:
+            old_to_new, inserted = _id_moves(base.indexed_ids, indexed_ids)
+            lists = knn_update(base.knn_state, features, old_to_new, inserted)
+        incremental = lists is not None
+        if lists is None:
+            lists = knn_search_with_state(features, self.k)
+        nbr_idx, nbr_dist, knn_state = lists
+        graph = graph_from_neighbours(features, nbr_idx, nbr_dist)
         if self.n_shards > 1:
             from repro.core.sharded import ShardedMogulRanker
 
@@ -971,6 +1017,8 @@ class LiveEngine(AmbientStatsMixin):
             ranker=ranker,
             indexed_ids=np.asarray(indexed_ids, dtype=np.int64),
             local_by_global=local_by_global,
+            knn_state=knn_state,
+            knn_incremental=incremental,
         )
 
     def _merge_pending(
@@ -983,43 +1031,46 @@ class LiveEngine(AmbientStatsMixin):
         the same approximate score field the base answers were ranked by;
         ``field_fn`` produces that field lazily (it costs one solve, paid
         only when the buffer is non-empty).  The neighbours and weights
-        come from the per-epoch memo (:meth:`_pending_neighbours`).
+        come from the per-epoch memo (:meth:`_pending_slots`), and all the
+        estimates from one batched product, bitwise each row's ``np.dot``.
         """
         epoch = snap.epoch
         base_global = epoch.indexed_ids[base.indices]
         if not snap.pending:
             return base_global, base.scores.copy()
         field = field_fn()
-        rows = self._pending_neighbours(epoch, snap.pending)
-        estimates = np.empty(len(rows), dtype=np.float64)
-        for row, (idx, weights) in enumerate(rows):
-            estimates[row] = float(np.dot(weights, field[idx]))
+        memo, slots = self._pending_slots(epoch, snap.pending)
+        rows, weights = memo.rows[slots], memo.weights[slots]
+        estimates = (weights[:, None, :] @ field[rows][:, :, None])[:, 0, 0]
         merged_ids = np.concatenate(
             [base_global, np.asarray(snap.pending, dtype=np.int64)]
         )
         merged_scores = np.concatenate([base.scores, estimates])
         return merged_ids, merged_scores
 
-    def _pending_neighbours(
+    def _pending_slots(
         self, epoch: EngineEpoch, pending: tuple
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(neighbour rows, normalised weights)`` of each pending id.
+    ) -> tuple[_NeighbourMemo, np.ndarray]:
+        """The epoch's memo and each pending id's slot in its stacked rows.
 
         Memoized per (epoch, id) and filled here, on the read path: each
         id costs one one-row k-NN search per epoch.  Concurrent readers
         may both compute a missing row; the row is a pure function of
-        (epoch, feature), so whichever write lands is the same value.
+        (epoch, feature), so whichever fill lands first is the same value.
         """
         memo = self._neighbour_memo.get(epoch)
         if memo is None:
-            memo = self._neighbour_memo.setdefault(epoch, {})
-        rows = []
+            memo = self._neighbour_memo.setdefault(
+                epoch, _NeighbourMemo(min(self.k, epoch.n_indexed))
+            )
+        slots = []
         for gid in pending:
-            row = memo.get(gid)
-            if row is None:
-                row = memo[gid] = self._neighbour_row(epoch, self._features[gid])
-            rows.append(row)
-        return rows
+            entry = memo.get(gid)
+            if entry is None:
+                row = self._neighbour_row(epoch, self._features[gid])
+                entry = memo.fill(gid, *row)
+            slots.append(entry[0])
+        return memo, np.asarray(slots, dtype=np.int64)
 
     def _neighbour_row(
         self, epoch: EngineEpoch, feature: np.ndarray
@@ -1081,6 +1132,8 @@ class LiveEngine(AmbientStatsMixin):
                 "n_total": self.n_total,
                 "rebuild_in_flight": self.rebuild_in_flight,
                 "failed_rebuilds": self.failed_rebuilds,
+                "knn_incremental_rebuilds": self.knn_incremental_rebuilds,
+                "knn_full_rebuilds": self.knn_full_rebuilds,
                 "last_rebuild_error": self.last_rebuild_error,
                 "last_swap_seconds": self.last_swap_seconds,
                 "total_swap_seconds": self.total_swap_seconds,
@@ -1183,6 +1236,54 @@ class LiveEngine(AmbientStatsMixin):
         self._notify_invalidation()
 
 
+class _NeighbourMemo(dict):
+    """One epoch's pending-point rows: ``gid -> (slot, rows, weights)``.
+
+    Each filled row is also appended at ``slot`` of the stacked
+    ``(slots, k)`` arrays :attr:`rows` and :attr:`weights`, so a read
+    gathers every pending estimate in one product.  Fills take a lock;
+    reads take none: a slot is published only after its row is written,
+    and growth copies the stack before it swaps the reference.  A
+    deleted pending id just leaves the mapping (its slot stays unused).
+    """
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+        self._used = 0
+        self.rows = np.zeros((8, width), dtype=np.int64)
+        self.weights = np.zeros((8, width), dtype=np.float64)
+
+    def fill(self, gid: int, rows: np.ndarray, weights: np.ndarray) -> tuple:
+        """Append one id's row unless another reader already did."""
+        with self._lock:
+            entry = self.get(gid)
+            if entry is None:
+                slot = self._used
+                if slot == self.rows.shape[0]:
+                    self.rows = np.vstack([self.rows, np.zeros_like(self.rows)])
+                    self.weights = np.vstack(
+                        [self.weights, np.zeros_like(self.weights)]
+                    )
+                self.rows[slot] = rows
+                self.weights[slot] = weights
+                self._used += 1
+                entry = self[gid] = (slot, rows, weights)
+        return entry
+
+
+def _id_moves(
+    old_ids: np.ndarray, new_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each old row sits among ascending ``new_ids`` (-1: gone), and
+    the rows of ``new_ids`` that ``old_ids`` did not hold."""
+    pos = np.minimum(np.searchsorted(new_ids, old_ids), new_ids.size - 1)
+    old_to_new = np.where(new_ids[pos] == old_ids, pos, -1)
+    fresh = np.ones(new_ids.size, dtype=bool)
+    fresh[old_to_new[old_to_new >= 0]] = False
+    return old_to_new, np.flatnonzero(fresh)
+
+
 def _read_batch_stats(ranker, expected: int) -> tuple[SearchStats, ...]:
     """Per-query stats of the base engine's last batch call, length-safe.
 
@@ -1217,6 +1318,8 @@ def _take_live(
     rebuild, and the higher score wins.
     """
     keep = [
-        i for i, gid in enumerate(indices) if gid != skip and gid not in tombstones
+        i
+        for i, gid in enumerate(indices.tolist())
+        if gid != skip and gid not in tombstones
     ]
-    return truncate_result(dedupe_ranked(indices[keep], scores[keep]), k)
+    return dedupe_ranked(indices[keep], scores[keep], k)

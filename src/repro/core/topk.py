@@ -75,22 +75,26 @@ def truncate_result(result: TopKResult, k: int) -> TopKResult:
     return TopKResult(indices=result.indices[:k], scores=result.scores[:k])
 
 
-def dedupe_ranked(ids: np.ndarray, scores: np.ndarray) -> TopKResult:
+def dedupe_ranked(
+    ids: np.ndarray, scores: np.ndarray, k: int | None = None
+) -> TopKResult:
     """Sort (id, score) pairs canonically, dropping duplicate ids.
 
     Duplicates can arise when two answer sources overlap (e.g. a pending
     point that the base index also returned after a partial rebuild); the
-    higher score wins because the canonical sort visits it first.
+    higher score wins because the canonical sort visits it first.  With
+    ``k`` the walk stops at the k-th unique id (the top-k prefix).
     """
     ids = np.asarray(ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     order = rank_order(ids, scores)
     seen: set[int] = set()
     keep: list[int] = []
-    for position in order:
-        gid = int(ids[position])
+    for position, gid in zip(order.tolist(), ids[order].tolist()):
         if gid not in seen:
             seen.add(gid)
             keep.append(position)
+            if len(keep) == k:
+                break
     keep_arr = np.asarray(keep, dtype=np.int64)
     return TopKResult(indices=ids[keep_arr], scores=scores[keep_arr])

@@ -67,7 +67,26 @@ def build_knn_graph(
         raise ValueError(f"mode must be 'union' or 'mutual', got {mode!r}")
 
     nbr_idx, nbr_dist = knn_search(features, k, method=method, jobs=jobs)
+    return graph_from_neighbours(
+        features, nbr_idx, nbr_dist, sigma=sigma, weight=weight, mode=mode
+    )
 
+
+def graph_from_neighbours(
+    features: np.ndarray,
+    nbr_idx: np.ndarray,
+    nbr_dist: np.ndarray,
+    sigma: float | str = "auto",
+    weight: str = "heat",
+    mode: str = "union",
+) -> KnnGraph:
+    """Symmetrise and weight ``(n, k)`` neighbour lists into the graph.
+
+    The tail of :func:`build_knn_graph`, for callers that already hold
+    the lists :func:`repro.graph.knn_search` returns (the live engine's
+    incremental rebuilds); the same lists give the same graph bitwise.
+    """
+    n, k = nbr_idx.shape
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = nbr_idx.ravel()
     dists = nbr_dist.ravel()

@@ -1,9 +1,10 @@
-"""Test oracles: the original kernels the index build replaced.
+"""Test oracles: the original kernels the production code replaced.
 
 This module has no ``test_`` prefix, so pytest does not collect it.  The
 function bodies below are the first implementations of two build
-stages, kept verbatim so the equivalence tests can compare the
-production kernels against the algorithm as first written:
+stages and of the live engine's answer filter, kept verbatim so the
+equivalence tests can compare the production kernels against the
+algorithm as first written:
 
 * the dict-of-rows :math:`LDL^T` (paper Eq. 6-7): :func:`incomplete_ldl`
   and :func:`complete_ldl` take the same arguments as
@@ -16,6 +17,10 @@ production kernels against the algorithm as first written:
 * Louvain's array-based local move, :func:`_local_move`, which patches
   over ``repro.clustering.louvain._local_move_fast`` and gives
   bitwise-identical labels.
+* the live engine's answer filter as first written, :func:`take_live`
+  over :func:`dedupe_ranked` (numpy-scalar loops, dedupe of every
+  candidate, then truncation); the production versions walk Python ints
+  and stop at the k-th unique id, with identical output.
 
 :func:`reference_kernels` does that patching for a block, and
 :func:`louvain` for one clustering call.  Nothing in ``src/`` knows these exist.
@@ -31,6 +36,7 @@ import scipy.sparse as sp
 
 import repro.clustering.louvain as louvain_module
 import repro.core.index as index_module
+from repro.core.topk import rank_order, truncate_result
 from repro.linalg.elimination_tree import elimination_tree, ereach
 from repro.linalg.ldl import (
     PIVOT_FLOOR,
@@ -38,6 +44,7 @@ from repro.linalg.ldl import (
     _symbolic_fill_pattern,
     _to_csr,
 )
+from repro.ranking.base import TopKResult
 
 
 def incomplete_ldl(
@@ -69,6 +76,39 @@ def louvain(adjacency: sp.spmatrix, **kwargs) -> np.ndarray:
     """:func:`repro.clustering.louvain` with the oracle local move."""
     with reference_kernels():
         return louvain_module.louvain(adjacency, **kwargs)
+
+
+# -- the live engine's answer filter ------------------------------------------
+
+
+def dedupe_ranked(ids: np.ndarray, scores: np.ndarray) -> TopKResult:
+    """Oracle for :func:`repro.core.topk.dedupe_ranked` without ``k``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = rank_order(ids, scores)
+    seen: set[int] = set()
+    keep: list[int] = []
+    for position in order:
+        gid = int(ids[position])
+        if gid not in seen:
+            seen.add(gid)
+            keep.append(position)
+    keep_arr = np.asarray(keep, dtype=np.int64)
+    return TopKResult(indices=ids[keep_arr], scores=scores[keep_arr])
+
+
+def take_live(
+    indices: np.ndarray,
+    scores: np.ndarray,
+    tombstones: frozenset,
+    k: int,
+    skip: int = -1,
+) -> TopKResult:
+    """Oracle for :func:`repro.core.live._take_live`."""
+    keep = [
+        i for i, gid in enumerate(indices) if gid != skip and gid not in tombstones
+    ]
+    return truncate_result(dedupe_ranked(indices[keep], scores[keep]), k)
 
 
 # -- the dict-of-rows LDL^T ---------------------------------------------------

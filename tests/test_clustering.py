@@ -8,9 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import modularity, spectral_clustering
+from repro.clustering import spectral_clustering
 from repro.clustering.kmeans import kmeans
 from repro.clustering.louvain import louvain
+from repro.clustering.modularity import modularity
 from tests import oracles
 from tests.conftest import random_symmetric_adjacency, three_cluster_features
 
@@ -143,6 +144,14 @@ class TestPackageLayout:
 
         assert isinstance(louvain_module, types.ModuleType)
         assert louvain_module.KERNEL in ("compiled", "python")
+
+    def test_modularity_submodule_is_not_shadowed(self):
+        import types
+
+        import repro.clustering.modularity as modularity_module
+
+        assert isinstance(modularity_module, types.ModuleType)
+        assert callable(modularity_module.modularity)
 
 
 class TestKMeans:

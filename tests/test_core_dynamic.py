@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.index import MogulRanker
-from repro.core.live import LiveEngine
+from repro.core.live import LiveEngine, _take_live
 from repro.core.topk import dedupe_ranked
 from repro.graph.build import build_knn_graph
+from tests import oracles
 from tests.conftest import three_cluster_features
 
 
@@ -194,6 +197,30 @@ class TestPairRanking:
         )
         np.testing.assert_array_equal(result.indices, [3, 5, 9])
         np.testing.assert_allclose(result.scores, [0.5, 0.4, 0.4])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=12),  # few ids: duplicates
+                st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, -0.1]),  # ties
+            ),
+            max_size=40,
+        ),
+        tombstones=st.frozensets(st.integers(min_value=0, max_value=12)),
+        k=st.integers(min_value=1, max_value=15),
+        skip=st.integers(min_value=-1, max_value=12),
+    )
+    def test_take_live_matches_the_first_loops(self, pairs, tombstones, k, skip):
+        ids = np.asarray([gid for gid, _ in pairs], dtype=np.int64)
+        scores = np.asarray([score for _, score in pairs], dtype=np.float64)
+        got = _take_live(ids, scores, tombstones, k, skip)
+        want = oracles.take_live(ids, scores, tombstones, k, skip)
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.indices.dtype == want.indices.dtype
+        full = dedupe_ranked(ids, scores)
+        assert full.indices.tobytes() == oracles.dedupe_ranked(ids, scores).indices.tobytes()
 
 
 class TestBatchedInterleaved:

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import node_estimate, precompute_cluster_bounds
+from repro.core.index import MogulRanker
 from repro.core.permutation import build_permutation
+from repro.graph.adjacency import KnnGraph
 from repro.linalg import complete_ldl, incomplete_ldl
 from repro.linalg.triangular import (
     back_substitute,
@@ -222,3 +224,45 @@ class TestLemmas6And7:
             size=4,
         )
         assert data.estimate(np.zeros(1)) == 0.0
+
+
+class TestZeroCoupledClusters:
+    """A non-seed cluster whose coupled border scores are all exactly 0
+    scores exactly 0 (Lemma 5 with a zero right-hand side): each of its
+    rows is ``0 - sum(U_ij * 0)``.  This is the structural fact a search
+    that skips provably-zero clusters relies on, so it is checked with
+    ``==`` in the reference back substitution and in ``scores()``."""
+
+    def test_zero_border_coupling_scores_exactly_zero(self):
+        alpha = 0.9
+        exercised = 0
+        for seed in range(40):
+            n = 12 + seed % 19
+            adjacency = random_symmetric_adjacency(n, density=0.08, seed=seed)
+            labels = random_labels(n, 2 + seed % 4, seed)
+            graph = KnnGraph(
+                features=np.zeros((n, 1)), adjacency=adjacency, k=1, sigma=1.0
+            )
+            ranker = MogulRanker(
+                graph, alpha=alpha, cluster_labels=labels, fill_level=0
+            )
+            perm, factors = ranker.index.permutation, ranker.index.factors
+            border = perm.border_slice
+            for query in range(n):
+                qp = int(perm.inverse[query])
+                q_vec = np.zeros(n)
+                q_vec[qp] = 1 - alpha
+                x = back_substitute(factors, forward_substitute(factors, q_vec))
+                served = perm.permute_vector(ranker.scores(query))
+                q_cluster = perm.cluster_of_position[qp]
+                for cid, sl in enumerate(perm.cluster_slices[:-1]):
+                    if cid == q_cluster or sl.start == sl.stop:
+                        continue
+                    rows = factors.upper[sl.start : sl.stop]
+                    coupled = np.unique(rows.indices[rows.indices >= border.start])
+                    if coupled.size == 0 or np.any(x[coupled] != 0.0):
+                        continue
+                    exercised += 1
+                    assert np.all(x[sl] == 0.0), (seed, query, cid)
+                    assert np.all(served[sl] == 0.0), (seed, query, cid)
+        assert exercised >= 3  # the sweep really meets such clusters

@@ -156,10 +156,10 @@ class TestNonBlockingQueries:
         entered = threading.Event()
         real = live._build_epoch
 
-        def gated(indexed_ids, number):
+        def gated(indexed_ids, number, base=None):
             entered.set()
             assert gate.wait(30), "test gate never opened"
-            return real(indexed_ids, number)
+            return real(indexed_ids, number, base)
 
         monkeypatch.setattr(live, "_build_epoch", gated)
         new_id = live.add(features[0] + 0.01)
@@ -188,9 +188,9 @@ class TestNonBlockingQueries:
         gate = threading.Event()
         real = live._build_epoch
 
-        def gated(indexed_ids, number):
+        def gated(indexed_ids, number, base=None):
             assert gate.wait(30)
-            return real(indexed_ids, number)
+            return real(indexed_ids, number, base)
 
         monkeypatch.setattr(live, "_build_epoch", gated)
         live.add(features[1] + 0.01)
@@ -220,7 +220,7 @@ class TestNonBlockingQueries:
         features = two_cluster_features(13)
         live = LiveEngine(features, auto_rebuild_fraction=None)
 
-        def broken(indexed_ids, number):
+        def broken(indexed_ids, number, base=None):
             raise RuntimeError("synthetic build failure")
 
         monkeypatch.setattr(live, "_build_epoch", broken)
@@ -494,9 +494,9 @@ class TestPendingNeighbourMemo:
         gate = threading.Event()
         real = live._build_epoch
 
-        def gated(indexed_ids, number):
+        def gated(indexed_ids, number, base=None):
             assert gate.wait(30)
-            return real(indexed_ids, number)
+            return real(indexed_ids, number, base)
 
         monkeypatch.setattr(live, "_build_epoch", gated)
         ticket = live.rebuild_async()
@@ -525,6 +525,53 @@ class TestPendingNeighbourMemo:
         assert len(knn_spy) == 4
         for gid, row in kept.items():
             assert live._neighbour_memo[live._epoch][gid] is row
+
+
+    def test_concurrent_reads_stack_each_row_once(self):
+        # Eight readers fill one epoch's memo at once (more threads than
+        # cores, a short switch interval): every answer must equal a
+        # quiet engine's, and the stack must hold each row exactly once,
+        # across the growths from 8 to 64 slots.
+        import sys
+
+        features = two_cluster_features(57, dim=24)
+        live = LiveEngine(features, auto_rebuild_fraction=None)
+        quiet = LiveEngine(features, auto_rebuild_fraction=None)
+        added = add_pending(live, 57, 40)
+        add_pending(quiet, 57, 40)
+        queries = (0, 41, added[3])
+        expected = [quiet.top_k(q, 7) for q in queries]
+        barrier = threading.Barrier(8)
+        mismatches = []
+
+        def reader() -> None:
+            barrier.wait(30)
+            for _ in range(3):
+                for query, want in zip(queries, expected):
+                    got = live.top_k(query, 7)
+                    if not (
+                        np.array_equal(got.indices, want.indices)
+                        and np.array_equal(got.scores, want.scores)
+                    ):
+                        mismatches.append(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        memo = live._neighbour_memo[live._epoch]
+        assert sorted(slot for slot, _, _ in memo.values()) == list(range(40))
+        for slot, rows, weights in memo.values():
+            assert np.array_equal(memo.rows[slot], rows)
+            assert np.array_equal(memo.weights[slot], weights)
 
 
 class TestOverfetchCountsOnlyIndexedTombstones:

@@ -289,10 +289,10 @@ class TestShutdownRegression:
         entered = threading.Event()
         real = live._build_epoch
 
-        def gated(indexed_ids, number):
+        def gated(indexed_ids, number, base=None):
             entered.set()
             assert gate.wait(30)
-            return real(indexed_ids, number)
+            return real(indexed_ids, number, base)
 
         monkeypatch.setattr(live, "_build_epoch", gated)
         server = BackgroundServer(live, port=0)

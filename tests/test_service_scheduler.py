@@ -555,10 +555,10 @@ class TestMutationLanes:
         entered = threading.Event()
         real = live._build_epoch
 
-        def gated(indexed_ids, number):
+        def gated(indexed_ids, number, base=None):
             entered.set()
             assert gate.wait(30)
-            return real(indexed_ids, number)
+            return real(indexed_ids, number, base)
 
         live._build_epoch = gated
 
