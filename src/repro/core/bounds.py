@@ -89,45 +89,76 @@ def precompute_cluster_bounds(
 ) -> tuple[ClusterBoundData, ...]:
     """Precompute Definition 1/2 data for every interior cluster.
 
-    Splits the entries of ``U`` into the within-cluster blocks (feeding
-    :math:`\\bar{U}_i`) and the border blocks (feeding the column maxima
-    :math:`\\bar{U}_{i:j}`) with vectorized grouped maxima — a sort by
-    (cluster, column) key plus ``np.maximum.reduceat`` over the group
-    boundaries — in O(nnz(U) log nnz(U)) work and O(nnz) memory,
-    matching the paper's linear-precomputation claim (Lemma 8's remark)
-    without a dense (clusters x border) scratch.  Entries whose
-    magnitude is exactly zero never enter the column maxima, like the
-    per-entry walk this replaces.
+    The interior clusters as one span of :func:`span_bounds`: its rows
+    of ``L`` and its coupling ``U[interior, border]``, carved the way
+    :class:`repro.core.ClusterSolver` carves them.
     """
-    upper = factors.upper
-    n = upper.shape[0]
-    indptr, indices, data = upper.indptr, upper.indices, upper.data
+    # solver.py builds on this module, so the carve helpers load here.
+    from repro.core.solver import _csr_rows, span_coupling
+
+    lower = factors.lower.tocsr()
+    lower.sort_indices()
     border_start = permutation.border_slice.start
-    n_interior = permutation.n_clusters - 1
-    sizes = [
-        sl.stop - sl.start for sl in permutation.cluster_slices[:n_interior]
-    ]
-    if int(indptr[-1]) == 0 or n_interior == 0:
-        empty_cols = np.empty(0, dtype=np.int64)
-        empty_vals = np.empty(0, dtype=np.float64)
-        return tuple(
-            ClusterBoundData(empty_cols, empty_vals, 0.0, size)
-            for size in sizes
+    coupling = span_coupling(
+        _csr_rows(lower, border_start, factors.n), 0, border_start
+    )
+    return span_bounds(
+        _csr_rows(lower, 0, border_start),
+        0,
+        permutation.cluster_slices[:-1],
+        coupling,
+        border_start,
+    )
+
+
+def span_bounds(
+    rows,
+    span_start: int,
+    cluster_slices: tuple[slice, ...],
+    coupling,
+    border_start: int,
+) -> tuple[ClusterBoundData, ...]:
+    """Definition 1/2 data for a contiguous span of interior clusters.
+
+    ``rows`` are the span's rows of ``L`` (CSR, global columns) and
+    ``coupling`` is ``U[span, border]`` (CSR, border offsets as
+    columns).  :math:`\\bar{U}_i` is the largest ``|L|`` in the
+    cluster's rows — all of them inside its block (Lemma 3), the
+    transposes of its block of ``U``.  The column maxima
+    :math:`\\bar{U}_{i:j}` are vectorized grouped maxima over the
+    coupling — a sort by (cluster, column) key plus
+    ``np.maximum.reduceat`` over the group boundaries — in
+    O(nnz log nnz) work and O(nnz) memory, matching the paper's
+    linear-precomputation claim (Lemma 8's remark) without a dense
+    (clusters x border) scratch.  Entries whose magnitude is exactly
+    zero never enter the column maxima.
+    """
+    n_clusters = len(cluster_slices)
+    sizes = [sl.stop - sl.start for sl in cluster_slices]
+    edges = np.asarray(
+        [sl.start - span_start for sl in cluster_slices]
+        + [cluster_slices[-1].stop - span_start if n_clusters else 0],
+        dtype=np.int64,
+    )
+
+    # Largest |L| per cluster: one reduceat over the clusters holding
+    # entries (an empty cluster's segment would read its neighbour's).
+    internal_max = np.zeros(n_clusters, dtype=np.float64)
+    entry_edges = np.asarray(rows.indptr, dtype=np.int64)[edges]
+    occupied = np.flatnonzero(np.diff(entry_edges))
+    if occupied.size:
+        internal_max[occupied] = np.maximum.reduceat(
+            np.abs(rows.data[entry_edges[0] : entry_edges[-1]]),
+            entry_edges[occupied] - entry_edges[0],
         )
 
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    entry_cluster = permutation.cluster_of_position[rows]
-    magnitudes = np.abs(data)
-    interior_entry = entry_cluster < n_interior
-
-    # Column maxima over the border block, grouped by (cluster, column):
-    # sort the flat entries by a combined key, then one reduceat sweep
-    # per contiguous group.
-    n_border = n - border_start
-    border_entry = interior_entry & (indices >= border_start)
+    # Column maxima grouped by (cluster, column): sort the coupling's
+    # entries by a combined key, then one reduceat sweep per group.
+    n_border = coupling.shape[1]
+    row_cluster = np.repeat(np.arange(n_clusters, dtype=np.int64), sizes)
     keys = (
-        entry_cluster[border_entry] * np.int64(max(n_border, 1))
-        + (indices[border_entry] - border_start)
+        np.repeat(row_cluster, np.diff(coupling.indptr)) * max(n_border, 1)
+        + coupling.indices
     )
     group_clusters = np.empty(0, dtype=np.int64)
     group_cols = np.empty(0, dtype=np.int64)
@@ -138,48 +169,27 @@ def precompute_cluster_bounds(
         starts = np.flatnonzero(
             np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
         )
-        group_maxima = np.maximum.reduceat(
-            magnitudes[border_entry][sorter], starts
-        )
+        group_maxima = np.maximum.reduceat(np.abs(coupling.data)[sorter], starts)
         group_keys = sorted_keys[starts]
         group_clusters = group_keys // n_border
         group_cols = group_keys % n_border
-
-    # Largest off-diagonal magnitude inside each cluster's block of U
-    # (strict upper triangle => col > row, so an in-cluster column is an
-    # off-diagonal within-block entry).
-    stops = np.asarray(
-        [sl.stop for sl in permutation.cluster_slices[:n_interior]]
-        + [border_start],
-        dtype=np.int64,
-    )
-    internal_entry = interior_entry & (indices < stops[entry_cluster])
-    internal_max = np.zeros(n_interior, dtype=np.float64)
-    np.maximum.at(
-        internal_max, entry_cluster[internal_entry], magnitudes[internal_entry]
-    )
 
     # Drop exact zeros, then slice the (cluster-major, column-ascending)
     # groups into per-cluster arrays.
     keep = group_maxima > 0.0
     group_clusters = group_clusters[keep]
-    group_cols = group_cols[keep]
+    group_cols = group_cols[keep] + border_start
     group_maxima = group_maxima[keep]
-    cluster_bounds = np.searchsorted(
-        group_clusters, np.arange(n_interior + 1, dtype=np.int64)
-    )
-    bounds: list[ClusterBoundData] = []
-    for cluster_id in range(n_interior):
-        lo, hi = cluster_bounds[cluster_id], cluster_bounds[cluster_id + 1]
-        bounds.append(
-            ClusterBoundData(
-                border_cols=group_cols[lo:hi] + border_start,
-                border_maxima=group_maxima[lo:hi],
-                internal_max=float(internal_max[cluster_id]),
-                size=sizes[cluster_id],
-            )
+    cuts = np.searchsorted(group_clusters, np.arange(n_clusters + 1))
+    return tuple(
+        ClusterBoundData(
+            border_cols=group_cols[cuts[c] : cuts[c + 1]],
+            border_maxima=group_maxima[cuts[c] : cuts[c + 1]],
+            internal_max=float(internal_max[c]),
+            size=sizes[c],
         )
-    return tuple(bounds)
+        for c in range(n_clusters)
+    )
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,78 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.serialize import StoredGraph
 
 
+def factor_graph(
+    graph: KnnGraph,
+    alpha: float,
+    factorization: str,
+    cluster_labels: np.ndarray | None,
+    clusterer: ClusterFn,
+    fill_level: int,
+    profile: BuildProfile,
+) -> tuple[Permutation, LDLFactors]:
+    """The build stages every shard count shares, timed into ``profile``.
+
+    Algorithm 1 (clustering, then the permutation), ``W = I - alpha S``
+    permuted, and its :math:`LDL^T` factorization: Incomplete Cholesky
+    at ``fill_level`` by default, Modified Cholesky for
+    ``factorization="complete"``.  The interior blocks factor
+    independently (Lemma 3), so a sharded index is this factorization
+    cut into row spans.  Also records the shape statistics on
+    ``profile``.
+    """
+    if factorization not in ("incomplete", "complete"):
+        raise ValueError(
+            f"factorization must be 'incomplete' or 'complete', got {factorization!r}"
+        )
+    if fill_level and factorization == "complete":
+        raise ValueError("fill_level only applies to the incomplete factorization")
+    stages = profile.stages
+
+    started = time.perf_counter()
+    if cluster_labels is None:
+        cluster_labels = clusterer(graph.adjacency)
+        stages["clustering"] = time.perf_counter() - started
+
+    started = time.perf_counter()
+    permutation = build_permutation(graph.adjacency, cluster_labels=cluster_labels)
+    stages["permutation"] = time.perf_counter() - started
+
+    started = time.perf_counter()
+    w_permuted = permutation.permute_matrix(ranking_matrix(graph.adjacency, alpha))
+    stages["ranking_matrix"] = time.perf_counter() - started
+
+    started = time.perf_counter()
+    if factorization == "incomplete":
+        factors = incomplete_ldl(
+            w_permuted, fill_level=fill_level, blocks=permutation.cluster_slices
+        )
+    else:
+        factors = complete_ldl(w_permuted, blocks=permutation.cluster_slices)
+    stages["factorization"] = time.perf_counter() - started
+
+    border = permutation.border_slice
+    strict_lower_w = (w_permuted.nnz - int(np.count_nonzero(w_permuted.diagonal()))) // 2
+    profile.n_nodes = permutation.n_nodes
+    profile.n_clusters = permutation.n_clusters
+    profile.border_size = border.stop - border.start
+    profile.w_nnz = int(w_permuted.nnz)
+    profile.factor_nnz = int(factors.nnz)
+    profile.fill_ratio = factors.nnz / strict_lower_w if strict_lower_w else 0.0
+    return permutation, factors
+
+
+def cluster_features(
+    permutation: Permutation, features: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Per cluster, its mean feature vector and its node ids (permuted order)."""
+    members = tuple(permutation.order[sl] for sl in permutation.cluster_slices)
+    means = np.zeros((permutation.n_clusters, features.shape[1]), dtype=np.float64)
+    for cid, nodes in enumerate(members):
+        if nodes.size:
+            means[cid] = features[nodes].mean(axis=0)
+    return means, members
+
+
 @dataclass(frozen=True)
 class MogulIndex:
     """All query-independent state of Mogul (paper §4.2.2, Lemma 2).
@@ -128,41 +200,12 @@ class MogulIndex:
         returned index.
         """
         alpha = check_alpha(alpha)
-        if factorization not in ("incomplete", "complete"):
-            raise ValueError(
-                f"factorization must be 'incomplete' or 'complete', got {factorization!r}"
-            )
-        if fill_level and factorization == "complete":
-            raise ValueError("fill_level only applies to the incomplete factorization")
         profile = BuildProfile()
         stages = profile.stages
-
-        started = time.perf_counter()
-        if cluster_labels is None:
-            cluster_labels = clusterer(graph.adjacency)
-            stages["clustering"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        permutation = build_permutation(
-            graph.adjacency, cluster_labels=cluster_labels
+        permutation, factors = factor_graph(
+            graph, alpha, factorization, cluster_labels, clusterer, fill_level,
+            profile,
         )
-        stages["permutation"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        w = ranking_matrix(graph.adjacency, alpha)
-        w_permuted = permutation.permute_matrix(w)
-        stages["ranking_matrix"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        if factorization == "incomplete":
-            factors = incomplete_ldl(
-                w_permuted,
-                fill_level=fill_level,
-                blocks=permutation.cluster_slices,
-            )
-        else:
-            factors = complete_ldl(w_permuted, blocks=permutation.cluster_slices)
-        stages["factorization"] = time.perf_counter() - started
 
         started = time.perf_counter()
         bounds = precompute_cluster_bounds(factors, permutation)
@@ -176,33 +219,14 @@ class MogulIndex:
         stages["solver"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        members: list[np.ndarray] = []
-        means = np.zeros(
-            (permutation.n_clusters, graph.features.shape[1]), dtype=np.float64
-        )
-        for cid, sl in enumerate(permutation.cluster_slices):
-            nodes = permutation.order[sl]
-            members.append(nodes)
-            if nodes.size:
-                means[cid] = graph.features[nodes].mean(axis=0)
+        means, members = cluster_features(permutation, graph.features)
         stages["cluster_means"] = time.perf_counter() - started
-
-        border = permutation.border_slice
-        strict_lower_w = (w_permuted.nnz - int(np.count_nonzero(w_permuted.diagonal()))) // 2
-        profile.n_nodes = permutation.n_nodes
-        profile.n_clusters = permutation.n_clusters
-        profile.border_size = border.stop - border.start
-        profile.w_nnz = int(w_permuted.nnz)
-        profile.factor_nnz = int(factors.nnz)
-        profile.fill_ratio = (
-            factors.nnz / strict_lower_w if strict_lower_w else 0.0
-        )
         return cls(
             permutation=permutation,
             factors=factors,
             bounds=bounds,
             cluster_means=means,
-            cluster_members=tuple(members),
+            cluster_members=members,
             alpha=alpha,
             factorization=factorization,
             solver=solver,

@@ -64,9 +64,9 @@ class BuildProfile:
     factor_nnz: int = 0
     fill_ratio: float = 0.0
     n_shards: int = 1
-    #: Per-shard build cost (span factorization + state carving) in
-    #: seconds; empty for unsharded builds.  Measured as each shard's
-    #: *work*, so it is meaningful even on time-shared cores.
+    #: Per-shard carve of the query-time state (packed blocks,
+    #: couplings, bounds) in seconds; empty for unsharded builds.  The
+    #: factorization is shared, so it is in no shard's term.
     shard_seconds: list[float] = field(default_factory=list)
     load_seconds: float | None = None
     load_warnings: list[str] = field(default_factory=list)
@@ -78,18 +78,14 @@ class BuildProfile:
 
     @property
     def critical_path_seconds(self) -> float:
-        """Build wall-clock on a fleet with one worker per shard.
+        """Build wall-clock if every shard carved on its own worker.
 
-        Shared stages (clustering, permutation, ranking matrix, the
-        border factorization, ...) run once; the per-shard costs overlap,
-        so only the slowest shard counts: ``total - sum(shards) +
+        The shared stages (clustering, permutation, ranking matrix, the
+        one factorization, ...) run once; the per-shard carves would
+        overlap, so only the slowest counts: ``total - sum(shards) +
         max(shards)``.  Equals :attr:`total_seconds` for unsharded
-        builds.  This is the honest scaling number on machines whose
-        cores are time-shared (a single-core CI box cannot demonstrate
-        wall-clock parallelism, but the critical path it measures is
-        exactly what a multi-core or multi-machine build pays).  The
-        build itself factors its shards one after another, inside
-        :attr:`total_seconds`.
+        builds.  The build itself carves its shards one after another,
+        inside :attr:`total_seconds`.
         """
         if not self.shard_seconds:
             return self.total_seconds

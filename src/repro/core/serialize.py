@@ -367,7 +367,7 @@ def load_index(path: "str | os.PathLike"):
     index's ``profile.load_seconds``.
     """
     # Imported here: serialize <-> index would otherwise be a cycle.
-    from repro.core.bounds import BoundsTable, precompute_cluster_bounds
+    from repro.core.bounds import BoundsTable
     from repro.core.index import MogulIndex
     from repro.core.profile import BuildProfile
     from repro.core.solver import ClusterSolver
@@ -469,8 +469,8 @@ def load_index(path: "str | os.PathLike"):
         )
         cluster_means = np.asarray(means, dtype=np.float64)
 
-    bounds = precompute_cluster_bounds(factors, permutation)
     solver = ClusterSolver(factors, permutation)
+    bounds = solver.bounds
     bounds_table = BoundsTable.from_bounds(
         bounds, permutation.border_slice.start, n
     )

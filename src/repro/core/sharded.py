@@ -45,27 +45,17 @@ import scipy.sparse as sp
 
 from repro.clustering.louvain import louvain
 from repro.core.batch import BatchQuery, BatchStats, _offer_border_batch
-from repro.core.bounds import (
-    BOUND_TABLE_DTYPES,
-    BoundsTable,
-    ClusterBoundData,
-    CompactBoundsTable,
-)
+from repro.core.bounds import BOUND_TABLE_DTYPES, BoundsTable, CompactBoundsTable
+from repro.core.index import cluster_features, factor_graph
 from repro.core.out_of_sample import build_query_seeds, build_query_seeds_batch
-from repro.core.permutation import ClusterFn, Permutation, build_permutation
+from repro.core.permutation import ClusterFn, Permutation
 from repro.core.profile import BuildProfile
 from repro.core.search import SearchStats, TopKAccumulator
-from repro.core.solver import _csr_column_range, _spmm
+from repro.core.solver import BorderSolver, ClusterSpan, _csr_rows
 from repro.obs.trace import span as obs_span
 from repro.core.topk import merge_answer_pairs, sorted_result
 from repro.graph.adjacency import KnnGraph
-from repro.linalg.ldl import (
-    LDLFactors,
-    factor_border_rows,
-    factor_row_span,
-    global_pivot_floor,
-    symbolic_pattern,
-)
+from repro.linalg.ldl import LDLFactors
 from repro.linalg.packed import PackedUnitLower
 from repro.ranking.base import (
     DEFAULT_ALPHA,
@@ -74,7 +64,6 @@ from repro.ranking.base import (
     ambient_stat,
     normalize_seed_weights,
 )
-from repro.ranking.normalize import ranking_matrix
 from repro.utils.timer import Timer
 from repro.utils.validation import check_alpha, check_positive_int
 
@@ -176,40 +165,40 @@ def plan_shards(
 # -- per-shard state -------------------------------------------------------
 
 
-class ShardState:
-    """One shard's query-time state: packed solvers, couplings, bounds.
+class ShardState(ClusterSpan):
+    """One shard's query-time state: its span of the flat carve.
 
-    Mirrors the per-cluster machinery of :class:`repro.core.ClusterSolver`
-    restricted to the shard's clusters; the shared border block lives on
-    the :class:`ShardedMogulIndex`, not here.
+    The :class:`repro.core.solver.ClusterSpan` of the shard's clusters —
+    the flat :class:`repro.core.ClusterSolver`'s blocks, couplings,
+    bounds and kernels, cut at the shard's cluster range — plus the
+    shard's factor rows and its bound table.  The shared border block
+    lives on the :class:`ShardedMogulIndex`, not here.
     """
 
     def __init__(
         self,
         shard_id: int,
-        span: tuple[int, int],
-        first_cluster: int,
-        cluster_slices: tuple[slice, ...],
-        blocks: list[PackedUnitLower],
-        couplings: list[sp.csr_matrix],
-        bounds: tuple[ClusterBoundData, ...],
-        bounds_table: BoundsTable,
+        layout: ShardLayout,
+        permutation: Permutation,
         rows: sp.csr_matrix,
+        border_rows: sp.csr_matrix,
         diag: np.ndarray,
     ):
+        span = layout.spans[shard_id]
+        c_lo, c_hi = layout.cluster_ranges[shard_id]
+        super().__init__(
+            rows, span[0], permutation.cluster_slices[c_lo:c_hi], border_rows, diag
+        )
         self.shard_id = shard_id
         self.span = span
-        self.first_cluster = first_cluster
-        self.cluster_slices = cluster_slices
-        self.blocks = blocks
-        self.couplings = couplings
-        self.bounds = bounds
-        self.bounds_table = bounds_table
+        self.first_cluster = c_lo
         #: The shard's factor rows (strict lower of L, global columns).
         self.rows = rows
-        self._diag = diag
+        self.bounds_table = BoundsTable.from_bounds(
+            self.bounds, permutation.border_slice.start, permutation.n_nodes
+        )
         self.sizes = np.asarray(
-            [sl.stop - sl.start for sl in cluster_slices], dtype=np.int64
+            [sl.stop - sl.start for sl in self.cluster_slices], dtype=np.int64
         )
 
     @property
@@ -226,173 +215,6 @@ class ShardState:
     def nnz(self) -> int:
         """Factor non-zeros in this shard's rows."""
         return int(self.rows.nnz)
-
-    def forward_seed_block(
-        self,
-        local_cid: int,
-        q_mat: np.ndarray,
-        z: np.ndarray,
-        y: np.ndarray,
-        cols: np.ndarray | None = None,
-    ) -> None:
-        """Forward-substitute one owned seed cluster (Lemma 4 per column).
-
-        Identical arithmetic to
-        :meth:`repro.core.ClusterSolver.forward_seed_block`.
-        """
-        sl = self.cluster_slices[local_cid]
-        block = self.blocks[local_cid]
-        d = self._diag[sl]
-        if cols is None:
-            z[sl] = block.solve_lower(q_mat[sl])
-            y[sl] = z[sl] / (d if q_mat.ndim == 1 else d[:, None])
-        else:
-            z_cols = block.solve_lower(q_mat[sl.start : sl.stop, cols])
-            z[sl.start : sl.stop, cols] = z_cols
-            y[sl.start : sl.stop, cols] = z_cols / d[:, None]
-
-    def back_cluster(
-        self,
-        local_cid: int,
-        y: np.ndarray,
-        x: np.ndarray,
-        border_start: int,
-        cols: np.ndarray | None = None,
-    ) -> None:
-        """Back-substitute one owned cluster's scores into ``x`` (Lemma 5).
-
-        ``x`` must already hold valid border scores.  Identical arithmetic
-        to :meth:`repro.core.ClusterSolver.back_cluster`.
-        """
-        sl = self.cluster_slices[local_cid]
-        block = self.blocks[local_cid]
-        coupling = self.couplings[local_cid]
-        if cols is None:
-            rhs = y[sl] - _spmm(coupling, x[border_start:])
-            x[sl] = block.solve_upper(rhs)
-        else:
-            rhs = y[sl.start : sl.stop, cols] - _spmm(
-                coupling, x[border_start:, cols]
-            )
-            x[sl.start : sl.stop, cols] = block.solve_upper(rhs)
-
-
-def _pack_cluster_blocks(
-    rows: sp.csr_matrix,
-    span_start: int,
-    cluster_slices: tuple[slice, ...],
-) -> list[PackedUnitLower]:
-    """Pack the diagonal block of every cluster in a shard's factor rows.
-
-    ``rows`` holds the shard's rows with *global* columns; interior rows
-    may only reference their own cluster's columns (Lemma 3), which is
-    verified per cluster.
-    """
-    indptr, indices, data = rows.indptr, rows.indices, rows.data
-    blocks: list[PackedUnitLower] = []
-    for sl in cluster_slices:
-        lo, hi = sl.start - span_start, sl.stop - span_start
-        a, b = int(indptr[lo]), int(indptr[hi])
-        cols = indices[a:b]
-        if cols.size and int(cols.min()) < sl.start:
-            raise ValueError(
-                f"cluster rows [{sl.start}, {sl.stop}) reference earlier "
-                "columns; factors do not match this permutation/layout"
-            )
-        block = sp.csr_matrix(
-            (data[a:b], cols - sl.start, indptr[lo : hi + 1] - a),
-            shape=(sl.stop - sl.start, sl.stop - sl.start),
-        )
-        blocks.append(PackedUnitLower.from_strict_lower_trusted(block))
-    return blocks
-
-
-def _carve_shard_state(
-    shard_id: int,
-    layout: ShardLayout,
-    permutation: Permutation,
-    rows: sp.csr_matrix,
-    border_rows: sp.csr_matrix,
-    diag: np.ndarray,
-    prepacked_blocks: list[PackedUnitLower] | None = None,
-) -> ShardState:
-    """Derive one shard's query-time state from its factor rows.
-
-    ``border_rows`` are the shared border block's rows of ``L`` (global
-    columns) — the source of both the shard's back-substitution couplings
-    and its bound-table column maxima, exactly the quantities
-    :func:`repro.core.precompute_cluster_bounds` reads from ``U``.
-    """
-    span = layout.spans[shard_id]
-    c_lo, c_hi = layout.cluster_ranges[shard_id]
-    cluster_slices = permutation.cluster_slices[c_lo:c_hi]
-    border_start = permutation.border_slice.start
-    n = permutation.n_nodes
-    n_border = n - border_start
-
-    blocks = (
-        prepacked_blocks
-        if prepacked_blocks is not None
-        else _pack_cluster_blocks(rows, span[0], cluster_slices)
-    )
-
-    couplings: list[sp.csr_matrix] = []
-    bounds: list[ClusterBoundData] = []
-    row_indptr = rows.indptr
-    for sl in cluster_slices:
-        # U[cluster, border] is the transpose of the border rows' columns
-        # over the cluster — same floats, same per-row (ascending border
-        # column) order as carving U directly, so the coupling SpMVs are
-        # bitwise identical to the unsharded solver's.
-        bcols = _csr_column_range(
-            border_rows, 0, n_border, sl.start, sl.stop
-        )
-        coupling = bcols.T.tocsr()
-        coupling.sort_indices()
-        couplings.append(coupling)
-
-        # Bound ingredients (Definitions 1-2): the in-block maxima come
-        # from the shard's own rows (|U| block entries = |L| block entries
-        # transposed), the border column maxima from ``bcols`` row maxima
-        # — value-identical to the global precompute_cluster_bounds.
-        lo = sl.start - span[0]
-        hi = sl.stop - span[0]
-        block_data = rows.data[int(row_indptr[lo]) : int(row_indptr[hi])]
-        internal_max = float(np.max(np.abs(block_data))) if block_data.size else 0.0
-        counts = np.diff(bcols.indptr)
-        nonempty = np.flatnonzero(counts)
-        if nonempty.size:
-            maxima = np.maximum.reduceat(
-                np.abs(bcols.data), bcols.indptr[nonempty]
-            )
-            keep = maxima > 0.0
-            border_cols = border_start + nonempty[keep].astype(np.int64)
-            border_maxima = maxima[keep]
-        else:
-            border_cols = np.empty(0, dtype=np.int64)
-            border_maxima = np.empty(0, dtype=np.float64)
-        bounds.append(
-            ClusterBoundData(
-                border_cols=border_cols,
-                border_maxima=border_maxima,
-                internal_max=internal_max,
-                size=sl.stop - sl.start,
-            )
-        )
-
-    bounds_tuple = tuple(bounds)
-    return ShardState(
-        shard_id=shard_id,
-        span=span,
-        first_cluster=c_lo,
-        cluster_slices=cluster_slices,
-        blocks=blocks,
-        couplings=couplings,
-        bounds=bounds_tuple,
-        bounds_table=BoundsTable.from_bounds(bounds_tuple, border_start, n),
-        rows=rows,
-        diag=diag,
-    )
 
 
 # -- memory-budgeted residency ---------------------------------------------
@@ -655,7 +477,8 @@ class ShardedMogulIndex:
     partitions its rows and the derived query-time state, it never
     changes the math.  Construction paths:
 
-    * :meth:`build` — from a graph, factoring one row span per shard.
+    * :meth:`build` — from a graph: the unsharded factorization, then
+      :meth:`from_factors`.
     * :meth:`from_factors` — carve shards out of an existing
       factorization (the build's last step, and equivalence tests).
     * :meth:`load` / :func:`repro.core.serialize.load_sharded_index` —
@@ -696,19 +519,9 @@ class ShardedMogulIndex:
         #: The k-NN graph the index was built from (the build's own
         #: KnnGraph, or a loaded artifact's StoredGraph); save() writes it.
         self.graph = graph
-        border_start = permutation.border_slice.start
-        n = permutation.n_nodes
-        #: Shared top-level border block: its diagonal factor block ...
-        self.border_block = PackedUnitLower.from_strict_lower_trusted(
-            _csr_column_range(
-                border_rows, 0, n - border_start, border_start, n
-            )
-        )
-        #: ... and its coupling rows to every interior column (consumed
-        #: as one SpMV per query batch, shared by all shards).
-        self.border_left = _csr_column_range(
-            border_rows, 0, n - border_start, 0, border_start
-        )
+        #: The shared top-level border block's solves (one per query
+        #: batch, shared by all shards).
+        self.border_solver = BorderSolver(border_rows, self.diag)
         n_shards = layout.n_shards
         self._states: list[ShardState | None] = (
             list(shard_states) if shard_states is not None else [None] * n_shards
@@ -890,7 +703,7 @@ class ShardedMogulIndex:
                     f"shard {shard_id} has no state and no source to load it"
                 )
             rows = self._sources[shard_id]()
-            state = _carve_shard_state(
+            state = ShardState(
                 shard_id,
                 self.layout,
                 self.permutation,
@@ -1093,133 +906,29 @@ class ShardedMogulIndex:
     ) -> "ShardedMogulIndex":
         """Precompute the sharded index for a graph.
 
-        The clustering, permutation and ranking matrix are global and
-        identical to :meth:`repro.core.MogulIndex.build`; the
-        factorization then runs as one independent span per shard
-        (:func:`repro.linalg.ldl.factor_row_span`), followed by the
-        shared border rows.  Every shard count produces a
-        bitwise-identical factorization, equal to the unsharded one.
+        One factorization for every shard count: the clustering,
+        permutation, ranking matrix and :math:`LDL^T` factorization are
+        :meth:`repro.core.MogulIndex.build`'s own stages, so the factors
+        are the unsharded ones, bitwise.  :meth:`from_factors` then cuts
+        them into one row span per shard and carves each.
         """
         alpha = check_alpha(alpha)
-        if factorization not in ("incomplete", "complete"):
-            raise ValueError(
-                f"factorization must be 'incomplete' or 'complete', got {factorization!r}"
-            )
-        if fill_level and factorization == "complete":
-            raise ValueError("fill_level only applies to the incomplete factorization")
         profile = BuildProfile(n_shards=n_shards)
-        stages = profile.stages
-
-        started = time.perf_counter()
-        if cluster_labels is None:
-            cluster_labels = clusterer(graph.adjacency)
-            stages["clustering"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        permutation = build_permutation(
-            graph.adjacency, cluster_labels=cluster_labels
+        permutation, factors = factor_graph(
+            graph, alpha, factorization, cluster_labels, clusterer, fill_level,
+            profile,
         )
-        layout = plan_shards(permutation.cluster_slices, n_shards)
-        stages["permutation"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        w_permuted = permutation.permute_matrix(
-            ranking_matrix(graph.adjacency, alpha)
-        )
-        stages["ranking_matrix"] = time.perf_counter() - started
-
-        border_start = permutation.border_slice.start
-        n = permutation.n_nodes
-        started = time.perf_counter()
-        pat_indptr, pat_indices = symbolic_pattern(
-            w_permuted, factorization, fill_level
-        )
-        floor = global_pivot_floor(w_permuted)
-        lower_w = sp.tril(w_permuted, k=-1, format="csr")
-        lower_w.sort_indices()
-        diag_w = w_permuted.diagonal()
-        span_factors = []
-        prepacked = []
-        for shard_id, (rs, re) in enumerate(layout.spans):
-            # One shard's span in local coordinates ``[0, re - rs)``.
-            shard_started = time.perf_counter()
-            a, b = int(pat_indptr[rs]), int(pat_indptr[re])
-            wl_a, wl_b = int(lower_w.indptr[rs]), int(lower_w.indptr[re])
-            local_indptr = pat_indptr[rs : re + 1] - a
-            local_indices = pat_indices[a:b] - rs
-            span = factor_row_span(
-                local_indptr,
-                local_indices,
-                lower_w.indptr[rs : re + 1] - wl_a,
-                lower_w.indices[wl_a:wl_b] - rs,
-                lower_w.data[wl_a:wl_b],
-                diag_w[rs:re],
-                floor,
-            )
-            local = sp.csr_matrix(
-                (span.values, local_indices, local_indptr),
-                shape=(re - rs, re - rs),
-            )
-            c_lo, c_hi = layout.cluster_ranges[shard_id]
-            prepacked.append(
-                _pack_cluster_blocks(
-                    local,
-                    0,
-                    tuple(
-                        slice(sl.start - rs, sl.stop - rs)
-                        for sl in permutation.cluster_slices[c_lo:c_hi]
-                    ),
-                )
-            )
-            span_factors.append(span)
-            # The shard's own cost: the per-shard term of the
-            # critical path a one-worker-per-shard build would pay.
-            profile.shard_seconds.append(time.perf_counter() - shard_started)
-        interior_values = np.concatenate([f.values for f in span_factors])
-        interior_scaled = np.concatenate([f.scaled for f in span_factors])
-        interior_diag = np.concatenate([f.diag for f in span_factors])
-        border_values, border_diag, border_perturb = factor_border_rows(
-            w_permuted, pat_indptr, pat_indices, border_start,
-            interior_diag, interior_scaled, floor,
-        )
-        data = np.concatenate([interior_values, border_values])
-        diag = np.concatenate([interior_diag, border_diag])
-        lower = sp.csr_matrix(
-            (data, pat_indices.copy(), pat_indptr.copy()), shape=(n, n)
-        )
-        factors = LDLFactors(
-            lower=lower,
-            upper=lower.T.tocsr(),
-            diag=diag,
-            pivot_perturbations=border_perturb
-            + sum(f.perturbations for f in span_factors),
-        )
-        stages["factorization"] = time.perf_counter() - started
-
         started = time.perf_counter()
         index = cls.from_factors(
             permutation,
             factors,
             alpha=alpha,
             factorization=factorization,
-            layout=layout,
+            n_shards=n_shards,
             graph=graph,
             profile=profile,
-            prepacked_blocks=prepacked,
         )
-        stages["shard_state"] = time.perf_counter() - started
-
-        strict_lower_w = (
-            w_permuted.nnz - int(np.count_nonzero(w_permuted.diagonal()))
-        ) // 2
-        profile.n_nodes = n
-        profile.n_clusters = permutation.n_clusters
-        profile.border_size = n - border_start
-        profile.w_nnz = int(w_permuted.nnz)
-        profile.factor_nnz = int(factors.nnz)
-        profile.fill_ratio = (
-            factors.nnz / strict_lower_w if strict_lower_w else 0.0
-        )
+        profile.stages["shard_state"] = time.perf_counter() - started
         return index
 
     @classmethod
@@ -1235,13 +944,13 @@ class ShardedMogulIndex:
         cluster_means: np.ndarray | None = None,
         cluster_members: tuple[np.ndarray, ...] | None = None,
         profile: BuildProfile | None = None,
-        prepacked_blocks: list[list[PackedUnitLower]] | None = None,
     ) -> "ShardedMogulIndex":
         """Carve a sharded index out of an existing global factorization.
 
         Either ``layout`` or ``n_shards`` selects the partition; cluster
         means/members come from ``graph`` when not given directly, and
-        the index keeps a reference to ``graph`` for :meth:`save`.
+        the index keeps a reference to ``graph`` for :meth:`save`.  A
+        ``profile`` records each shard's carve in ``shard_seconds``.
         """
         if layout is None:
             if n_shards is None:
@@ -1249,18 +958,9 @@ class ShardedMogulIndex:
             layout = plan_shards(permutation.cluster_slices, n_shards)
         lower = factors.lower.tocsr()
         lower.sort_indices()
-        n = permutation.n_nodes
-        border_start = permutation.border_slice.start
-        indptr = np.asarray(lower.indptr, dtype=np.int64)
-
-        def row_slice(rs: int, re: int) -> sp.csr_matrix:
-            a, b = int(indptr[rs]), int(indptr[re])
-            return sp.csr_matrix(
-                (lower.data[a:b], lower.indices[a:b], indptr[rs : re + 1] - a),
-                shape=(re - rs, n),
-            )
-
-        border_rows = row_slice(border_start, n)
+        border_rows = _csr_rows(
+            lower, permutation.border_slice.start, permutation.n_nodes
+        )
         diag = np.asarray(factors.diag, dtype=np.float64)
 
         if cluster_members is None or cluster_means is None:
@@ -1268,47 +968,27 @@ class ShardedMogulIndex:
                 raise ValueError(
                     "provide graph or (cluster_means, cluster_members)"
                 )
-            members_list: list[np.ndarray] = []
-            means = np.zeros(
-                (permutation.n_clusters, graph.features.shape[1]),
-                dtype=np.float64,
+            cluster_means, cluster_members = cluster_features(
+                permutation, graph.features
             )
-            for cid, sl in enumerate(permutation.cluster_slices):
-                nodes = permutation.order[sl]
-                members_list.append(nodes)
-                if nodes.size:
-                    means[cid] = graph.features[nodes].mean(axis=0)
-            cluster_members = tuple(members_list)
-            cluster_means = means
 
         states: list[ShardState] = []
         carve_seconds: list[float] = []
         for shard_id, (rs, re) in enumerate(layout.spans):
             carve_started = time.perf_counter()
             states.append(
-                _carve_shard_state(
+                ShardState(
                     shard_id,
                     layout,
                     permutation,
-                    row_slice(rs, re),
+                    _csr_rows(lower, rs, re),
                     border_rows,
                     diag,
-                    prepacked_blocks=(
-                        prepacked_blocks[shard_id]
-                        if prepacked_blocks is not None
-                        else None
-                    ),
                 )
             )
             carve_seconds.append(time.perf_counter() - carve_started)
         if profile is not None:
-            profile.shard_seconds = [
-                base + carve
-                for base, carve in zip(
-                    profile.shard_seconds or [0.0] * len(carve_seconds),
-                    carve_seconds,
-                )
-            ]
+            profile.shard_seconds = carve_seconds
         return cls(
             permutation=permutation,
             alpha=alpha,
@@ -1345,20 +1025,42 @@ class ShardedMogulIndex:
 # -- scatter-gather search -------------------------------------------------
 
 
-def _solve_router(index: ShardedMogulIndex, queries, shard_state):
+class _ShardPins:
+    """The shards a pass holds pinned, and their release.
+
+    Calling it pins a shard the first time the pass solves in it or
+    resolves its exact bounds; :meth:`release_below` drops the pins of
+    the shards an in-order pass has left (``release_below(n_shards)``
+    ends the pass).
+    """
+
+    def __init__(self, index: "ShardedMogulIndex"):
+        self.index = index
+        self.held: dict[int, ShardState] = {}
+
+    def __call__(self, shard_id: int) -> ShardState:
+        if shard_id not in self.held:
+            self.held[shard_id] = self.index.acquire_shard(shard_id)
+        return self.held[shard_id]
+
+    def release_below(self, shard_id: int) -> None:
+        for held in [s for s in self.held if s < shard_id]:
+            del self.held[held]
+            self.index.release_shard(held)
+
+
+def _solve_router(index: ShardedMogulIndex, queries, pin: _ShardPins):
     """Stages 1-2 of a sharded batch: the seed and shared border solves.
 
-    Each seeded cluster is forward-substituted on its owning shard (the
-    state ``shard_state(shard_id)`` returns) for the columns seeded
-    there; the shared border block is solved once for every column, with
-    one coupling SpMM over all interior columns; then each seeded
+    Each seeded cluster is forward-substituted on its owning shard
+    (pinned through ``pin``) for the columns seeded there; the shared
+    border block is solved once for every column; then each seeded
     cluster is back-substituted on its shard.  Returns ``(seed cluster
     sets, y, x)``, where ``x`` holds every border and seed-cluster score.
     """
     perm = index.permutation
     n = perm.n_nodes
     n_queries = len(queries)
-    border_start = perm.border_slice.start
     shard_of = index.layout.shard_of
     q_mat = np.zeros((n, n_queries), dtype=np.float64)
     seed_cluster_sets: list[set[int]] = []
@@ -1377,21 +1079,17 @@ def _solve_router(index: ShardedMogulIndex, queries, shard_state):
     z_mat = np.zeros((n, n_queries), dtype=np.float64)
     y_mat = np.zeros((n, n_queries), dtype=np.float64)
     for cid, cols in seeded:
-        shard = shard_state(int(shard_of[cid]))
+        shard = pin(int(shard_of[cid]))
         shard.forward_seed_block(
             cid - shard.first_cluster, q_mat, z_mat, y_mat, cols=cols
         )
-    rhs = q_mat[border_start:] - _spmm(index.border_left, z_mat[:border_start])
-    z_border = index.border_block.solve_lower(rhs)
-    y_mat[border_start:] = z_border / index.diag[border_start:][:, None]
+    index.border_solver.forward(q_mat, z_mat, y_mat)
 
     x_mat = np.zeros((n, n_queries), dtype=np.float64)
-    x_mat[border_start:] = index.border_block.solve_upper(y_mat[border_start:])
+    index.border_solver.back(y_mat, x_mat)
     for cid, cols in seeded:
-        shard = shard_state(int(shard_of[cid]))
-        shard.back_cluster(
-            cid - shard.first_cluster, y_mat, x_mat, border_start, cols=cols
-        )
+        shard = pin(int(shard_of[cid]))
+        shard.back_cluster(cid - shard.first_cluster, y_mat, x_mat, cols=cols)
     return seed_cluster_sets, y_mat, x_mat
 
 
@@ -1445,21 +1143,9 @@ def scatter_gather_search(
     eligible = np.ones((n_interior, n_queries), dtype=bool)
     scored = np.zeros((n_interior, n_queries), dtype=bool)
 
-    # A shard is pinned the first time the pass solves in it or resolves
-    # its exact bounds, and released once the pass has left its cluster
-    # range, or at the end of the pass.
-    pinned: dict[int, ShardState] = {}
-
-    def pin(shard_id: int) -> ShardState:
-        if shard_id not in pinned:
-            pinned[shard_id] = index.acquire_shard(shard_id)
-        return pinned[shard_id]
-
-    def release_below(shard_id: int) -> None:
-        for held in [s for s in pinned if s < shard_id]:
-            del pinned[held]
-            index.release_shard(held)
-
+    # A shard is released once the pass has left its cluster range, or
+    # at the end of the pass.
+    pin = _ShardPins(index)
     try:
         # Stages 1-2 — seed and border solves, then the frontiers.
         seed_cluster_sets, y_mat, x_mat = _solve_router(index, queries, pin)
@@ -1527,7 +1213,7 @@ def scatter_gather_search(
         for cid in scan:
             shard_id = int(shard_of[cid])
             if in_order:
-                release_below(shard_id)
+                pin.release_below(shard_id)
             row = eligible[cid]
             if thresholds is not None:
                 if exact is not None and not exact[shard_id]:
@@ -1543,7 +1229,6 @@ def scatter_gather_search(
                 cid - shard.first_cluster,
                 y_mat,
                 x_mat,
-                border_start,
                 cols=None if active.size == n_queries else active,
             )
             scored[cid, active] = True
@@ -1562,7 +1247,7 @@ def scatter_gather_search(
                     if thresholds is not None:
                         thresholds[j] = acc.threshold
     finally:
-        release_below(n_shards)
+        pin.release_below(n_shards)
 
     # Every eligible (cluster, query) pair was either scored or pruned.
     # Summed over clusters that gives each query's counters, and over
@@ -1659,100 +1344,93 @@ def scatter_gather_rerank(
         candidate_arrays.append(positions)
         stats[j].extra["candidates"] = int(positions.size)
 
-    # Stages 1-2 as in scatter_gather_search (unpinned here).
-    seed_cluster_sets, y_mat, x_mat = _solve_router(
-        index, queries, index.shard_state
-    )
+    # Stages 1-2 as in scatter_gather_search.  A shard stays pinned from
+    # its seed solves until its own scan below is done.
+    pin = _ShardPins(index)
+    try:
+        seed_cluster_sets, y_mat, x_mat = _solve_router(index, queries, pin)
 
-    # Router frontier: only the candidates landing in the scored region.
-    router_accs = [
-        TopKAccumulator(k, n, query.exclude_positions) for query in queries
-    ]
-    scored_sets: list[set[int]] = []
-    pending: list[dict[int, np.ndarray]] = []
-    for j, seeds in enumerate(seed_cluster_sets):
-        scored = seeds | {border_id}
-        scored_sets.append(scored)
-        for cid in scored:
-            sl = perm.cluster_slices[cid]
-            stats[j].nodes_scored += sl.stop - sl.start
-        stats[j].clusters_scored = len(scored)
-        positions = candidate_arrays[j]
-        clusters = perm.cluster_of_position[positions]
-        in_scored = np.isin(clusters, sorted(scored))
-        ready = positions[in_scored]
-        if ready.size:
-            router_accs[j].offer_candidates(x_mat[ready, j], ready)
-        rest = positions[~in_scored]
-        rest_clusters = clusters[~in_scored]
-        by_cluster: dict[int, np.ndarray] = {}
-        for cid in np.unique(rest_clusters):
-            by_cluster[int(cid)] = rest[rest_clusters == cid]
-        pending.append(by_cluster)
-    initial_thresholds = np.asarray(
-        [acc.threshold for acc in router_accs], dtype=np.float64
-    )
-
-    # Stage 3 — scatter over candidate-owning clusters only.  Same
-    # purity contract as scatter_gather_search's shard scan: disjoint
-    # x_mat row spans, local accumulators, counter deltas returned.
-    x_border_abs = np.abs(x_mat[border_start:, :])
-
-    def scan_shard(shard_id: int):
-        # Same lazy pin + certified compact-bound protocol as the full
-        # scan (see scatter_gather_search.scan_shard).
-        bounds = index.shard_bounds(shard_id)
-        n_local = bounds.n_clusters
-        first = bounds.first_cluster
-        accs = [
-            TopKAccumulator(
-                k,
-                n,
-                query.exclude_positions,
-                initial_threshold=initial_thresholds[j],
-            )
-            for j, query in enumerate(queries)
+        # Router frontier: only the candidates landing in the scored region.
+        router_accs = [
+            TopKAccumulator(k, n, query.exclude_positions) for query in queries
         ]
-        shard_stats = SearchStats(clusters_total=n_local * n_queries)
-        eligible = np.zeros((n_local, n_queries), dtype=bool)
-        cand_counts = np.zeros((n_local, n_queries), dtype=np.int64)
-        for j, by_cluster in enumerate(pending):
-            for cid, members in by_cluster.items():
-                if first <= cid < first + n_local:
-                    eligible[cid - first, j] = True
-                    cand_counts[cid - first, j] = members.size
-        bound_evals = eligible.sum(axis=0).astype(np.int64)
-        shard_stats.bound_evaluations = int(bound_evals.sum())
+        scored_sets: list[set[int]] = []
+        pending: list[dict[int, np.ndarray]] = []
+        for j, seeds in enumerate(seed_cluster_sets):
+            scored = seeds | {border_id}
+            scored_sets.append(scored)
+            for cid in scored:
+                sl = perm.cluster_slices[cid]
+                stats[j].nodes_scored += sl.stop - sl.start
+            stats[j].clusters_scored = len(scored)
+            positions = candidate_arrays[j]
+            clusters = perm.cluster_of_position[positions]
+            in_scored = np.isin(clusters, sorted(scored))
+            ready = positions[in_scored]
+            if ready.size:
+                router_accs[j].offer_candidates(x_mat[ready, j], ready)
+            rest = positions[~in_scored]
+            rest_clusters = clusters[~in_scored]
+            by_cluster: dict[int, np.ndarray] = {}
+            for cid in np.unique(rest_clusters):
+                by_cluster[int(cid)] = rest[rest_clusters == cid]
+            pending.append(by_cluster)
+        initial_thresholds = np.asarray(
+            [acc.threshold for acc in router_accs], dtype=np.float64
+        )
 
-        pruned_clusters = np.zeros(n_queries, dtype=np.int64)
-        pruned_nodes = np.zeros(n_queries, dtype=np.int64)
-        scored_clusters = np.zeros(n_queries, dtype=np.int64)
-        scored_nodes = np.zeros(n_queries, dtype=np.int64)
+        # Stage 3 — scatter over candidate-owning clusters only: each
+        # shard scan writes its own x_mat rows, keeps local accumulators
+        # and returns its counter deltas.
+        x_border_abs = np.abs(x_mat[border_start:, :])
 
-        shard: ShardState | None = None
-        exact_est: np.ndarray | None = None
+        def scan_shard(shard_id: int):
+            # The shard is pinned on first use, and its compact bounds
+            # resolve to the exact table as in scatter_gather_search.
+            bounds = index.shard_bounds(shard_id)
+            n_local = bounds.n_clusters
+            first = bounds.first_cluster
+            accs = [
+                TopKAccumulator(
+                    k,
+                    n,
+                    query.exclude_positions,
+                    initial_threshold=initial_thresholds[j],
+                )
+                for j, query in enumerate(queries)
+            ]
+            shard_stats = SearchStats(clusters_total=n_local * n_queries)
+            eligible = np.zeros((n_local, n_queries), dtype=bool)
+            cand_counts = np.zeros((n_local, n_queries), dtype=np.int64)
+            for j, by_cluster in enumerate(pending):
+                for cid, members in by_cluster.items():
+                    if first <= cid < first + n_local:
+                        eligible[cid - first, j] = True
+                        cand_counts[cid - first, j] = members.size
+            bound_evals = eligible.sum(axis=0).astype(np.int64)
+            shard_stats.bound_evaluations = int(bound_evals.sum())
 
-        def heavy() -> ShardState:
-            nonlocal shard
-            if shard is None:
-                shard = index.acquire_shard(shard_id)
-            return shard
+            pruned_clusters = np.zeros(n_queries, dtype=np.int64)
+            pruned_nodes = np.zeros(n_queries, dtype=np.int64)
+            scored_clusters = np.zeros(n_queries, dtype=np.int64)
+            scored_nodes = np.zeros(n_queries, dtype=np.int64)
 
-        def exact_estimates() -> np.ndarray:
-            nonlocal exact_est
-            if exact_est is None:
-                if bounds.table is not None:
-                    exact_est = bounds.table.estimate_all(x_border_abs)
-                else:
-                    exact_est = heavy().bounds_table.estimate_all(
-                        x_border_abs
-                    )
-                    mgr = index.residency
-                    if mgr is not None:
-                        mgr.note_bound_fallback()
-            return exact_est
+            exact_est: np.ndarray | None = None
 
-        try:
+            def exact_estimates() -> np.ndarray:
+                nonlocal exact_est
+                if exact_est is None:
+                    if bounds.table is not None:
+                        exact_est = bounds.table.estimate_all(x_border_abs)
+                    else:
+                        exact_est = pin(shard_id).bounds_table.estimate_all(
+                            x_border_abs
+                        )
+                        mgr = index.residency
+                        if mgr is not None:
+                            mgr.note_bound_fallback()
+                return exact_est
+
             lo = hi = None
             if not use_pruning:
                 scan = [lc for lc in range(n_local) if eligible[lc].any()]
@@ -1810,7 +1488,7 @@ def scatter_gather_rerank(
                 else:
                     active = np.flatnonzero(row_eligible)
                 cols = None if active.size == n_queries else active
-                heavy().back_cluster(lc, y_mat, x_mat, border_start, cols=cols)
+                pin(shard_id).back_cluster(lc, y_mat, x_mat, cols=cols)
                 for j in active:
                     scored_clusters[j] += 1
                     scored_nodes[j] += size
@@ -1819,36 +1497,36 @@ def scatter_gather_rerank(
                     acc.offer_candidates(x_mat[members, j], members)
                     if use_pruning:
                         thresholds[j] = acc.threshold
-        finally:
-            if shard is not None:
-                index.release_shard(shard_id)
 
-        shard_stats.clusters_pruned = int(pruned_clusters.sum())
-        shard_stats.pruned_nodes = int(pruned_nodes.sum())
-        shard_stats.clusters_scored = int(scored_clusters.sum())
-        shard_stats.nodes_scored = int(scored_nodes.sum())
-        deltas = (
-            bound_evals,
-            pruned_clusters,
-            pruned_nodes,
-            scored_clusters,
-            scored_nodes,
-        )
-        return shard_stats, [acc.collect() for acc in accs], deltas
+            shard_stats.clusters_pruned = int(pruned_clusters.sum())
+            shard_stats.pruned_nodes = int(pruned_nodes.sum())
+            shard_stats.clusters_scored = int(scored_clusters.sum())
+            shard_stats.nodes_scored = int(scored_nodes.sum())
+            deltas = (
+                bound_evals,
+                pruned_clusters,
+                pruned_nodes,
+                scored_clusters,
+                scored_nodes,
+            )
+            return shard_stats, [acc.collect() for acc in accs], deltas
 
-    shard_answer_lists: list[list[list[tuple[int, float]]]] = []
-    shard_totals: list[SearchStats] = []
-    for shard_id in range(n_shards):
-        shard_stats, answer_list, deltas = scan_shard(shard_id)
-        shard_totals.append(shard_stats)
-        shard_answer_lists.append(answer_list)
-        bound_evals, pruned_c, pruned_n, scored_c, scored_n = deltas
-        for j in range(n_queries):
-            stats[j].bound_evaluations += int(bound_evals[j])
-            stats[j].clusters_pruned += int(pruned_c[j])
-            stats[j].pruned_nodes += int(pruned_n[j])
-            stats[j].clusters_scored += int(scored_c[j])
-            stats[j].nodes_scored += int(scored_n[j])
+        shard_answer_lists: list[list[list[tuple[int, float]]]] = []
+        shard_totals: list[SearchStats] = []
+        for shard_id in range(n_shards):
+            shard_stats, answer_list, deltas = scan_shard(shard_id)
+            pin.release_below(shard_id + 1)
+            shard_totals.append(shard_stats)
+            shard_answer_lists.append(answer_list)
+            bound_evals, pruned_c, pruned_n, scored_c, scored_n = deltas
+            for j in range(n_queries):
+                stats[j].bound_evaluations += int(bound_evals[j])
+                stats[j].clusters_pruned += int(pruned_c[j])
+                stats[j].pruned_nodes += int(pruned_n[j])
+                stats[j].clusters_scored += int(scored_c[j])
+                stats[j].nodes_scored += int(scored_n[j])
+    finally:
+        pin.release_below(n_shards)
 
     answers = [
         merge_answer_pairs(

@@ -38,6 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.bounds import span_bounds
 from repro.core.permutation import Permutation
 from repro.linalg.ldl import LDLFactors
 from repro.linalg.packed import PackedUnitLower
@@ -120,51 +121,186 @@ def _csr_column_range(
     )
 
 
-def _square_block(
-    lower: sp.csr_matrix, start: int, stop: int, cid: int
-) -> sp.csr_matrix:
-    """One interior cluster's diagonal block of ``L``.
-
-    An interior row's columns all lie in ``[start, row)`` for a factor
-    that matches the permutation (Lemma 3), so the block is the row
-    range itself with shifted columns; a column left of the block means
-    the factors and permutation disagree.
-    """
-    indptr, indices, data = lower.indptr, lower.indices, lower.data
+def _csr_rows(matrix: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
+    """``matrix[start:stop]`` as views of its arrays (columns unchanged)."""
+    indptr = matrix.indptr
     a, b = int(indptr[start]), int(indptr[stop])
-    cols = indices[a:b]
-    if cols.size and int(cols.min()) < start:
-        raise ValueError(
-            f"cluster {cid} rows of L reference earlier clusters; "
-            "factors do not match this permutation"
-        )
     return sp.csr_matrix(
-        (data[a:b], cols - start, indptr[start : stop + 1] - a),
-        shape=(stop - start, stop - start),
+        (matrix.data[a:b], matrix.indices[a:b], indptr[start : stop + 1] - a),
+        shape=(stop - start, matrix.shape[1]),
     )
 
 
-def _interior_coupling(
-    upper: sp.csr_matrix, sl: slice, border_start: int, cid: int
+def span_coupling(
+    border_rows: sp.csr_matrix, start: int, stop: int
 ) -> sp.csr_matrix:
-    """One interior cluster's rows of ``U`` restricted to border columns.
+    """``U[start:stop, border]``, the back pass's coupling to the border.
 
-    Also enforces the bordered structure: an interior row of ``U`` may
-    only reference its own cluster and the border (Lemma 3).
+    One transpose of the border rows' columns ``[start, stop)``: the
+    same floats in the same per-row (ascending border column) order as
+    carving ``U`` itself, so the coupling SpMVs are bitwise equal.
     """
-    n = upper.shape[0]
-    indptr, indices = upper.indptr, upper.indices
-    a, b = int(indptr[sl.start]), int(indptr[sl.stop])
-    cols = indices[a:b]
-    if np.any((cols >= sl.stop) & (cols < border_start)):
-        raise ValueError(
-            f"cluster {cid} rows of U reference later interior "
-            "clusters; factors do not match this permutation"
+    n_border = border_rows.shape[0]
+    coupling = _csr_column_range(border_rows, 0, n_border, start, stop).T.tocsr()
+    coupling.sort_indices()
+    return coupling
+
+
+class ClusterSpan:
+    """A contiguous run of interior clusters, carved for query time.
+
+    Parameters
+    ----------
+    rows:
+        The span's rows of the strict lower factor ``L`` (CSR, global
+        columns), starting at position ``span_start``.
+    span_start:
+        The span's first position.
+    cluster_slices:
+        The span's interior clusters, in order.
+    border_rows:
+        The border rows of ``L`` (CSR, global columns).
+    diag:
+        The whole factor's ``D``.
+
+    Per cluster it holds the packed diagonal block of ``L`` (both
+    directions solve on it), the coupling ``U[cluster, border]`` (row
+    ranges of the span's one :func:`span_coupling`) and the bound data
+    of :func:`repro.core.bounds.span_bounds`.  The flat
+    :class:`ClusterSolver` is the span of every interior cluster; a
+    shard of :class:`repro.core.ShardedMogulIndex` is the span of its
+    own, so both solve with the same kernels on the same carve.
+    Cluster ids in the methods count from the span's first cluster.
+    """
+
+    def __init__(
+        self,
+        rows: sp.csr_matrix,
+        span_start: int,
+        cluster_slices: tuple[slice, ...],
+        border_rows: sp.csr_matrix,
+        diag: np.ndarray,
+    ):
+        n_border, n = border_rows.shape
+        self.cluster_slices = cluster_slices
+        self._border_start = border_start = n - n_border
+        self._diag = diag
+        # An interior row's columns all lie in [start, row) when the
+        # factor matches the permutation (Lemma 3), so each block is its
+        # row range with shifted columns; a column left of the block
+        # means the factors and permutation disagree.
+        indptr, indices, data = rows.indptr, rows.indices, rows.data
+        self.blocks: list[PackedUnitLower] = []
+        for sl in cluster_slices:
+            lo, hi = sl.start - span_start, sl.stop - span_start
+            a, b = int(indptr[lo]), int(indptr[hi])
+            cols = indices[a:b]
+            if cols.size and int(cols.min()) < sl.start:
+                raise ValueError(
+                    f"rows [{sl.start}, {sl.stop}) of L reference earlier "
+                    "clusters; factors do not match this permutation"
+                )
+            block = sp.csr_matrix(
+                (data[a:b], cols - sl.start, indptr[lo : hi + 1] - a),
+                shape=(sl.stop - sl.start, sl.stop - sl.start),
+            )
+            self.blocks.append(PackedUnitLower.from_strict_lower_trusted(block))
+        span_stop = span_start + rows.shape[0]
+        self.coupling = span_coupling(border_rows, span_start, span_stop)
+        self.couplings = [
+            _csr_rows(self.coupling, sl.start - span_start, sl.stop - span_start)
+            for sl in cluster_slices
+        ]
+        self.bounds = span_bounds(
+            rows, span_start, cluster_slices, self.coupling, border_start
         )
-    return _csr_column_range(upper, sl.start, sl.stop, border_start, n)
+
+    def _scale(self, z: np.ndarray, sl: slice) -> np.ndarray:
+        """``z / D[sl]`` with the diagonal broadcast over RHS columns."""
+        d = self._diag[sl]
+        return z / (d if z.ndim == 1 else d[:, None])
+
+    def forward_seed_block(
+        self,
+        cid: int,
+        q_vec: np.ndarray,
+        z: np.ndarray,
+        y: np.ndarray,
+        cols: np.ndarray | None = None,
+    ) -> None:
+        """Forward-substitute one interior seed cluster into ``z`` and ``y``.
+
+        ``cols`` restricts a multi-RHS call to a subset of columns (the
+        batched engine solves each seed cluster only for the queries
+        seeded there; the untouched columns keep their exact zeros).
+        """
+        sl = self.cluster_slices[cid]
+        if cols is None:
+            z[sl] = self.blocks[cid].solve_lower(q_vec[sl])
+            y[sl] = self._scale(z[sl], sl)
+        else:
+            z_cols = self.blocks[cid].solve_lower(q_vec[sl.start : sl.stop, cols])
+            z[sl.start : sl.stop, cols] = z_cols
+            y[sl.start : sl.stop, cols] = z_cols / self._diag[sl][:, None]
+
+    def back_cluster(
+        self,
+        cid: int,
+        y: np.ndarray,
+        x: np.ndarray,
+        cols: np.ndarray | None = None,
+    ) -> None:
+        """Compute one interior cluster's scores into ``x``.
+
+        ``x`` must already hold valid border scores
+        (:meth:`BorderSolver.back`); interior clusters couple to nothing
+        else (Lemma 5), so any subset may be computed in any order.
+        ``cols`` restricts a multi-RHS call to a subset of columns — the
+        batched engine's bound scan solves a cluster only for the queries
+        whose bound survived pruning.
+        """
+        sl = self.cluster_slices[cid]
+        if cols is None:
+            rhs = y[sl] - _spmm(self.couplings[cid], x[self._border_start :])
+            x[sl] = self.blocks[cid].solve_upper(rhs)
+        else:
+            rhs = y[sl.start : sl.stop, cols] - _spmm(
+                self.couplings[cid], x[self._border_start :, cols]
+            )
+            x[sl.start : sl.stop, cols] = self.blocks[cid].solve_upper(rhs)
 
 
-class ClusterSolver:
+class BorderSolver:
+    """The border cluster's two solves, shared by every query of a batch.
+
+    Forward substitution runs it last (its rows couple to every earlier
+    column, consumed as one SpMV against ``z = D y``); back substitution
+    runs it first (its rows of ``U`` couple to nothing after it).
+    """
+
+    def __init__(self, border_rows: sp.csr_matrix, diag: np.ndarray):
+        n_border, n = border_rows.shape
+        self.start = start = n - n_border
+        self.block = PackedUnitLower.from_strict_lower_trusted(
+            _csr_column_range(border_rows, 0, n_border, start, n)
+        )
+        self.left = _csr_column_range(border_rows, 0, n_border, 0, start)
+        self._diag = diag[start:]
+
+    def forward(self, q_vec: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
+        """Forward-substitute the border into ``y``, given the seeds' ``z``."""
+        start = self.start
+        rhs = q_vec[start:] - _spmm(self.left, z[:start])
+        z_border = self.block.solve_lower(rhs)
+        d = self._diag
+        y[start:] = z_border / (d if z_border.ndim == 1 else d[:, None])
+
+    def back(self, y: np.ndarray, x: np.ndarray) -> None:
+        """Compute the border scores into ``x`` (the back pass's first step)."""
+        x[self.start :] = self.block.solve_upper(y[self.start :])
+
+
+class ClusterSolver(ClusterSpan):
     """Precomputed per-cluster triangular solvers for one factorization.
 
     Parameters
@@ -174,8 +310,10 @@ class ClusterSolver:
     permutation:
         The Algorithm 1 permutation the factors were computed under.
 
-    Every block solves with :mod:`repro.linalg.packed`'s kernel (compiled
-    when a C compiler is available, ``gstrs`` otherwise; bitwise equal).
+    The :class:`ClusterSpan` of every interior cluster plus the
+    :class:`BorderSolver`.  Every block solves with
+    :mod:`repro.linalg.packed`'s kernel (compiled when a C compiler is
+    available, ``gstrs`` otherwise; bitwise equal).
     """
 
     def __init__(
@@ -193,37 +331,18 @@ class ClusterSolver:
         n = factors.n
         lower = factors.lower.tocsr()
         lower.sort_indices()
-        upper = factors.upper.tocsr()
-        upper.sort_indices()
-        border = permutation.border_slice
-        self._border_start = border.start
+        border_start = permutation.border_slice.start
         self._border_id = permutation.border_cluster
-        self._diag = np.asarray(factors.diag, dtype=np.float64)
-
-        # Blocks and couplings are carved out of the factor with raw CSR
-        # array surgery (one subarray + mask per cluster) instead of
-        # scipy's row-then-column fancy indexing, which dominates index
-        # construction time at a hundred-plus clusters.
-        self._blocks: list[PackedUnitLower] = []
-        self._couplings: list[sp.csr_matrix | None] = []
-        for cid, sl in enumerate(permutation.cluster_slices):
-            if cid != self._border_id:
-                block = _square_block(lower, sl.start, sl.stop, cid)
-                self._couplings.append(
-                    _interior_coupling(upper, sl, border.start, cid)
-                )
-            else:
-                block = _csr_column_range(
-                    lower, border.start, n, border.start, n
-                )
-                self._couplings.append(None)
-            self._blocks.append(PackedUnitLower.from_strict_lower_trusted(block))
-
-        # Border rows' coupling to every earlier column, consumed as one
-        # SpMV against z = D y in the forward pass.
-        self._border_left = _csr_column_range(
-            lower, border.start, n, 0, border.start
+        diag = np.asarray(factors.diag, dtype=np.float64)
+        border_rows = _csr_rows(lower, border_start, n)
+        super().__init__(
+            _csr_rows(lower, 0, border_start),
+            0,
+            permutation.cluster_slices[:-1],
+            border_rows,
+            diag,
         )
+        self.border = BorderSolver(border_rows, diag)
         # Whole-factor solver for full solves and the no-sparsity ablation.
         self._full = PackedUnitLower.from_strict_lower_trusted(lower)
         # The interior range [0, c_N) of U is *block diagonal* (interior
@@ -231,30 +350,22 @@ class ClusterSolver:
         # configuration can score every interior cluster with ONE solve
         # instead of one per cluster — same numbers, none of the per-call
         # overhead.  The per-cluster checks above already guarantee no
-        # interior row of L references a column outside [0, border.start).
-        interior_nnz = int(lower.indptr[border.start])
+        # interior row of L references a column outside [0, border_start).
+        interior_nnz = int(lower.indptr[border_start])
         interior_block = sp.csr_matrix(
             (
                 lower.data[:interior_nnz],
                 lower.indices[:interior_nnz],
-                lower.indptr[: border.start + 1],
+                lower.indptr[: border_start + 1],
             ),
-            shape=(border.start, border.start),
+            shape=(border_start, border_start),
         )
         self._interior = PackedUnitLower.from_strict_lower_trusted(interior_block)
-        self._interior_coupling = _csr_column_range(
-            upper, 0, border.start, border.start, n
-        )
 
     @property
     def n(self) -> int:
         """Dimension of the factored system."""
         return self.factors.n
-
-    def _scale(self, z: np.ndarray, sl: slice) -> np.ndarray:
-        """``z / D[sl]`` with the diagonal broadcast over RHS columns."""
-        d = self._diag[sl]
-        return z / (d if z.ndim == 1 else d[:, None])
 
     # -- forward substitution (paper Eq. 4, Lemma 4) ---------------------
 
@@ -278,29 +389,6 @@ class ClusterSolver:
         self.forward_border(q_vec, z, y)
         return y
 
-    def forward_seed_block(
-        self,
-        cid: int,
-        q_vec: np.ndarray,
-        z: np.ndarray,
-        y: np.ndarray,
-        cols: np.ndarray | None = None,
-    ) -> None:
-        """Forward-substitute one interior seed cluster into ``z`` and ``y``.
-
-        ``cols`` restricts a multi-RHS call to a subset of columns (the
-        batched engine solves each seed cluster only for the queries
-        seeded there; the untouched columns keep their exact zeros).
-        """
-        sl = self.permutation.cluster_slices[cid]
-        if cols is None:
-            z[sl] = self._blocks[cid].solve_lower(q_vec[sl])
-            y[sl] = self._scale(z[sl], sl)
-        else:
-            z_cols = self._blocks[cid].solve_lower(q_vec[sl.start : sl.stop, cols])
-            z[sl.start : sl.stop, cols] = z_cols
-            y[sl.start : sl.stop, cols] = z_cols / self._diag[sl][:, None]
-
     def forward_border(self, q_vec: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
         """Forward-substitute the border cluster into ``y`` (runs last).
 
@@ -308,10 +396,7 @@ class ClusterSolver:
         (:meth:`forward_seed_block`); the border coupling consumes them in
         one SpMV shared by every RHS column.
         """
-        border = self.permutation.cluster_slices[self._border_id]
-        rhs = q_vec[border.start :] - _spmm(self._border_left, z[: border.start])
-        z_border = self._blocks[self._border_id].solve_lower(rhs)
-        y[border.start :] = self._scale(z_border, slice(border.start, self.n))
+        self.border.forward(q_vec, z, y)
 
     def forward_full(self, q_vec: np.ndarray) -> np.ndarray:
         """Unrestricted forward substitution over all n rows."""
@@ -322,37 +407,7 @@ class ClusterSolver:
 
     def back_border(self, y: np.ndarray, x: np.ndarray) -> None:
         """Compute border-cluster scores into ``x`` (must run first)."""
-        start = self._border_start
-        x[start:] = self._blocks[self._border_id].solve_upper(y[start:])
-
-    def back_cluster(
-        self,
-        cid: int,
-        y: np.ndarray,
-        x: np.ndarray,
-        cols: np.ndarray | None = None,
-    ) -> None:
-        """Compute one interior cluster's scores into ``x``.
-
-        ``x`` must already hold valid border scores
-        (:meth:`back_border`); interior clusters couple to nothing else
-        (Lemma 5), so any subset may be computed in any order.  ``cols``
-        restricts a multi-RHS call to a subset of columns — the batched
-        engine's bound scan solves a cluster only for the queries whose
-        bound survived pruning.
-        """
-        if cid == self._border_id:
-            self.back_border(y, x)
-            return
-        sl = self.permutation.cluster_slices[cid]
-        if cols is None:
-            rhs = y[sl] - _spmm(self._couplings[cid], x[self._border_start :])
-            x[sl] = self._blocks[cid].solve_upper(rhs)
-        else:
-            rhs = y[sl.start : sl.stop, cols] - _spmm(
-                self._couplings[cid], x[self._border_start :, cols]
-            )
-            x[sl.start : sl.stop, cols] = self._blocks[cid].solve_upper(rhs)
+        self.border.back(y, x)
 
     def back_all_interior(self, y: np.ndarray, x: np.ndarray) -> None:
         """Compute every interior cluster's scores into ``x`` at once.
@@ -364,7 +419,7 @@ class ClusterSolver:
         scores.
         """
         start = self._border_start
-        rhs = y[:start] - _spmm(self._interior_coupling, x[start:])
+        rhs = y[:start] - _spmm(self.coupling, x[start:])
         x[:start] = self._interior.solve_upper(rhs)
 
     def back_full(self, y: np.ndarray) -> np.ndarray:

@@ -452,214 +452,3 @@ def _factor_with_pattern(
         pivot_perturbations=perturbations,
     )
 
-
-# -- span-wise factorization (the sharded build's primitives) --------------
-#
-# A bordered block-diagonal matrix factors in independent *leading spans*
-# (any contiguous run of interior blocks) followed by the border rows,
-# which consume every span's result.  The sharded index build factors one
-# span per shard; these two functions are the halves of
-# `_factor_with_pattern`, produced so that the assembled factor
-# is **bitwise identical** to the single-call path: each row's arithmetic
-# depends only on its pattern, W's values, the diagonal of earlier
-# columns and the earlier rows' pre-division column values — none of
-# which change under span grouping.
-
-
-@dataclass(frozen=True)
-class RowSpanFactor:
-    """The factorization of one independent leading row span.
-
-    Attributes
-    ----------
-    values:
-        Factor values in pattern (row-major, column-ascending) order.
-    scaled:
-        The matching *pre-division* values :math:`L_{ik} D_{kk}` in the
-        same order — the quantity the border pass propagates.  Returned
-        verbatim (not recomputed as ``values * diag``) because the
-        division/multiplication round trip is not bitwise stable.
-    diag:
-        The span's pivots :math:`D_{ii}`.
-    perturbations:
-        Pivots clamped by the safety floor within the span.
-    """
-
-    values: np.ndarray
-    scaled: np.ndarray
-    diag: np.ndarray
-    perturbations: int
-
-
-def global_pivot_floor(w: sp.csr_matrix, pivot_floor: float = PIVOT_FLOOR) -> float:
-    """The absolute pivot floor `_factor_with_pattern` applies for ``w``.
-
-    Span factorizations must receive this value from the caller —
-    computing it from a span's local diagonal would change clamping
-    decisions.
-    """
-    return pivot_floor * max(float(np.max(np.abs(w.diagonal()))), 1.0)
-
-
-def symbolic_pattern(
-    w: sp.csr_matrix, factorization: str = "incomplete", fill_level: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The factor's strict-lower CSR pattern for either variant.
-
-    Exactly the pattern :func:`incomplete_ldl` / :func:`complete_ldl` preallocate: W's own strict
-    lower triangle for the paper's ICF, the ILU(p) closure for
-    ``fill_level > 0``, the elimination-tree closure for
-    ``factorization="complete"``.
-    """
-    w = _to_csr(w)
-    if factorization == "complete":
-        return _symbolic_complete(w)
-    if factorization != "incomplete":
-        raise ValueError(
-            f"factorization must be 'incomplete' or 'complete', got {factorization!r}"
-        )
-    if fill_level > 0:
-        return _pattern_rows_to_csr(_symbolic_fill_pattern(w, fill_level))
-    lower_w = sp.tril(w, k=-1, format="csr")
-    lower_w.sort_indices()
-    return lower_w.indptr.astype(np.int64), lower_w.indices.astype(np.int64)
-
-
-def factor_row_span(
-    pat_indptr: np.ndarray,
-    pat_indices: np.ndarray,
-    wl_indptr: np.ndarray,
-    wl_indices: np.ndarray,
-    wl_data: np.ndarray,
-    w_diag: np.ndarray,
-    floor: float,
-) -> RowSpanFactor:
-    """Factor one independent leading span, all arrays in local coordinates.
-
-    The caller slices the global pattern / W-lower / diagonal rows for the
-    span and shifts column indices so the span occupies ``[0, m)``; the
-    span must be self-contained (every column inside it), which holds for
-    any run of interior blocks of a bordered block-diagonal matrix.
-    """
-    m = int(np.asarray(w_diag).shape[0])
-    pat_indices = np.asarray(pat_indices, dtype=np.int64)
-    if pat_indices.size and (
-        int(pat_indices.min()) < 0 or int(pat_indices.max()) >= m
-    ):
-        raise ValueError("span pattern references columns outside the span")
-    li = pat_indices.tolist()
-    d: list[float] = [0.0] * m
-    col_rows: list[list[int]] = [[] for _ in range(m)]
-    col_scaled: list[list[float]] = [[] for _ in range(m)]
-    perturb, out = _factor_rows(
-        0,
-        m,
-        np.asarray(pat_indptr, dtype=np.int64).tolist(),
-        li,
-        np.asarray(wl_indptr, dtype=np.int64).tolist(),
-        np.asarray(wl_indices, dtype=np.int64).tolist(),
-        np.asarray(wl_data, dtype=np.float64).tolist(),
-        np.asarray(w_diag, dtype=np.float64).tolist(),
-        d,
-        floor,
-        col_rows,
-        col_scaled,
-        [-1] * m,
-        [0.0] * m,
-    )
-    # Flatten the per-column pre-division values back into pattern order:
-    # column k's entries were appended in ascending row order, so one
-    # cursor per column realigns them with the row-major pattern walk.
-    scaled = np.empty(len(out), dtype=np.float64)
-    cursors = [0] * m
-    for idx, k in enumerate(li):
-        scaled[idx] = col_scaled[k][cursors[k]]
-        cursors[k] += 1
-    return RowSpanFactor(
-        values=np.asarray(out, dtype=np.float64),
-        scaled=scaled,
-        diag=np.asarray(d, dtype=np.float64),
-        perturbations=perturb,
-    )
-
-
-def factor_border_rows(
-    w: sp.csr_matrix,
-    pat_indptr: np.ndarray,
-    pat_indices: np.ndarray,
-    border_start: int,
-    interior_diag: np.ndarray,
-    interior_scaled: np.ndarray,
-    floor: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Factor the trailing border rows given every interior span's result.
-
-    ``interior_diag`` / ``interior_scaled`` are the concatenated
-    :class:`RowSpanFactor` outputs for rows ``[0, border_start)`` (scaled
-    values aligned with the global pattern).  Returns the border rows'
-    factor values in pattern order, the border pivots, and the
-    perturbation count.
-    """
-    n = w.shape[0]
-    lower_w = sp.tril(w, k=-1, format="csr")
-    lower_w.sort_indices()
-    interior_nnz = int(pat_indptr[border_start])
-
-    # The border pass only consults columns that appear in border-row
-    # patterns; rebuild the per-column (rows, pre-division values)
-    # accumulators for exactly those columns with one vectorized grouping
-    # over the interior pattern instead of replaying the interior sweep.
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    col_scaled: list[list[float]] = [[] for _ in range(n)]
-    border_cols = pat_indices[interior_nnz:]
-    needed = np.zeros(n, dtype=bool)
-    needed[border_cols[border_cols < border_start]] = True
-    if interior_nnz and np.any(needed):
-        entry_rows = np.repeat(
-            np.arange(border_start, dtype=np.int64),
-            np.diff(pat_indptr[: border_start + 1]),
-        )
-        entry_cols = pat_indices[:interior_nnz]
-        keep = needed[entry_cols]
-        sel_rows = entry_rows[keep]
-        sel_cols = entry_cols[keep]
-        sel_scaled = interior_scaled[:interior_nnz][keep]
-        order = np.argsort(sel_cols, kind="stable")  # preserves row order
-        sel_rows, sel_cols = sel_rows[order], sel_cols[order]
-        sel_scaled = sel_scaled[order]
-        # The needed columns may hold no interior entry at all (no later
-        # interior row references them); then nothing is selected, and
-        # the run detection below would still yield one boundary.
-        if sel_cols.size:
-            boundaries = np.flatnonzero(
-                np.concatenate(([True], sel_cols[1:] != sel_cols[:-1]))
-            )
-            stops = np.append(boundaries[1:], sel_cols.size)
-            for lo, hi in zip(boundaries, stops):
-                k = int(sel_cols[lo])
-                col_rows[k] = sel_rows[lo:hi].tolist()
-                col_scaled[k] = sel_scaled[lo:hi].tolist()
-
-    d: list[float] = [0.0] * n
-    d[:border_start] = np.asarray(interior_diag, dtype=np.float64).tolist()
-    perturb, out = _factor_rows(
-        border_start,
-        n,
-        np.asarray(pat_indptr, dtype=np.int64).tolist(),
-        np.asarray(pat_indices, dtype=np.int64).tolist(),
-        lower_w.indptr.tolist(),
-        lower_w.indices.tolist(),
-        lower_w.data.tolist(),
-        w.diagonal().tolist(),
-        d,
-        floor,
-        col_rows,
-        col_scaled,
-        [-1] * n,
-        [0.0] * n,
-    )
-    return (
-        np.asarray(out, dtype=np.float64),
-        np.asarray(d[border_start:], dtype=np.float64),
-        perturb,
-    )

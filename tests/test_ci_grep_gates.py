@@ -82,6 +82,14 @@ GATES = {
         ("src", "README.md", "examples", ".github", "benchmarks/bench_*.py"),
         (),
     ),
+    "One factorization path for every shard count": (
+        "factor_row_spa[n]|factor_border_row[s]|RowSpanFacto[r]"
+        "|global_pivot_floo[r]|symbolic_patter[n]|_pack_cluster_block[s]"
+        "|prepacked_block[s]",
+        True,
+        ("src", "tests", "examples", "README.md", "benchmarks/bench_*.py"),
+        (),
+    ),
     "The retired bench scripts stay deleted": (
         "bench_batch_throughpu[t]|bench_serving_latenc[y]"
         "|bench_observabilit[y]|bench_overloa[d]|bench_sharded_scalin[g]"

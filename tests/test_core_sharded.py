@@ -10,13 +10,18 @@ with lazy shard materialisation.
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repro.core.bounds as bounds_module
 import repro.core.sharded as sharded_module
-from repro.core.bounds import BoundsTable
+from repro.core.bounds import BoundsTable, precompute_cluster_bounds
 from repro.core.engine import Engine, engine_from_index
 from repro.core.index import MogulIndex, MogulRanker
 from repro.core.search import TopKAccumulator
@@ -141,6 +146,100 @@ class TestFactorIdentity:
 
     def test_factor_nnz_matches(self, base_ranker, sharded):
         assert sharded.index.factor_nnz == base_ranker.index.factor_nnz
+
+
+def _blob_graph(seed: int, n_blobs: int, per_blob: int):
+    """Gaussian blobs close enough that k-NN edges cross between them."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=2.0, size=(n_blobs, 4))
+    features = np.vstack(
+        [c + rng.normal(size=(per_blob, 4)) for c in centers]
+    )
+    labels = np.repeat(np.arange(n_blobs, dtype=np.int64), per_blob)
+    return build_knn_graph(features, k=4), labels
+
+
+def _csr_bytes(matrix):
+    return (
+        matrix.shape,
+        matrix.data.tobytes(),
+        matrix.indices.tobytes(),
+        matrix.indptr.tobytes(),
+    )
+
+
+def _carve_bytes(blocks, couplings, bounds):
+    """Every array of a carve, as bytes (dtype changes show as well)."""
+    return (
+        [(b.n, b._buffer.tobytes() if b.n > 1 else b"") for b in blocks],
+        [_csr_bytes(c) for c in couplings],
+        [
+            (
+                b.border_cols.tobytes(),
+                b.border_maxima.tobytes(),
+                b.internal_max,
+                b.size,
+            )
+            for b in bounds
+        ],
+    )
+
+
+class TestOneCarve:
+    """Every shard count carves the flat solver's blocks, couplings and bounds.
+
+    The shard states, concatenated in shard order, hold byte for byte
+    the flat :class:`ClusterSolver`'s per-cluster blocks and couplings and
+    :func:`precompute_cluster_bounds`' data, and the stacked bound table
+    is the flat one; the sharded answers rest on this.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_blobs=st.integers(min_value=3, max_value=6),
+        per_blob=st.integers(min_value=6, max_value=14),
+    )
+    @pytest.mark.parametrize(
+        "variant", ("fill0", "fill2", "complete", "loaded")
+    )
+    def test_shard_states_concatenate_to_flat(
+        self, variant, seed, n_blobs, per_blob
+    ):
+        graph, labels = _blob_graph(seed, n_blobs, per_blob)
+        options = {
+            "fill0": {},
+            "fill2": {"fill_level": 2},
+            "complete": {"factorization": "complete"},
+            "loaded": {},
+        }[variant]
+        flat = MogulIndex.build(graph, cluster_labels=labels, **options)
+        assume(flat.n_clusters > 1)  # a shard needs an interior cluster
+        expected = _carve_bytes(
+            flat.solver.blocks,
+            flat.solver.couplings,
+            precompute_cluster_bounds(flat.factors, flat.permutation),
+        )
+        for n_shards in (1, 2, 3, 4):
+            index = ShardedMogulIndex.build(
+                graph, n_shards, cluster_labels=labels, **options
+            )
+            with tempfile.TemporaryDirectory() as tmp:
+                if variant == "loaded":
+                    index.save(os.path.join(tmp, "idx"))
+                    index = load_sharded_index(os.path.join(tmp, "idx"))
+                states = [index.shard_state(s) for s in range(index.n_shards)]
+                got = _carve_bytes(
+                    [b for state in states for b in state.blocks],
+                    [c for state in states for c in state.couplings],
+                    [b for state in states for b in state.bounds],
+                )
+                assert got == expected, (variant, n_shards)
+                stacked = index.bounds_table()
+                assert _csr_bytes(stacked.matrix) == _csr_bytes(
+                    flat.bounds_table.matrix
+                )
+                assert stacked.growth.tobytes() == flat.bounds_table.growth.tobytes()
 
 
 class TestAnswerIdentity:

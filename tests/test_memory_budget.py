@@ -284,6 +284,42 @@ class TestBudgetedIdentity:
             index.configure_memory_budget(1.0, bounds_dtype="int4")
 
 
+class TestRerankPinsSeedShards:
+    """A budgeted re-rank pins its seed shards as the full scan does."""
+
+    @pytest.mark.parametrize("pool", ("answers", "every node"))
+    def test_rerank_faults_no_more_than_top_k(
+        self, graph, saved_index, reference, pool
+    ):
+        # Under a budget smaller than one shard an unpinned seed solve
+        # lets the shard it has just loaded go, so the back solve or the
+        # shard's own scan faults it in again.
+        candidates = {
+            query: reference[query][0].indices
+            if pool == "answers"
+            else np.arange(graph.n_nodes)
+            for query in QUERY_SET
+        }
+
+        def faults_per_query(run) -> float:
+            index = load_sharded_index(saved_index)
+            mgr = index.configure_memory_budget(0.005)
+            ranker = ShardedMogulRanker.from_index(graph, index)
+            for query in QUERY_SET:  # warm: first loads are not faults
+                run(ranker, query)
+            before = mgr.faults_total
+            for query in QUERY_SET:
+                run(ranker, query)
+            return (mgr.faults_total - before) / len(QUERY_SET)
+
+        top_k = faults_per_query(lambda ranker, q: ranker.top_k(q, TOP_K))
+        rerank = faults_per_query(
+            lambda ranker, q: ranker.top_k_rerank(q, TOP_K, candidates[q])
+        )
+        assert top_k > 0
+        assert rerank <= top_k
+
+
 class TestQuantizedFallback:
     @pytest.mark.parametrize("dtype", ("float32", "int8"))
     def test_ambiguous_band_falls_back_to_exact(
